@@ -25,7 +25,7 @@ from typing import Callable
 
 import numpy as np
 
-from .hermite import TrigPoly, to_branch, trig_deriv_eval, zero_poly
+from .hermite import TrigPoly, to_branch, zero_poly
 from .jump import build_jump_H, q_derivs_at, q_eval
 from .network import Branch, FourierResNet, Layer, eval_grid
 from .quadrature import DEFAULT_QUAD, QuadratureConfig
@@ -73,6 +73,7 @@ def _endpoint_derivs(target: PiecewiseTarget, m: int):
 def _assemble(spec: BuildSpec):
     target, m = spec.target, spec.m
     f_minus, f_plus = _endpoint_derivs(target, m)
+    sign_net = build_sign_net(spec.depth)
 
     if target.is_smooth:
         # No jump: H = 0, q = z cancels out of the final sum; emit the
@@ -107,7 +108,6 @@ def _assemble(spec: BuildSpec):
             r_fn, r_minus, r_plus, m, spec.half_modes, spec.quad
         )
 
-        sign_net = build_sign_net(spec.depth)
         layers = list(sign_net.layers)
         last = layers[-1]
         sin_neuron = Branch((1.0,), (1.0,), (0.0,))
@@ -115,10 +115,8 @@ def _assemble(spec: BuildSpec):
         layers.append(Layer(smooth_branch, to_branch(h_poly)))
         net = FourierResNet(tuple(layers))
 
-    sign_net_only = build_sign_net(spec.depth)
-
     def s_l(x):
-        return eval_grid(sign_net_only, x)
+        return eval_grid(sign_net, x)
 
     def z_l(x):
         return s_l(x) + np.sin(np.asarray(x, dtype=float))

@@ -186,12 +186,6 @@ def cmd_eval(args) -> int:
     return 0
 
 
-def _baseline_series_error(target, n_terms: int, quad) -> float:
-    half = (n_terms - 1) // 2
-    coeffs = fourier_coeffs(target.eval, half, quad)
-    return lp_error(target.eval, lambda x: series_eval(coeffs, x), 2.0, quad)
-
-
 def cmd_convergence(args) -> int:
     target = target_lookup(args.target)
     quad = _quad_from_args(args)

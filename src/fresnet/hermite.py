@@ -20,7 +20,7 @@ import numpy as np
 
 from . import jets
 from .jets import Jet
-from .network import Branch, branch_from_modes
+from .network import Branch, branch_from_modes, trig_sum
 
 #: Warn when the interpolation system is estimated worse-conditioned than this.
 CONDITION_WARN_THRESHOLD = 1e10
@@ -98,16 +98,7 @@ def trig_deriv_eval(poly: TrigPoly, x, s: int = 0):
     Defined for all real x (the polynomial is entire), including arguments
     outside [-1, 1].
     """
-    if s < 0:
-        raise ValueError("derivative order must be nonnegative")
-    x = np.asarray(x, dtype=float)
-    scalar = x.ndim == 0
-    xs = np.atleast_1d(x)
-    omegas = poly.mode_freqs
-    c = np.asarray(poly.coeffs)
-    vals = np.exp(1j * np.multiply.outer(xs, omegas)) @ (c * (1j * omegas) ** s)
-    out = vals.real
-    return float(out[0]) if scalar else out
+    return trig_sum(poly.mode_freqs, poly.coeffs, x, s)
 
 
 def trig_eval_jet(poly: TrigPoly, u: Jet) -> Jet:

@@ -16,6 +16,16 @@ Re(c e^{iwt}) and is folded onto the nonnegative frequency |w| by
 excluded from :func:`neuron_count` so that neuron totals match the
 L + W + 1 + 4(m+1) accounting of the deep piecewise construction.
 
+Every branch, and every other trigonometric sum in the package, is
+evaluated by one kernel, :func:`trig_sum`.  It folds each mode onto a
+nonnegative frequency and merges duplicates.  Modes at exact multiples
+k pi of pi become one coefficient array c_0..c_K, summed by complex Horner
+in z = e^{i pi x}: one complex exp per point instead of a sin and a cos
+per point and mode, and O(n) memory for n points.  The few other modes
+(pi/2 in the first sign layer, the sin(x) neuron, the quarter-pi Hermite
+modes) are summed as a dense n x D sine/cosine product over their D
+distinct frequencies.
+
 Networks are immutable after construction and evaluation is pure, so all
 operations are safe for concurrent use.
 """
@@ -24,6 +34,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -55,19 +66,17 @@ class Branch:
     def width(self) -> int:
         return len(self.freqs)
 
+    @cached_property
+    def _plan(self):
+        # a sin(wt) + b cos(wt) == Re((b - ia) e^{iwt})
+        amps = np.asarray(self.cos_amps, dtype=float) - 1j * np.asarray(self.sin_amps, dtype=float)
+        return _trig_plan(self.freqs, amps, 0)
+
     def __call__(self, t):
         """Evaluate the branch at scalar or array input."""
-        t = np.asarray(t, dtype=float)
         if self.width == 0:
-            return np.zeros(t.shape)
-        w = np.asarray(self.freqs)
-        a = np.asarray(self.sin_amps)
-        b = np.asarray(self.cos_amps)
-        phase = np.multiply.outer(t, w)
-        return np.sin(phase) @ a + np.cos(phase) @ b
-
-
-EMPTY_BRANCH = Branch((), (), ())
+            return np.zeros(np.shape(t))
+        return _trig_apply(self._plan, t)
 
 
 @dataclass(frozen=True)
@@ -89,6 +98,60 @@ class FourierResNet:
     @property
     def depth(self) -> int:
         return len(self.layers)
+
+
+def trig_sum(omegas, amps, x, deriv: int = 0):
+    """Re sum_j amps_j (i omegas_j)^deriv e^{i omegas_j x} at scalar or array x.
+
+    ``omegas`` are real frequencies of any sign and ``amps`` complex
+    amplitudes; the result has the shape of ``x``.
+    """
+    return _trig_apply(_trig_plan(omegas, amps, deriv), x)
+
+
+def _trig_plan(omegas, amps, deriv: int):
+    """Split the modes into a Horner array for the multiples of pi and a
+    dense remainder, both folded onto nonnegative, distinct frequencies."""
+    if deriv < 0:
+        raise ValueError("derivative order must be nonnegative")
+    omegas = np.asarray(omegas, dtype=float).ravel()
+    amps = np.asarray(amps, dtype=complex).ravel()
+    if omegas.shape != amps.shape:
+        raise ValueError(f"{omegas.size} frequencies but {amps.size} amplitudes")
+    if deriv:
+        amps = amps * (1j * omegas) ** deriv
+    # Re(c e^{-iwx}) == Re(conj(c) e^{iwx})
+    amps = np.where(omegas < 0, amps.conj(), amps)
+    omegas = np.abs(omegas)
+    ks = np.rint(omegas / np.pi)
+    # Horner takes max(k) steps per point, so multiples of pi beyond twice
+    # the mode count (the builder makes none; a loaded file may) are
+    # cheaper as dense terms.
+    on_grid = (ks * np.pi == omegas) & (ks <= 2 * omegas.size)
+    k_on = ks[on_grid].astype(int)
+    horner = np.zeros(k_on.max() + 1 if k_on.size else 0, dtype=complex)
+    np.add.at(horner, k_on, amps[on_grid])
+    freqs, where = np.unique(omegas[~on_grid], return_inverse=True)
+    dense = np.zeros(freqs.size, dtype=complex)
+    np.add.at(dense, where, amps[~on_grid])
+    return horner.tolist(), freqs, dense.real, -dense.imag
+
+
+def _trig_apply(plan, x):
+    horner, freqs, cos_amps, sin_amps = plan
+    x = np.asarray(x, dtype=float)
+    out = np.zeros(x.shape)
+    if horner:
+        z = np.exp(1j * np.pi * x)
+        p = np.full(x.shape, horner[-1])
+        for c in reversed(horner[:-1]):
+            p *= z
+            p += c
+        out += p.real
+    if freqs.size:
+        phase = np.multiply.outer(x, freqs)
+        out += np.sin(phase) @ sin_amps + np.cos(phase) @ cos_amps
+    return out[()] if out.ndim == 0 else out
 
 
 def mode_entry(c: complex, omega: float):

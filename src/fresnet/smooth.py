@@ -18,7 +18,7 @@ from __future__ import annotations
 import numpy as np
 
 from .hermite import hermite_endpoint, trig_deriv_eval
-from .network import Branch, branch_from_modes
+from .network import Branch, branch_from_modes, trig_sum
 from .quadrature import DEFAULT_QUAD, QuadratureConfig, nodes_weights
 
 
@@ -40,9 +40,7 @@ def fourier_coeffs(g, half_modes: int, quad: QuadratureConfig = DEFAULT_QUAD) ->
 def series_eval(coeffs: np.ndarray, x):
     """Real part of the symmetric Fourier sum with the given k = -K..K coefficients."""
     half = (len(coeffs) - 1) // 2
-    ks = np.arange(-half, half + 1)
-    x = np.asarray(x, dtype=float)
-    return (np.exp(1j * np.pi * np.multiply.outer(x, ks)) @ coeffs).real
+    return trig_sum(np.pi * np.arange(-half, half + 1), coeffs, x)
 
 
 def build_smooth_branch(

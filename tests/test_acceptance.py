@@ -10,8 +10,9 @@ The construction's own depth term floors the L^2 error near
 2^{-L/2} ~ 1e-3 at L = 20 (verified to track 2^{-L/2} over L = 20..40), so
 the stated slope thresholds for m >= 2 are unattainable at these sizes and
 those assertions fail; see the decisions ledger for the full analysis.  The
-measured rates, including the faster pre-floor rates, are recorded in
-test_artifacts/spectral_rates_<target>.csv.
+measured rates, including the faster pre-floor rates, are written on every
+run to test_artifacts/spectral_rates_<target>.csv, a git-ignored directory,
+so a test run leaves the tracked tree unchanged.
 """
 
 import math

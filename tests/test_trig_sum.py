@@ -1,0 +1,104 @@
+"""The shared trig-sum kernel against an exact-summation oracle, and its memory."""
+
+import cmath
+import math
+import tracemalloc
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from fresnet import network
+from fresnet.builder import BuildSpec, build_piecewise_net
+from fresnet.network import Branch, trig_sum
+from fresnet.targets import target_lookup
+
+
+def fsum_oracle(omegas, amps, x, deriv):
+    """Re sum_j amps_j (i omegas_j)^deriv e^{i omegas_j x}, mode by mode, fsum'd."""
+    return math.fsum(
+        (complex(c) * (1j * w) ** deriv * cmath.exp(1j * w * x)).real
+        for w, c in zip(omegas, amps)
+    )
+
+
+def tolerance(omegas, amps, deriv):
+    scale = max([1.0] + [abs(w) for w in omegas]) ** deriv
+    return 1e-13 * sum(abs(complex(c)) for c in amps) * scale
+
+
+finite = {"allow_nan": False, "allow_infinity": False}
+amplitudes = st.builds(complex, st.floats(-10, 10, **finite), st.floats(-10, 10, **finite))
+#: Signed multiples k pi, k = -24..24: zero, both signs and, drawn twice, duplicates.
+pi_multiples = st.integers(-24, 24).map(lambda k: k * math.pi)
+#: Frequencies off the k pi grid, such as the quarter-pi Hermite modes.
+off_grid = st.one_of(
+    st.floats(-75, 75, **finite),
+    st.integers(-12, 11).map(lambda k: (2 * k + 1) * math.pi / 4),
+)
+modes = st.lists(st.tuples(st.one_of(pi_multiples, off_grid), amplitudes), max_size=40)
+#: The h-branch sees Z_L = S_L + sin(x), so |x| reaches about 1.85.
+points = st.floats(-2.5, 2.5, **finite)
+
+
+@settings(max_examples=200, deadline=None)
+@given(modes, st.integers(0, 4), st.lists(points, min_size=1, max_size=8))
+def test_kernel_matches_fsum_oracle(mode_list, deriv, xs):
+    omegas = [w for w, _ in mode_list]
+    amps = [c for _, c in mode_list]
+    tol = tolerance(omegas, amps, deriv)
+    got = trig_sum(omegas, amps, np.array(xs), deriv)
+    assert got.shape == (len(xs),)
+    for x, value in zip(xs, got):
+        assert abs(value - fsum_oracle(omegas, amps, x, deriv)) <= tol
+        scalar = trig_sum(omegas, amps, x, deriv)
+        assert np.ndim(scalar) == 0
+        assert abs(scalar - fsum_oracle(omegas, amps, x, deriv)) <= tol
+
+
+def test_kernel_keeps_the_shape_of_x():
+    xs = np.linspace(-2, 2, 12).reshape(3, 4)
+    got = trig_sum([0.0, math.pi, -2 * math.pi, 0.75], [1, 2j, 1 - 1j, 0.5], xs)
+    assert got.shape == (3, 4)
+    assert trig_sum([], [], xs).shape == (3, 4)
+
+
+def test_lone_high_multiple_of_pi():
+    # Far off the Horner range, still summed correctly (as one dense term).
+    w = 1e6 * math.pi
+    for x in (0.3, -1.7):
+        assert trig_sum([w], [0.5 - 2j], x) == pytest.approx(
+            fsum_oracle([w], [0.5 - 2j], x, 0), abs=1e-9)
+
+
+def test_bad_arguments_rejected():
+    with pytest.raises(ValueError):
+        trig_sum([math.pi], [1.0], 0.0, -1)
+    with pytest.raises(ValueError):
+        trig_sum([math.pi, 0.0], [1.0], 0.0)
+
+
+def test_branch_matches_its_sin_cos_form():
+    rng = np.random.default_rng(4)
+    freqs = tuple(np.concatenate([np.arange(6) * math.pi, [math.pi / 2, 1.0, 3 * math.pi / 4]]))
+    br = Branch(freqs, tuple(rng.uniform(-1, 1, 9)), tuple(rng.uniform(-1, 1, 9)))
+    xs = rng.uniform(-2, 2, 25)
+    want = [math.fsum(a * math.sin(w * x) + b * math.cos(w * x)
+                      for w, a, b in zip(br.freqs, br.sin_amps, br.cos_amps)) for x in xs]
+    assert br(xs) == pytest.approx(want, abs=1e-13)
+    # the cached evaluation plan is not part of the value
+    assert br == Branch(br.freqs, br.sin_amps, br.cos_amps)
+
+
+def test_eval_memory_stays_linear_in_points():
+    net = build_piecewise_net(BuildSpec(target_lookup("pw_smooth"), 4, 512, 60))
+    xs = np.linspace(-1.0, 1.0, 20000)
+    tracemalloc.start()
+    try:
+        network.eval_grid(net, xs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # a dense n x W phase matrix alone would take 20000 * 1055 * 8 B = 169 MB
+    assert peak < 32e6, f"eval_grid peak {peak / 1e6:.1f} MB"
