@@ -3,73 +3,40 @@
 Builds width-1-deep + shallow-spectral networks approximating functions
 with a jump at x = 0, with exponential-in-depth and spectral-in-width
 error decay and no Gibbs overshoot.
+
+The top level exports the documented surface; every submodule keeps its
+own names (``fresnet.network.trig_sum``, ``fresnet.metrics.fit_rate``, ...).
 """
 
-from .builder import BuildSpec, ComponentViews, build_piecewise_net, component_views, suggested_architecture
-from .hermite import TrigPoly, hermite_endpoint, to_branch, trig_deriv_eval
-from .jump import build_jump_H, q_derivs_at, q_eval, z_eval
-from .metrics import RateFit, fit_rate, gibbs_support_width, lp_error, max_overshoot
+from .builder import BuildSpec, build_piecewise_net, component_views
+from .metrics import lp_error
 from .network import (
-    Branch,
     FourierResNet,
-    Layer,
     NetworkFormatError,
     deserialize,
     eval_grid,
-    eval_prefix,
-    frequency_multiset,
     load,
     neuron_count,
     save,
     serialize,
 )
-from .quadrature import DEFAULT_QUAD, QuadratureConfig
-from .sign import build_sign_net, phi, sign_error_bound, truncated_sign_series
-from .smooth import build_smooth_branch, fourier_coeffs, series_eval
 from .targets import PiecewiseTarget, register_target, registered_names, target_lookup
 
 __all__ = [
     "BuildSpec",
-    "Branch",
-    "ComponentViews",
-    "DEFAULT_QUAD",
     "FourierResNet",
-    "Layer",
     "NetworkFormatError",
     "PiecewiseTarget",
-    "QuadratureConfig",
-    "RateFit",
-    "TrigPoly",
-    "build_jump_H",
     "build_piecewise_net",
-    "build_sign_net",
-    "build_smooth_branch",
     "component_views",
     "deserialize",
     "eval_grid",
-    "eval_prefix",
-    "fit_rate",
-    "fourier_coeffs",
-    "frequency_multiset",
-    "gibbs_support_width",
-    "hermite_endpoint",
     "load",
     "lp_error",
-    "max_overshoot",
     "neuron_count",
-    "phi",
-    "q_derivs_at",
-    "q_eval",
     "register_target",
     "registered_names",
     "save",
     "serialize",
-    "series_eval",
-    "sign_error_bound",
-    "suggested_architecture",
     "target_lookup",
-    "to_branch",
-    "trig_deriv_eval",
-    "truncated_sign_series",
-    "z_eval",
 ]

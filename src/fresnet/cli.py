@@ -20,7 +20,6 @@ failure, 4 I/O error.
 from __future__ import annotations
 
 import argparse
-import math
 import sys
 import time
 
@@ -28,11 +27,11 @@ import numpy as np
 
 from . import network
 from .builder import BuildSpec, build_piecewise_net
-from .metrics import fit_rate, gibbs_support_width, lp_error, max_overshoot
+from .metrics import gibbs_support_width, lp_error, max_overshoot
 from .quadrature import QuadratureConfig
 from .sign import build_sign_net, sign_error_bound, truncated_sign_series
 from .smooth import fourier_coeffs, series_eval
-from .targets import UnknownTargetError, registered_names, target_lookup
+from .targets import UnknownTargetError, target_lookup
 
 EXIT_USAGE = 2
 EXIT_ASSERTION = 3
@@ -44,8 +43,6 @@ EXPERIMENT_HEADER = (
 
 
 def _fmt(v) -> str:
-    if v is None or v == "":
-        return ""
     return format(float(v), ".17g")
 
 
@@ -83,14 +80,13 @@ def _add_quad_flags(parser) -> None:
     parser.add_argument("--grading", type=float, default=0.7, help="geometric grading ratio")
 
 
-def _write_svg(path: str, xs, series: dict, logx=False, logy=False) -> None:
-    """Minimal fixed-viewbox polyline chart; log axes for rate plots."""
+def _write_svg(path: str, xs, series: dict) -> None:
+    """Minimal fixed-viewbox polyline chart."""
     width, height, margin = 800, 500, 50
-    tx = np.log10(np.asarray(xs, dtype=float)) if logx else np.asarray(xs, dtype=float)
+    tx = np.asarray(xs, dtype=float)
     all_y = np.concatenate([np.asarray(v, dtype=float) for v in series.values()])
-    ty_all = np.log10(np.maximum(all_y, 1e-300)) if logy else all_y
     x_lo, x_hi = float(tx.min()), float(tx.max())
-    y_lo, y_hi = float(ty_all.min()), float(ty_all.max())
+    y_lo, y_hi = float(all_y.min()), float(all_y.max())
     x_span = (x_hi - x_lo) or 1.0
     y_span = (y_hi - y_lo) or 1.0
     colors = ["#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#8c564b", "#e377c2", "#7f7f7f"]
@@ -99,7 +95,7 @@ def _write_svg(path: str, xs, series: dict, logx=False, logy=False) -> None:
         f'<rect width="{width}" height="{height}" fill="white"/>',
     ]
     for i, (label, ys) in enumerate(series.items()):
-        ty = np.log10(np.maximum(np.asarray(ys, dtype=float), 1e-300)) if logy else np.asarray(ys, dtype=float)
+        ty = np.asarray(ys, dtype=float)
         px = margin + (tx - x_lo) / x_span * (width - 2 * margin)
         py = height - margin - (ty - y_lo) / y_span * (height - 2 * margin)
         pts = " ".join(f"{a:.2f},{b:.2f}" for a, b in zip(px, py))

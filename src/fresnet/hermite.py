@@ -19,7 +19,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import jets
-from .jets import Jet
 from .network import Branch, branch_from_modes, trig_sum
 
 #: Warn when the interpolation system is estimated worse-conditioned than this.
@@ -101,23 +100,6 @@ def trig_deriv_eval(poly: TrigPoly, x, s: int = 0):
     return trig_sum(poly.mode_freqs, poly.coeffs, x, s)
 
 
-def trig_eval_jet(poly: TrigPoly, u: Jet) -> Jet:
-    """Compose the (real part of the) polynomial with a jet argument.
-
-    Uses Re(c e^{i w u}) = Re(c) cos(w u) - Im(c) sin(w u) per mode, so the
-    composition stays in real jet arithmetic.
-    """
-    acc = jets.jet_const(0.0, u.base_point, u.order)
-    for c, w in zip(poly.coeffs, poly.mode_freqs):
-        wu = jets.jet_scale(u, w)
-        term = jets.jet_sub(
-            jets.jet_scale(jets.jet_cos(wu), c.real),
-            jets.jet_scale(jets.jet_sin(wu), c.imag),
-        )
-        acc = jets.jet_add(acc, term)
-    return acc
-
-
 def to_branch(poly: TrigPoly) -> Branch:
     """Real sin/cos branch equivalent to the polynomial.
 
@@ -126,9 +108,3 @@ def to_branch(poly: TrigPoly) -> Branch:
     (2k+1) pi / 4, k = 0..m, appears twice.
     """
     return branch_from_modes(poly.coeffs, poly.mode_freqs)
-
-
-def max_abs_deriv(poly: TrigPoly, lo: float, hi: float, n: int = 4001) -> float:
-    """Grid estimate of max |H'| on [lo, hi]."""
-    grid = np.linspace(lo, hi, n)
-    return float(np.max(np.abs(trig_deriv_eval(poly, grid, 1))))

@@ -23,9 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import jets
 from .hermite import TrigPoly, hermite_endpoint, trig_deriv_eval
-from .jets import jet_add, jet_const, jet_sin, jet_var
 
 
 @dataclass(frozen=True)
@@ -34,18 +32,6 @@ class ZProfile:
 
     value: float
     derivs: tuple
-
-    @property
-    def m(self) -> int:
-        return len(self.derivs)
-
-
-@dataclass(frozen=True)
-class ChainRuleMatrix:
-    """Lower-triangular matrix A with A[s, j] = B_{s,j}(z', z'', ...)."""
-
-    m: int
-    entries: np.ndarray
 
 
 def z_eval(x):
@@ -73,16 +59,13 @@ def z_profile(point: float, side: str, m: int) -> ZProfile:
     return ZProfile(value, derivs)
 
 
-def _jet_z(point: float, side: str, m: int):
-    """Jet of z at a one-sided point (oracle-friendly composed form)."""
-    zp = z_profile(point, side, 0)
-    step = zp.value - math.sin(point)
-    return jet_add(jet_const(step, point, m), jet_sin(jet_var(point, m)))
+def chain_rule_matrix(derivs) -> np.ndarray:
+    """Lower-triangular A with A[s, j] = B_{s,j}(z', z'', ...).
 
-
-def chain_rule_matrix(zp: ZProfile) -> ChainRuleMatrix:
-    m = zp.m
-    x = zp.derivs  # x[i-1] = z^{(i)}
+    ``derivs`` is (z', ..., z^(m)); the result is (m+1) x (m+1).
+    """
+    m = len(derivs)
+    x = derivs  # x[i-1] = z^{(i)}
     bell = np.zeros((m + 1, m + 1))
     bell[0, 0] = 1.0
     for n in range(1, m + 1):
@@ -91,7 +74,7 @@ def chain_rule_matrix(zp: ZProfile) -> ChainRuleMatrix:
             for i in range(1, n - k + 2):
                 acc += math.comb(n - 1, i - 1) * x[i - 1] * bell[n - i, k - 1]
             bell[n, k] = acc
-    return ChainRuleMatrix(m, bell)
+    return bell
 
 
 def build_jump_H(alphas, betas) -> TrigPoly:
@@ -105,7 +88,7 @@ def build_jump_H(alphas, betas) -> TrigPoly:
     for side, data in (("left", alphas), ("right", betas)):
         zp = z_profile(0.0, side, m)
         rhs = data - np.concatenate([[zp.value], zp.derivs])
-        a = chain_rule_matrix(zp).entries
+        a = chain_rule_matrix(zp.derivs)
         v = np.zeros(m + 1)
         for s in range(m + 1):
             v[s] = (rhs[s] - a[s, :s] @ v[:s]) / a[s, s]
@@ -122,7 +105,7 @@ def q_eval(poly: TrigPoly, x):
 def q_derivs_at(point: float, side: str, poly: TrigPoly, m: int) -> np.ndarray:
     """One-sided derivatives [q(point), ..., q^(m)(point)] of q = z + H(z)."""
     zp = z_profile(point, side, m)
-    a = chain_rule_matrix(zp).entries
+    a = chain_rule_matrix(zp.derivs)
     h_derivs = np.array(
         [trig_deriv_eval(poly, zp.value, j) for j in range(m + 1)]
     )

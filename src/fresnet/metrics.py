@@ -6,9 +6,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .quadrature import DEFAULT_QUAD, QuadratureConfig, nodes_weights
+from .quadrature import DEFAULT_QUAD, QuadratureConfig, integrate
 
-#: Default uniform grid size for overshoot / support diagnostics.
+#: Uniform grid size for the overshoot / support diagnostics.
 DEFAULT_GRID_N = 20001
 
 
@@ -31,9 +31,11 @@ def lp_error(f, g, p: float, quad: QuadratureConfig = DEFAULT_QUAD) -> float:
     """
     if p <= 0:
         raise ValueError("p must be positive")
-    x, w = nodes_weights(quad)
-    diff = np.abs(np.asarray(f(x), dtype=float) - np.asarray(g(x), dtype=float))
-    return float((w @ diff**p) ** (1.0 / p))
+
+    def integrand(x):
+        return np.abs(np.asarray(f(x), dtype=float) - np.asarray(g(x), dtype=float)) ** p
+
+    return integrate(integrand, quad) ** (1.0 / p)
 
 
 def fit_rate(xs, errs) -> RateFit:
@@ -52,25 +54,25 @@ def fit_rate(xs, errs) -> RateFit:
     return RateFit(float(slope), float(intercept), r2, xs.size)
 
 
-def _diagnostic_grid(grid_n: int) -> np.ndarray:
-    grid = np.linspace(-1.0, 1.0, grid_n)
+def _diagnostic_grid() -> np.ndarray:
+    grid = np.linspace(-1.0, 1.0, DEFAULT_GRID_N)
     return grid[grid != 0.0]  # sgn convention at 0 is measure-zero; skip it
 
 
-def gibbs_support_width(f, approx, threshold: float, grid_n: int = DEFAULT_GRID_N) -> float:
+def gibbs_support_width(f, approx, threshold: float) -> float:
     """Largest |x| where |f - approx| exceeds the threshold (0 if nowhere)."""
     if threshold <= 0:
         raise ValueError("threshold must be positive")
-    grid = _diagnostic_grid(grid_n)
+    grid = _diagnostic_grid()
     err = np.abs(np.asarray(f(grid), dtype=float) - np.asarray(approx(grid), dtype=float))
     exceed = np.abs(grid)[err > threshold]
     return float(exceed.max()) if exceed.size else 0.0
 
 
-def max_overshoot(approx, lo: float, hi: float, grid_n: int = DEFAULT_GRID_N) -> float:
+def max_overshoot(approx, lo: float, hi: float) -> float:
     """How far the approximation leaves the band [lo, hi] on [-1, 1]."""
     if lo >= hi:
         raise ValueError("lo must be < hi")
-    grid = _diagnostic_grid(grid_n)
+    grid = _diagnostic_grid()
     vals = np.asarray(approx(grid), dtype=float)
     return float(max(0.0, vals.max() - hi, lo - vals.min()))

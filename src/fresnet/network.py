@@ -55,8 +55,8 @@ class Branch:
     def __post_init__(self):
         if not (len(self.freqs) == len(self.sin_amps) == len(self.cos_amps)):
             raise NetworkFormatError(
-                "branch lists must have equal lengths: "
-                f"{len(self.freqs)}, {len(self.sin_amps)}, {len(self.cos_amps)}"
+                f"mismatched lengths freqs={len(self.freqs)} "
+                f"a={len(self.sin_amps)} b={len(self.cos_amps)}"
             )
         for seq in (self.freqs, self.sin_amps, self.cos_amps):
             if any(not np.isfinite(v) for v in seq):
@@ -196,11 +196,6 @@ def _forward(net: FourierResNet, xs: np.ndarray, upto: int) -> np.ndarray:
     return f
 
 
-def eval(net: FourierResNet, x) -> float:  # noqa: A001 - spec operation name
-    """f_L(x) at a single point."""
-    return float(_forward(net, np.atleast_1d(np.asarray(x, dtype=float)), net.depth)[0])
-
-
 def eval_grid(net: FourierResNet, xs) -> np.ndarray:
     """f_L at every point of ``xs``."""
     xs = np.asarray(xs, dtype=float)
@@ -282,10 +277,6 @@ def _parse_branch(obj, where: str) -> Branch:
         if key not in obj or not isinstance(obj[key], list):
             raise NetworkFormatError(f"{where}: missing or invalid '{key}' array")
     freqs, a, b = obj["freqs"], obj["a"], obj["b"]
-    if not (len(freqs) == len(a) == len(b)):
-        raise NetworkFormatError(
-            f"{where}: mismatched lengths freqs={len(freqs)} a={len(a)} b={len(b)}"
-        )
     try:
         return Branch(tuple(map(float, freqs)), tuple(map(float, a)), tuple(map(float, b)))
     except (TypeError, ValueError) as exc:
@@ -315,8 +306,6 @@ def deserialize(text: str) -> FourierResNet:
         g = _parse_branch(layer_doc["g"], f"layer {i} g-branch")
         h_doc = layer_doc.get("h")
         h = None if h_doc is None else _parse_branch(h_doc, f"layer {i} h-branch")
-        if i == 1 and h is not None:
-            raise NetworkFormatError("layer 1 must not have an h-branch")
         layers.append(Layer(g, h))
     return FourierResNet(tuple(layers))
 

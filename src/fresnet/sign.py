@@ -15,11 +15,6 @@ import numpy as np
 from .network import Branch, FourierResNet, Layer
 
 
-def phi(y):
-    """Fixed-point iteration map y + sin(pi y)/pi."""
-    return y + np.sin(np.pi * np.asarray(y, dtype=float)) / np.pi
-
-
 def build_sign_net(depth: int) -> FourierResNet:
     """Depth-``depth`` width-1 network whose output converges to sgn."""
     if depth < 1:

@@ -39,8 +39,6 @@ class PiecewiseTarget:
     left_piece: Callable
     right_piece: Callable
     value_at_breakpoint: float
-    max_order: int = MAX_ORDER
-    breakpoint: float = 0.0
 
     @property
     def is_smooth(self) -> bool:
@@ -67,9 +65,9 @@ class PiecewiseTarget:
         """[f(point^s), f'(point^s), ..., f^(m)(point^s)] for side s."""
         if side not in ("left", "right"):
             raise ValueError(f"side must be 'left' or 'right', got {side!r}")
-        if m > self.max_order:
+        if m > MAX_ORDER:
             raise UnsupportedOrderError(
-                f"order {m} exceeds max_order {self.max_order} of target {self.name!r}"
+                f"order {m} exceeds max_order {MAX_ORDER} of target {self.name!r}"
             )
         if not -1.0 <= point <= 1.0:
             raise ValueError("point outside [-1, 1]")

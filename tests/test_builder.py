@@ -169,7 +169,7 @@ def test_z_minus_zl_equals_sgn_minus_sl():
 
 def test_error_split_bound():
     # ||f - F|| <= ||sgn - S_L|| (1 + Lip(H)) + ||r - R_W||, Lip over [-1.01, 1.01]
-    from fresnet.hermite import max_abs_deriv
+    from oracles import max_abs_deriv
     from fresnet.targets import target_lookup as lookup
 
     sgn = lookup("sgn")

@@ -9,12 +9,11 @@ from fresnet import jets
 from fresnet.hermite import (
     TrigPoly,
     hermite_endpoint,
-    max_abs_deriv,
     to_branch,
     trig_deriv_eval,
-    trig_eval_jet,
     zero_poly,
 )
+from oracles import max_abs_deriv, trig_eval_jet
 
 
 def test_m0_all_ones_closed_form():

@@ -80,7 +80,7 @@ def test_eval_prefix_chain():
 
 def test_scalar_and_empty_inputs():
     net = random_net(np.random.default_rng(3), 2)
-    assert network.eval(net, 0.25) == pytest.approx(oracle_eval(net, 0.25))
+    assert eval_prefix(net, 0.25, net.depth) == pytest.approx(oracle_eval(net, 0.25))
     assert eval_grid(net, np.array([])).shape == (0,)
 
 

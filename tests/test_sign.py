@@ -8,7 +8,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from fresnet import network
-from fresnet.sign import build_sign_net, phi, sign_error_bound, truncated_sign_series
+from fresnet.sign import build_sign_net, sign_error_bound, truncated_sign_series
+from oracles import phi
 
 
 def test_structure():
@@ -31,7 +32,7 @@ def test_depth_two_value_is_phi_of_layer_one():
     # Oracle computed from scratch: S_2(1/2) = phi(sin(pi/4))
     y1 = math.sin(math.pi / 4)
     expect = y1 + math.sin(math.pi * y1) / math.pi
-    assert network.eval(build_sign_net(2), 0.5) == pytest.approx(expect, abs=1e-16)
+    assert network.eval_prefix(build_sign_net(2), 0.5, 2) == pytest.approx(expect, abs=1e-16)
 
 
 def test_network_iterates_phi():

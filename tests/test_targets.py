@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from fresnet.jets import MAX_ORDER
 from fresnet.targets import (
     PiecewiseTarget,
     UnknownTargetError,
@@ -96,7 +97,7 @@ def test_domain_and_argument_errors():
     with pytest.raises(ValueError):
         t.one_sided_derivs(0.0, "up", 1)
     with pytest.raises(UnsupportedOrderError):
-        t.one_sided_derivs(0.0, "left", t.max_order + 1)
+        t.one_sided_derivs(0.0, "left", MAX_ORDER + 1)
 
 
 def test_unknown_target_lists_registry():
