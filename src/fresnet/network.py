@@ -58,9 +58,8 @@ class Branch:
                 f"mismatched lengths freqs={len(self.freqs)} "
                 f"a={len(self.sin_amps)} b={len(self.cos_amps)}"
             )
-        for seq in (self.freqs, self.sin_amps, self.cos_amps):
-            if any(not np.isfinite(v) for v in seq):
-                raise NetworkFormatError("branch parameters must be finite")
+        if not np.isfinite(np.asarray((*self.freqs, *self.sin_amps, *self.cos_amps))).all():
+            raise NetworkFormatError("branch parameters must be finite")
 
     @property
     def width(self) -> int:
@@ -276,10 +275,13 @@ def _parse_branch(obj, where: str) -> Branch:
     for key in ("freqs", "a", "b"):
         if key not in obj or not isinstance(obj[key], list):
             raise NetworkFormatError(f"{where}: missing or invalid '{key}' array")
-    freqs, a, b = obj["freqs"], obj["a"], obj["b"]
+        for v in obj[key]:
+            # exact types: json.loads gives bool, a subclass of int, for true/false
+            if type(v) not in (int, float):
+                raise NetworkFormatError(f"{where}: '{key}' entry {v!r} is not a number")
     try:
-        return Branch(tuple(map(float, freqs)), tuple(map(float, a)), tuple(map(float, b)))
-    except (TypeError, ValueError) as exc:
+        return Branch(*(tuple(map(float, obj[key])) for key in ("freqs", "a", "b")))
+    except (ValueError, OverflowError) as exc:
         raise NetworkFormatError(f"{where}: {exc}") from exc
 
 
@@ -295,9 +297,12 @@ def deserialize(text: str) -> FourierResNet:
     layers_doc = doc["layers"]
     if not isinstance(layers_doc, list) or not layers_doc:
         raise NetworkFormatError("'layers' must be a nonempty array")
-    if "depth" in doc and doc["depth"] != len(layers_doc):
+    depth = doc.get("depth", len(layers_doc))
+    if type(depth) is not int:
+        raise NetworkFormatError(f"'depth' must be an integer, got {depth!r}")
+    if depth != len(layers_doc):
         raise NetworkFormatError(
-            f"declared depth {doc['depth']} != number of layers {len(layers_doc)}"
+            f"declared depth {depth} != number of layers {len(layers_doc)}"
         )
     layers = []
     for i, layer_doc in enumerate(layers_doc, start=1):

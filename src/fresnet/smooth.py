@@ -6,6 +6,13 @@ at +-1, and G is the truncated Fourier series of the periodized residual
 g = f - H_r.  Because g's periodic extension is C^m, its coefficients
 decay like k^{-m} and the truncation error is spectral in the mode count.
 
+The coefficients come from one quadrature sum per mode, computed by the
+transpose of the evaluation kernel's Horner scheme: z = e^{-i pi x} is
+formed once per node, and the weighted samples are multiplied by z once
+per mode.  That is one complex exp per node instead of one per mode and
+node, and O(nodes) memory for any K.  Because g is real, only k >= 0 is
+computed; the negative modes are the conjugates c_{-k} = conj(c_k).
+
 Mode-count convention: ``half_modes`` K gives the symmetric set of
 integer frequencies k = -K..K (2K+1 modes including the constant); the
 width parameter W of the error analysis corresponds to 2K.  The extra
@@ -25,16 +32,25 @@ from .quadrature import DEFAULT_QUAD, QuadratureConfig, nodes_weights
 def fourier_coeffs(g, half_modes: int, quad: QuadratureConfig = DEFAULT_QUAD) -> np.ndarray:
     """Coefficients g_k = (1/2) integral g(x) e^{-i k pi x} dx, k = -K..K.
 
-    ``g`` must be a vectorized callable, finite on [-1, 1].  The composite
-    Gauss-Legendre rule never straddles 0, preserving accuracy when g has
-    a higher-derivative jump there.
+    ``g`` must be a vectorized real callable, finite on [-1, 1].  The
+    composite Gauss-Legendre rule never straddles 0, preserving accuracy
+    when g has a higher-derivative jump there.  With p = (1/2) w g(x) at
+    the nodes, the recurrence c_k = sum(p), p *= e^{-i pi x} gives
+    c_0..c_K in K+1 steps over one node-sized array; the negative modes
+    are their exact conjugates, and c_0 is real.
     """
     if half_modes < 0:
         raise ValueError("half_modes must be nonnegative")
     x, w = nodes_weights(quad)
-    vals = np.asarray(g(x), dtype=float)
-    ks = np.arange(-half_modes, half_modes + 1)
-    return 0.5 * np.exp(-1j * np.pi * np.multiply.outer(ks, x)) @ (w * vals)
+    z = np.exp(-1j * np.pi * x)
+    p = 0.5 * w * np.asarray(g(x), dtype=float)
+    c = np.empty(half_modes + 1, dtype=complex)
+    c[0] = p.sum()
+    p = p.astype(complex)
+    for k in range(1, half_modes + 1):
+        p *= z
+        c[k] = p.sum()
+    return np.concatenate([c[:0:-1].conj(), c])
 
 
 def series_eval(coeffs: np.ndarray, x):

@@ -1,8 +1,9 @@
 """Reference routes the tests check the library against.
 
 Each recomputes a library quantity by an independent method: jet
-composition instead of the Bell-matrix chain rule, a dense grid, or the
-sign map iterated directly instead of the network's layers.
+composition instead of the Bell-matrix chain rule, a dense grid, the
+sign map iterated directly instead of the network's layers, or one
+complex exponential per mode and node instead of a recurrence.
 """
 
 import math
@@ -13,6 +14,7 @@ from fresnet import jets
 from fresnet.hermite import TrigPoly, trig_deriv_eval
 from fresnet.jets import Jet
 from fresnet.jump import z_profile
+from fresnet.quadrature import DEFAULT_QUAD, QuadratureConfig, nodes_weights
 
 
 def trig_eval_jet(poly: TrigPoly, u: Jet) -> Jet:
@@ -47,3 +49,15 @@ def jet_z(point: float, side: str, m: int) -> Jet:
     """Jet of z = sgn + sin at a one-sided point, composed in jet arithmetic."""
     step = z_profile(point, side, 0).value - math.sin(point)
     return jets.jet_add(jets.jet_const(step, point, m), jets.jet_sin(jets.jet_var(point, m)))
+
+
+def fourier_coeffs_dense(g, half_modes: int, quad: QuadratureConfig = DEFAULT_QUAD) -> np.ndarray:
+    """(1/2) sum_j w_j g(x_j) e^{-i k pi x_j} for k = -K..K, each mode formed directly.
+
+    Evaluated one row of the (2K+1) x nodes exponential matrix at a time,
+    so memory stays at O(nodes).
+    """
+    x, w = nodes_weights(quad)
+    wg = w * np.asarray(g(x), dtype=float)
+    return np.array([0.5 * np.exp(-1j * np.pi * (k * x)) @ wg
+                     for k in range(-half_modes, half_modes + 1)])

@@ -178,6 +178,60 @@ def test_malformed_branch_rejected():
         deserialize("[1, 2]")
 
 
+def _one_layer(g):
+    return '{"depth": 1, "layers": [{"g": ' + g + ', "h": null}]}'
+
+
+@pytest.mark.parametrize("entry", ['"1.5"', '" 2 "', "true", "false", "null", "[1.0]", "{}"])
+@pytest.mark.parametrize("key", ["freqs", "a", "b"])
+def test_non_number_entries_rejected(key, entry):
+    arrays = {"freqs": "[1.0, 2.0]", "a": "[0.5, 0.25]", "b": "[0.0, 1.0]"}
+    arrays[key] = "[1.0, " + entry + "]"
+    g = "{" + ", ".join(f'"{k}": {v}' for k, v in arrays.items()) + "}"
+    with pytest.raises(NetworkFormatError, match=f"layer 1 g-branch: '{key}' entry"):
+        deserialize(_one_layer(g))
+
+
+def test_non_number_entry_in_h_branch_names_it():
+    text = (
+        '{"layers": [{"g": {"freqs": [], "a": [], "b": []}, "h": null},'
+        ' {"g": {"freqs": [], "a": [], "b": []},'
+        ' "h": {"freqs": [1.0], "a": [true], "b": [0.0]}}]}'
+    )
+    with pytest.raises(NetworkFormatError, match="layer 2 h-branch: 'a' entry True"):
+        deserialize(text)
+
+
+def test_integer_entries_load_as_floats():
+    net = deserialize(_one_layer('{"freqs": [0, 3], "a": [1, -2], "b": [0.5, 0]}'))
+    br = net.layers[0].g_branch
+    assert br == Branch((0.0, 3.0), (1.0, -2.0), (0.5, 0.0))
+    assert all(type(v) is float for v in br.freqs + br.sin_amps + br.cos_amps)
+
+
+@pytest.mark.parametrize("entry", ["NaN", "Infinity", "-Infinity", "1e400", "1" + "0" * 400])
+def test_non_finite_entries_rejected(entry):
+    g = '{"freqs": [1.0], "a": [' + entry + '], "b": [0.0]}'
+    with pytest.raises(NetworkFormatError, match="layer 1 g-branch"):
+        deserialize(_one_layer(g))
+
+
+@pytest.mark.parametrize("depth", ["true", "1.0", '"1"', "null"])
+def test_non_integer_depth_rejected(depth):
+    text = '{"depth": ' + depth + ', "layers": [{"g": {"freqs": [], "a": [], "b": []}, "h": null}]}'
+    with pytest.raises(NetworkFormatError, match="'depth' must be an integer"):
+        deserialize(text)
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+@pytest.mark.parametrize("field", [0, 1, 2])
+def test_branch_rejects_non_finite_in_every_field(field, bad):
+    fields = [[0.0, 1.0], [0.5, 0.5], [1.0, 0.0]]
+    fields[field][1] = bad
+    with pytest.raises(NetworkFormatError, match="finite"):
+        Branch(*map(tuple, fields))
+
+
 def test_save_load(tmp_path):
     net = random_net(np.random.default_rng(23), 3)
     path = tmp_path / "net.fnet.json"

@@ -1,14 +1,26 @@
 """Shallow spectral approximation: coefficient oracles and end-to-end accuracy."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from fresnet.builder import BuildSpec, build_piecewise_net
 from fresnet.hermite import trig_deriv_eval
-from fresnet.quadrature import QuadratureConfig
+from fresnet.quadrature import DEFAULT_QUAD, QuadratureConfig, nodes_weights
 from fresnet.smooth import build_smooth_branch, fourier_coeffs, series_eval
 from fresnet.targets import target_lookup
+
+from oracles import fourier_coeffs_dense
+
+FINE_QUAD = QuadratureConfig(256, 16, 0.7)
+
+
+def kinked(x):
+    """Real, non-periodic, with a derivative jump at 0 and content at every mode."""
+    x = np.asarray(x, dtype=float)
+    return np.exp(np.sin(3 * x)) + np.where(x < 0, x * x, -0.5 * x) + 0.3 * np.cos(40.5 * x)
 
 
 def test_coeffs_of_pure_cosine():
@@ -151,3 +163,43 @@ def test_smooth_target_width_rate():
             ws.append(2 * half)
             errs.append(lp_error(t.eval, b, 2.0))
         assert fit_rate(ws, errs).slope <= -(m - 0.5), m
+
+
+@pytest.mark.parametrize("quad", [DEFAULT_QUAD, FINE_QUAD], ids=["default", "256x16"])
+@pytest.mark.parametrize("half", [0, 1, 7, 80, 1024])
+def test_recurrence_matches_dense_oracle(half, quad):
+    got = fourier_coeffs(kinked, half, quad)
+    want = fourier_coeffs_dense(kinked, half, quad)
+    x, w = nodes_weights(quad)
+    scale = np.sum(np.abs(w * kinked(x)))
+    assert got.shape == (2 * half + 1,)
+    assert np.max(np.abs(got - want)) <= (half + 1) * 1e-15 * scale
+
+
+@pytest.mark.parametrize("half", [0, 1, 7, 80])
+def test_negative_modes_are_exact_conjugates(half):
+    c = fourier_coeffs(kinked, half)
+    assert np.array_equal(c[:half][::-1], np.conj(c[half + 1:]))
+    assert c[half].imag == 0.0
+
+
+def _build_peak(spec):
+    tracemalloc.start()
+    try:
+        build_piecewise_net(spec)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_build_memory_stays_linear_in_nodes():
+    # a dense (2K+1) x nodes exponential matrix alone would take
+    # 2049 * 3360 * 16 B = 110 MB
+    peak = _build_peak(BuildSpec(target_lookup("pw_smooth"), 4, 1024, 60))
+    assert peak < 16e6, f"build peak {peak / 1e6:.1f} MB"
+
+
+def test_fine_rule_build_memory_at_high_modes():
+    # the dense matrix would be 8193 x 10,000+ complex entries, over 1.3 GB
+    peak = _build_peak(BuildSpec(target_lookup("pw_smooth"), 4, 4096, 60, FINE_QUAD))
+    assert peak < 32e6, f"build peak {peak / 1e6:.1f} MB"
