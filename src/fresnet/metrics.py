@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .quadrature import DEFAULT_QUAD, QuadratureConfig, integrate
+from .quadrature import DEFAULT_QUAD, QuadratureConfig, nodes_weights
 
 #: Uniform grid size for the overshoot / support diagnostics.
 DEFAULT_GRID_N = 20001
@@ -29,13 +29,16 @@ def lp_error(f, g, p: float, quad: QuadratureConfig = DEFAULT_QUAD) -> float:
     geometrically graded toward it, so error localized in exponentially
     small neighborhoods of the breakpoint is still resolved.
     """
-    if p <= 0:
+    return lp_errors(f, g, (p,), quad)[0]
+
+
+def lp_errors(f, g, ps, quad: QuadratureConfig = DEFAULT_QUAD) -> tuple:
+    """:func:`lp_error` for every p in ``ps``, from one evaluation of f and g."""
+    if any(p <= 0 for p in ps):
         raise ValueError("p must be positive")
-
-    def integrand(x):
-        return np.abs(np.asarray(f(x), dtype=float) - np.asarray(g(x), dtype=float)) ** p
-
-    return integrate(integrand, quad) ** (1.0 / p)
+    x, w = nodes_weights(quad)
+    diff = np.abs(np.asarray(f(x), dtype=float) - np.asarray(g(x), dtype=float))
+    return tuple(float(w @ diff**p) ** (1.0 / p) for p in ps)
 
 
 def fit_rate(xs, errs) -> RateFit:

@@ -12,19 +12,31 @@ where every branch g/h is a finite trigonometric sum
 Branches are stored in real sin/cos form, one entry per underlying complex
 mode.  A complex amplitude c at signed frequency w contributes
 Re(c e^{iwt}) and is folded onto the nonnegative frequency |w| by
-:func:`mode_entry`.  A zero-frequency entry is a constant bias term; it is
-excluded from :func:`neuron_count` so that neuron totals match the
-L + W + 1 + 4(m+1) accounting of the deep piecewise construction.
+:func:`branch_from_modes` (conjugating c when w < 0).  A zero-frequency
+entry is a constant bias term; it is excluded from :func:`neuron_count` so
+that neuron totals match the L + W + 1 + 4(m+1) accounting of the deep
+piecewise construction.
 
 Every branch, and every other trigonometric sum in the package, is
 evaluated by one kernel, :func:`trig_sum`.  It folds each mode onto a
 nonnegative frequency and merges duplicates.  Modes at exact multiples
 k pi of pi become one coefficient array c_0..c_K, summed by complex Horner
 in z = e^{i pi x}: one complex exp per point instead of a sin and a cos
-per point and mode, and O(n) memory for n points.  The few other modes
-(pi/2 in the first sign layer, the sin(x) neuron, the quarter-pi Hermite
-modes) are summed as a dense n x D sine/cosine product over their D
-distinct frequencies.
+per point and mode.  The few other modes (pi/2 in the first sign layer,
+the sin(x) neuron, the quarter-pi Hermite modes) are summed as a dense
+sine/cosine product over their D distinct frequencies.  Both parts run
+over the flattened input in chunks of :data:`TRIG_CHUNK` points, so
+memory is O(chunk) besides the output, and an N-D input gives the bits of
+the flat one reshaped.
+
+The forward pass evaluates only what still changes.  A run of consecutive
+layers with an empty g-branch and equal h-branches (the width-1 sign
+stack) applies the same map v -> (v + 0.0) + h(v) again and again.  That
+map is a pure function of the value, so a point whose float64 bits did
+not change in one step is fixed for the rest of the run: the run is
+iterated only on the points that still move, which is bit-identical to
+applying every layer to every point.  Under phi(y) = y + sin(pi y)/pi most
+points reach their floating-point fixed point within about 20 layers.
 
 Networks are immutable after construction and evaluation is pure, so all
 operations are safe for concurrent use.
@@ -38,6 +50,13 @@ from functools import cached_property
 from typing import Optional
 
 import numpy as np
+
+#: Points per block in which :func:`trig_sum` evaluates its Horner and dense
+#: parts, so the Horner state (16 B per point) stays cache-sized.  A
+#: multiple of 4: OpenBLAS sums the last n mod 4 rows of a matrix-vector
+#: product in another order, and with such a block size those are the same
+#: points as in one unchunked product, so chunking changes no bit.
+TRIG_CHUNK = 16384
 
 
 class NetworkFormatError(ValueError):
@@ -139,39 +158,41 @@ def _trig_plan(omegas, amps, deriv: int):
 def _trig_apply(plan, x):
     horner, freqs, cos_amps, sin_amps = plan
     x = np.asarray(x, dtype=float)
-    out = np.zeros(x.shape)
-    if horner:
-        z = np.exp(1j * np.pi * x)
-        p = np.full(x.shape, horner[-1])
-        for c in reversed(horner[:-1]):
-            p *= z
-            p += c
-        out += p.real
-    if freqs.size:
-        phase = np.multiply.outer(x, freqs)
-        out += np.sin(phase) @ sin_amps + np.cos(phase) @ cos_amps
-    return out[()] if out.ndim == 0 else out
-
-
-def mode_entry(c: complex, omega: float):
-    """Fold a complex mode c e^{i omega t} onto a nonnegative frequency.
-
-    Returns (freq, sin_amp, cos_amp) such that
-    a sin(freq t) + b cos(freq t) == Re(c e^{i omega t}) for all real t.
-    """
-    c = complex(c)
-    if omega >= 0:
-        return (omega, -c.imag, c.real)
-    return (-omega, c.imag, c.real)
+    flat = x.ravel()
+    out = np.zeros(flat.size)
+    for lo in range(0, flat.size, TRIG_CHUNK):
+        xc = flat[lo:lo + TRIG_CHUNK]
+        oc = out[lo:lo + TRIG_CHUNK]
+        if horner:
+            z = np.exp(1j * np.pi * xc)
+            p = np.full(xc.shape, horner[-1])
+            for c in reversed(horner[:-1]):
+                p *= z
+                p += c
+            oc += p.real
+        if freqs.size:
+            phase = np.multiply.outer(xc, freqs)
+            oc += np.sin(phase) @ sin_amps + np.cos(phase) @ cos_amps
+    return out[0] if x.ndim == 0 else out.reshape(x.shape)
 
 
 def branch_from_modes(coeffs, omegas) -> Branch:
-    """Branch with one real entry per complex mode (sign-folded)."""
-    entries = [mode_entry(c, w) for c, w in zip(coeffs, omegas)]
+    """Branch with one real entry per complex mode c e^{i omega t}.
+
+    Each entry is (|omega|, a, b) with
+    a sin(|omega| t) + b cos(|omega| t) == Re(c e^{i omega t}): c is
+    conjugated where omega < 0, the fold :func:`_trig_plan` also uses.
+    """
+    omegas = np.asarray(omegas, dtype=float).ravel()
+    coeffs = np.asarray(coeffs, dtype=complex).ravel()
+    if omegas.shape != coeffs.shape:
+        raise ValueError(f"{omegas.size} frequencies but {coeffs.size} amplitudes")
+    negative = omegas < 0
+    coeffs = np.where(negative, coeffs.conj(), coeffs)
     return Branch(
-        tuple(e[0] for e in entries),
-        tuple(e[1] for e in entries),
-        tuple(e[2] for e in entries),
+        tuple(np.where(negative, -omegas, omegas).tolist()),
+        tuple((-coeffs.imag).tolist()),
+        tuple(coeffs.real.tolist()),
     )
 
 
@@ -186,12 +207,42 @@ def eval_prefix(net: FourierResNet, x, ell: int):
 
 
 def _forward(net: FourierResNet, xs: np.ndarray, upto: int) -> np.ndarray:
-    f = net.layers[0].g_branch(xs)
-    for layer in net.layers[1:upto]:
-        prev = f
-        f = prev + layer.g_branch(xs)
-        if layer.h_branch is not None:
-            f = f + layer.h_branch(prev)
+    layers = net.layers[:upto]
+    flat = xs.ravel()
+    f = layers[0].g_branch(flat)
+    i = 1
+    while i < len(layers):
+        g, h = layers[i].g_branch, layers[i].h_branch
+        end = i + 1
+        if g.width == 0:
+            while (end < len(layers) and layers[end].g_branch.width == 0
+                   and layers[end].h_branch == h):
+                end += 1
+            f = _iterate(h, f, end - i)
+        else:
+            prev = f
+            f = prev + g(flat)
+            if h is not None:
+                f += h(prev)
+        i = end
+    return f.reshape(xs.shape)
+
+
+def _iterate(h: Optional[Branch], f: np.ndarray, steps: int) -> np.ndarray:
+    """Apply v -> (v + 0.0) + h(v) ``steps`` times to the 1-D array f, in
+    place, each time only to the points whose bits the previous step changed."""
+    live, v = np.arange(f.size), f
+    for _ in range(steps):
+        new = v + 0.0
+        if h is not None:
+            new += h(v)
+        # bit patterns, not values: NaN != NaN would keep a NaN point moving.
+        # Taken before f is written, since v is f in the first step.
+        moved = new.view(np.int64) != v.view(np.int64)
+        live, v = live[moved], new[moved]
+        f[live] = v
+        if not live.size:
+            break
     return f
 
 
@@ -218,16 +269,6 @@ def neuron_count(net: FourierResNet) -> int:
         for br in branches:
             total += sum(1 for w in br.freqs if w != 0.0)
     return total
-
-
-def frequency_multiset(net: FourierResNet):
-    """Sorted list of all branch frequencies (with multiplicity)."""
-    out = []
-    for layer in net.layers:
-        out.extend(layer.g_branch.freqs)
-        if layer.h_branch is not None:
-            out.extend(layer.h_branch.freqs)
-    return sorted(out)
 
 
 # -- serialization --------------------------------------------------------

@@ -2,8 +2,10 @@
 
 Each recomputes a library quantity by an independent method: jet
 composition instead of the Bell-matrix chain rule, a dense grid, the
-sign map iterated directly instead of the network's layers, or one
-complex exponential per mode and node instead of a recurrence.
+sign map iterated directly instead of the network's layers, one
+complex exponential per mode and node instead of a recurrence, every
+layer applied to every point instead of only to the points still moving,
+or one mode at a time instead of a vectorised fold.
 """
 
 import math
@@ -14,6 +16,7 @@ from fresnet import jets
 from fresnet.hermite import TrigPoly, trig_deriv_eval
 from fresnet.jets import Jet
 from fresnet.jump import z_profile
+from fresnet.network import FourierResNet
 from fresnet.quadrature import DEFAULT_QUAD, QuadratureConfig, nodes_weights
 
 
@@ -61,3 +64,35 @@ def fourier_coeffs_dense(g, half_modes: int, quad: QuadratureConfig = DEFAULT_QU
     wg = w * np.asarray(g(x), dtype=float)
     return np.array([0.5 * np.exp(-1j * np.pi * (k * x)) @ wg
                      for k in range(-half_modes, half_modes + 1)])
+
+
+def forward_plain(net: FourierResNet, xs, upto: int = None) -> np.ndarray:
+    """f_upto at every point of xs by the recursion as written: every layer
+    applied to every point, f = (f + g(x)) + h(f)."""
+    xs = np.asarray(xs, dtype=float)
+    f = net.layers[0].g_branch(xs)
+    for layer in net.layers[1:upto or net.depth]:
+        prev = f
+        f = prev + layer.g_branch(xs)
+        if layer.h_branch is not None:
+            f = f + layer.h_branch(prev)
+    return f
+
+
+def mode_entry(c: complex, omega: float):
+    """(freq, sin_amp, cos_amp) with a sin(freq t) + b cos(freq t) ==
+    Re(c e^{i omega t}) and freq >= 0, for one complex mode."""
+    c = complex(c)
+    if omega >= 0:
+        return (omega, -c.imag, c.real)
+    return (-omega, c.imag, c.real)
+
+
+def frequency_multiset(net: FourierResNet):
+    """Sorted list of all branch frequencies (with multiplicity)."""
+    out = []
+    for layer in net.layers:
+        out.extend(layer.g_branch.freqs)
+        if layer.h_branch is not None:
+            out.extend(layer.h_branch.freqs)
+    return sorted(out)

@@ -31,6 +31,7 @@ from fresnet.metrics import fit_rate, gibbs_support_width, lp_error, max_oversho
 from fresnet.sign import build_sign_net, truncated_sign_series
 from fresnet.smooth import fourier_coeffs
 from fresnet.targets import target_lookup
+from oracles import frequency_multiset
 
 ARTIFACT_DIR = pathlib.Path(__file__).resolve().parent.parent / "test_artifacts"
 
@@ -272,8 +273,8 @@ def test_criterion_11_baseline_contrast():
 
 def test_criterion_12_structural_universality():
     for m, half, depth in ((1, 8, 6), (2, 16, 10), (3, 32, 20)):
-        f_pw = network.frequency_multiset(build_piecewise_net(BuildSpec(PW, m, half, depth)))
-        f_hat = network.frequency_multiset(build_piecewise_net(BuildSpec(HAT, m, half, depth)))
+        f_pw = frequency_multiset(build_piecewise_net(BuildSpec(PW, m, half, depth)))
+        f_hat = frequency_multiset(build_piecewise_net(BuildSpec(HAT, m, half, depth)))
         assert f_pw == f_hat, (m, half, depth)
 
     def max_amplitude(net):

@@ -1,0 +1,165 @@
+"""The forward pass against the plain recursion, bit for bit.
+
+``network._forward`` iterates a run of identical width-1 layers only on
+the points whose bits still change, and ``trig_sum`` evaluates in chunks
+over the flattened input.  Neither may change a single output bit.
+"""
+
+import math
+import tracemalloc
+
+import numpy as np
+import pytest
+
+from fresnet import network
+from fresnet.builder import BuildSpec, build_piecewise_net
+from fresnet.network import Branch, FourierResNet, Layer, eval_grid, eval_prefix, trig_sum
+from fresnet.sign import build_sign_net
+from fresnet.targets import target_lookup
+from oracles import forward_plain
+
+EMPTY = Branch((), (), ())
+SIGN_H = Branch((math.pi,), (1.0 / math.pi,), (0.0,))
+FIRST = Layer(Branch((math.pi / 2,), (1.0,), (0.0,)))
+
+
+def bits(values):
+    return np.asarray(values, dtype=float).view(np.int64)
+
+
+def assert_same_bits(got, want, what=""):
+    got, want = np.asarray(got, dtype=float), np.asarray(want, dtype=float)
+    assert got.shape == want.shape, what
+    differ = np.flatnonzero(bits(got) != bits(want))
+    assert differ.size == 0, f"{what}: {differ.size} values differ, first at {differ[:5]}"
+
+
+def tricky_points(n=4000, seed=0):
+    """Uniform points, both signs of 2^-1..2^-69 and the smallest subnormal,
+    signed zeros, and points outside [-1, 1]."""
+    rng = np.random.default_rng(seed)
+    powers = 2.0 ** -np.arange(1, 70)
+    return np.concatenate([
+        rng.uniform(-1.0, 1.0, n), powers, -powers, [0.0, -0.0, 5e-324, -5e-324],
+        rng.uniform(-6.0, 6.0, 200), [1.0, -1.0, 2.0, -3.0, 1e6, -1e300],
+    ])
+
+
+@pytest.fixture(scope="module")
+def built_net():
+    return build_piecewise_net(BuildSpec(target_lookup("pw_smooth"), 4, 32, 60))
+
+
+def test_sign_nets_match_plain_recursion():
+    xs = tricky_points()
+    for depth in (1, 2, 3, 5, 8, 13, 21, 34, 60, 80):
+        net = build_sign_net(depth)
+        assert_same_bits(eval_grid(net, xs), forward_plain(net, xs))
+
+
+def test_built_nets_match_plain_recursion(built_net):
+    xs = tricky_points(seed=1)
+    assert_same_bits(eval_grid(built_net, xs), forward_plain(built_net, xs))
+    hat = build_piecewise_net(BuildSpec(target_lookup("hat"), 2, 16, 30))
+    loaded = network.deserialize(network.serialize(hat))
+    assert_same_bits(eval_grid(loaded, xs), forward_plain(hat, xs))
+
+
+def test_near_zero_and_signed_zeros():
+    net = build_sign_net(70)
+    xs = np.array([0.0, -0.0, 5e-324, -5e-324, 1e-300, -1e-300, 2.0**-60, -(2.0**-60)])
+    got = eval_grid(net, xs)
+    assert_same_bits(got, forward_plain(net, xs))
+    # the sign map keeps 0 fixed; -0.0 leaves layer 1 as +0.0
+    assert bits(got[:2]).tolist() == bits([0.0, 0.0]).tolist()
+    for x in xs:
+        assert bits(eval_prefix(net, x, net.depth)) == bits(forward_plain(net, [x])[0])
+
+
+def test_non_finite_inputs(built_net):
+    """inf and NaN inputs give NaN at the same points, and every finite
+    point keeps its bits.  The NaNs' own sign bits are not compared: numpy's
+    vector and scalar loops give NaNs of either sign for the same input, so
+    the plain recursion already returns -NaN for an inf input at the end of
+    a 5-point array and +NaN at the end of a 17-point one."""
+    xs = np.concatenate([tricky_points(500, seed=2), [np.inf, -np.inf, np.nan, -np.nan]])
+    for net in (built_net, build_sign_net(40)):
+        with np.errstate(invalid="ignore"):
+            got, want = eval_grid(net, xs), forward_plain(net, xs)
+        assert np.array_equal(np.isnan(got), np.isnan(want))
+        finite = ~np.isnan(want)
+        assert finite.sum() == xs.size - 4
+        assert_same_bits(got[finite], want[finite])
+
+
+def test_eval_prefix_at_every_depth(built_net):
+    xs = tricky_points(1000, seed=3)
+    for ell in range(1, built_net.depth + 1):
+        assert_same_bits(eval_prefix(built_net, xs, ell), forward_plain(built_net, xs, ell))
+    for ell in (1, 2, 7, 30, built_net.depth):
+        for x in (0.3, -0.0, -0.71):
+            want = forward_plain(built_net, [x], ell)[0]
+            assert bits(eval_prefix(built_net, x, ell)) == bits(want)
+
+
+def test_runs_broken_by_a_g_branch_or_another_h():
+    other_h = Branch((math.pi,), (0.9 / math.pi,), (0.0,))
+    dense_h = Branch((2.5, 0.75), (0.1, -0.05), (0.02, 0.0))
+    g = Branch((1.0,), (0.01,), (0.0,))
+    run = [Layer(EMPTY, SIGN_H)] * 6
+    nets = {
+        "g breaks the run": [FIRST, *run, Layer(g, SIGN_H), *run],
+        "another h": [FIRST, *run, Layer(EMPTY, other_h), *run, *[Layer(EMPTY, other_h)] * 5],
+        "dense h run": [FIRST, *[Layer(EMPTY, dense_h)] * 12, *run],
+        "h-less layers": [FIRST, Layer(EMPTY), Layer(EMPTY), *run, Layer(EMPTY), *run],
+        "alternating h": [FIRST, *[Layer(EMPTY, h) for h in (SIGN_H, other_h) * 8]],
+        # equal, not identical, branches still form one run
+        "equal copies": [FIRST, *[Layer(EMPTY, Branch(SIGN_H.freqs, SIGN_H.sin_amps,
+                                                      SIGN_H.cos_amps)) for _ in range(20)]],
+    }
+    xs = tricky_points(2000, seed=4)
+    for name, layers in nets.items():
+        net = FourierResNet(tuple(layers))
+        for ell in range(1, net.depth + 1):
+            assert_same_bits(eval_prefix(net, xs, ell), forward_plain(net, xs, ell),
+                             f"{name}, depth {ell}")
+
+
+def test_nd_input_equals_flat_result_reshaped(built_net):
+    flat = np.random.default_rng(5).uniform(-1.0, 1.0, 20000)
+    want = eval_grid(built_net, flat)
+    for shape in ((20000, 1), (1, 20000), (100, 200), (20, 50, 20)):
+        xs = flat.reshape(shape)
+        assert_same_bits(eval_grid(built_net, xs), want.reshape(shape))
+        assert_same_bits(eval_prefix(built_net, xs, 7),
+                         eval_prefix(built_net, flat, 7).reshape(shape))
+    last = built_net.layers[-1].h_branch
+    assert_same_bits(last(flat.reshape(200, 100)), last(flat).reshape(200, 100))
+    omegas, amps = [0.5, -1.3, 2.0 * math.pi, 0.25], [1.0, 0.5j, 0.3 - 0.1j, 2.0]
+    assert_same_bits(trig_sum(omegas, amps, flat.reshape(400, 50)),
+                     trig_sum(omegas, amps, flat).reshape(400, 50))
+
+
+def test_chunking_keeps_the_bits_of_one_block():
+    """An input longer than one chunk gives, at every point, the bits the
+    same point gets in a call that fits in one chunk."""
+    n = 2 * network.TRIG_CHUNK + 1001
+    xs = np.random.default_rng(6).uniform(-1.0, 1.0, n)
+    omegas = np.concatenate([np.arange(-40, 41) * math.pi, [0.5, 1.0, 2.25, -0.75]])
+    amps = np.random.default_rng(7).normal(size=omegas.size) * (1 + 0.5j)
+    whole = trig_sum(omegas, amps, xs)
+    for lo in range(0, n, network.TRIG_CHUNK):
+        assert_same_bits(whole[lo:lo + network.TRIG_CHUNK],
+                         trig_sum(omegas, amps, xs[lo:lo + network.TRIG_CHUNK]))
+
+
+def test_million_point_eval_memory():
+    net = build_piecewise_net(BuildSpec(target_lookup("pw_smooth"), 4, 512, 60))
+    xs = np.linspace(-1.0, 1.0, 1_000_000)
+    tracemalloc.start()
+    try:
+        eval_grid(net, xs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 80e6, f"eval_grid peak {peak / 1e6:.1f} MB"

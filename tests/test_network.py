@@ -15,11 +15,10 @@ from fresnet.network import (
     deserialize,
     eval_grid,
     eval_prefix,
-    frequency_multiset,
-    mode_entry,
     neuron_count,
     serialize,
 )
+from oracles import frequency_multiset, mode_entry
 
 
 def oracle_eval(net, x):
@@ -84,13 +83,23 @@ def test_scalar_and_empty_inputs():
     assert eval_grid(net, np.array([])).shape == (0,)
 
 
-def test_mode_entry_realizes_complex_mode():
+def bits(values):
+    """float64 bit patterns, so -0.0 and 0.0 compare unequal."""
+    return np.asarray(values, dtype=float).view(np.int64).tolist()
+
+
+def test_branch_from_modes_matches_per_mode_oracle():
     rng = np.random.default_rng(5)
+    signed_zeros = [0j, complex(0.0, -0.0), complex(-0.0, 0.0), complex(1.5, 0.0), -2j]
+    coeffs = [complex(rng.normal(), rng.normal()) for _ in range(30)] + signed_zeros * 2
+    omegas = [*rng.normal(size=30) * 4, 0.0, -0.0, 3.0, -3.0, 0.0, -1.0, -0.0, -2.5, 2.5, -0.0]
+    br = branch_from_modes(coeffs, omegas)
+    want = [mode_entry(c, w) for c, w in zip(coeffs, omegas)]
+    assert bits(br.freqs) == bits([e[0] for e in want])
+    assert bits(br.sin_amps) == bits([e[1] for e in want])
+    assert bits(br.cos_amps) == bits([e[2] for e in want])
     ts = rng.uniform(-3, 3, 13)
-    for _ in range(30):
-        c = complex(rng.normal(), rng.normal())
-        w = rng.normal() * 4
-        freq, a, b = mode_entry(c, w)
+    for freq, a, b, c, w in zip(br.freqs, br.sin_amps, br.cos_amps, coeffs, omegas):
         assert freq >= 0
         got = a * np.sin(freq * ts) + b * np.cos(freq * ts)
         assert got == pytest.approx((c * np.exp(1j * w * ts)).real, abs=1e-13)
