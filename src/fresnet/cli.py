@@ -27,7 +27,7 @@ import numpy as np
 
 from . import network
 from .builder import BuildSpec, build_piecewise_net
-from .metrics import gibbs_support_width, lp_error, lp_errors, max_overshoot
+from .metrics import gibbs_support_width, lp_error, max_overshoot
 from .quadrature import QuadratureConfig
 from .sign import build_sign_net, sign_error_bound, truncated_sign_series
 from .smooth import fourier_coeffs, series_eval
@@ -192,7 +192,7 @@ def cmd_convergence(args) -> int:
             t0 = time.perf_counter()
             spec = BuildSpec(target, m, half_modes, args.depth, quad)
             net = build_piecewise_net(spec)
-            err1, err2 = lp_errors(
+            err1, err2 = lp_error(
                 target.eval, lambda x: network.eval_grid(net, x), (1.0, 2.0), quad
             )
             wall = (time.perf_counter() - t0) * 1e3
@@ -206,7 +206,7 @@ def cmd_convergence(args) -> int:
         t0 = time.perf_counter()
         half = (n_terms - 1) // 2
         coeffs = fourier_coeffs(target.eval, half, quad)
-        err1, err2 = lp_errors(
+        err1, err2 = lp_error(
             target.eval, lambda x: series_eval(coeffs, x), (1.0, 2.0), quad
         )
         wall = (time.perf_counter() - t0) * 1e3

@@ -22,23 +22,22 @@ class RateFit:
     points_used: int
 
 
-def lp_error(f, g, p: float, quad: QuadratureConfig = DEFAULT_QUAD) -> float:
+def lp_error(f, g, p, quad: QuadratureConfig = DEFAULT_QUAD):
     """(integral |f - g|^p over [-1, 1])^(1/p) by composite Gauss-Legendre.
 
     Both callables must accept numpy arrays.  Panels are split at 0 and
     geometrically graded toward it, so error localized in exponentially
-    small neighborhoods of the breakpoint is still resolved.
+    small neighborhoods of the breakpoint is still resolved.  For a tuple
+    of exponents ``p`` the tuple of norms is returned, from one evaluation
+    of f and g.
     """
-    return lp_errors(f, g, (p,), quad)[0]
-
-
-def lp_errors(f, g, ps, quad: QuadratureConfig = DEFAULT_QUAD) -> tuple:
-    """:func:`lp_error` for every p in ``ps``, from one evaluation of f and g."""
-    if any(p <= 0 for p in ps):
+    ps = p if isinstance(p, tuple) else (p,)
+    if any(q <= 0 for q in ps):
         raise ValueError("p must be positive")
     x, w = nodes_weights(quad)
     diff = np.abs(np.asarray(f(x), dtype=float) - np.asarray(g(x), dtype=float))
-    return tuple(float(w @ diff**p) ** (1.0 / p) for p in ps)
+    norms = tuple(float(w @ diff**q) ** (1.0 / q) for q in ps)
+    return norms if isinstance(p, tuple) else norms[0]
 
 
 def fit_rate(xs, errs) -> RateFit:

@@ -85,6 +85,21 @@ def test_max_overshoot():
 def test_lp_error_validation():
     with pytest.raises(ValueError):
         lp_error(lambda x: x, lambda x: x, 0.0)
+    with pytest.raises(ValueError):
+        lp_error(lambda x: x, lambda x: x, (1.0, 0.0))
+
+
+def test_lp_error_tuple_of_exponents_evaluates_once():
+    calls = []
+
+    def f(x):
+        calls.append(x.size)
+        return np.sin(3 * x) + x**2
+
+    g = lambda x: np.cos(x)  # noqa: E731
+    norms = lp_error(f, g, (1.0, 2.0, 0.5))
+    assert len(calls) == 1
+    assert norms == tuple(lp_error(f, g, p) for p in (1.0, 2.0, 0.5))
 
 
 def test_lp_error_symmetry_and_self_distance():

@@ -109,6 +109,9 @@ def test_branch_from_modes_width():
     br = branch_from_modes([1 + 2j, 3j, 0.5], [-2.0, 0.0, 2.0])
     assert br.width == 3
     assert br.freqs == (2.0, 0.0, 2.0)
+    # one coefficient would otherwise broadcast silently over three modes
+    with pytest.raises(ValueError, match="3 frequencies but 1 amplitudes"):
+        branch_from_modes([1j], [1.0, 2.0, 3.0])
 
 
 def test_neuron_count_skips_zero_frequency_bias():
