@@ -36,6 +36,13 @@ from .targets import PiecewiseTarget
 
 @dataclass(frozen=True)
 class BuildSpec:
+    """What to build: target, Hermite order m, half mode count K, depth L.
+
+    The build's quadrature rule follows from K alone
+    (:func:`fresnet.quadrature.build_rule`).  ``quad`` is accepted for
+    callers that still pass a rule, but it does not reach the build.
+    """
+
     target: PiecewiseTarget
     m: int
     half_modes: int
@@ -79,7 +86,7 @@ def _assemble(spec: BuildSpec):
         # No jump: H = 0, q = z cancels out of the final sum; emit the
         # shallow single-layer network directly.
         smooth_branch = build_smooth_branch(
-            target.eval, f_minus, f_plus, m, spec.half_modes, spec.quad
+            target.eval, f_minus, f_plus, m, spec.half_modes
         )
         net = FourierResNet((Layer(smooth_branch),))
         h_poly = zero_poly(m)
@@ -105,7 +112,7 @@ def _assemble(spec: BuildSpec):
         r_minus = f_minus - q_derivs_at(-1.0, "right", h_poly, m)
         r_plus = f_plus - q_derivs_at(1.0, "left", h_poly, m)
         smooth_branch = build_smooth_branch(
-            r_fn, r_minus, r_plus, m, spec.half_modes, spec.quad
+            r_fn, r_minus, r_plus, m, spec.half_modes
         )
 
         layers = list(sign_net.layers)

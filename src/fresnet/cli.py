@@ -9,6 +9,10 @@ eval              evaluate a serialized network on a uniform grid
 convergence       L^2 error vs width for a target, plus series baseline rows
 gibbs             oscillation support width vs depth
 
+The build's quadrature rule follows from the mode count alone.  The
+``--panels``/``--nodes``/``--grading`` flags of ``sign-convergence`` and
+``convergence`` set the graded rule by which errors are measured.
+
 All experiment output is CSV (comma separated, header row, LF endings,
 floats with 17 significant digits).  Optional SVG charts are minimal
 polyline plots; the CSV is the contract.
@@ -75,9 +79,13 @@ def _quad_from_args(args) -> QuadratureConfig:
 
 
 def _add_quad_flags(parser) -> None:
-    parser.add_argument("--panels", type=int, default=64, help="quadrature panels per side")
-    parser.add_argument("--nodes", type=int, default=12, help="Gauss nodes per panel")
-    parser.add_argument("--grading", type=float, default=0.7, help="geometric grading ratio")
+    """Flags of the measurement rule (the build rule follows from K)."""
+    parser.add_argument("--panels", type=int, default=64,
+                        help="measurement quadrature panels per side")
+    parser.add_argument("--nodes", type=int, default=12,
+                        help="measurement Gauss nodes per panel")
+    parser.add_argument("--grading", type=float, default=0.7,
+                        help="measurement geometric grading ratio")
 
 
 def _write_svg(path: str, xs, series: dict) -> None:
@@ -157,8 +165,7 @@ def cmd_sign_convergence(args) -> int:
 
 def cmd_build(args) -> int:
     target = target_lookup(args.target)
-    quad = _quad_from_args(args)
-    spec = BuildSpec(target, args.m, args.modes, args.depth, quad)
+    spec = BuildSpec(target, args.m, args.modes, args.depth)
     net = build_piecewise_net(spec)
     network.save(net, args.out)
     widths = [
@@ -190,7 +197,7 @@ def cmd_convergence(args) -> int:
         for half_modes in args.modes_list:
             w = 2 * half_modes
             t0 = time.perf_counter()
-            spec = BuildSpec(target, m, half_modes, args.depth, quad)
+            spec = BuildSpec(target, m, half_modes, args.depth)
             net = build_piecewise_net(spec)
             err1, err2 = lp_error(
                 target.eval, lambda x: network.eval_grid(net, x), (1.0, 2.0), quad
@@ -205,7 +212,7 @@ def cmd_convergence(args) -> int:
         n_terms = 41 + w  # parameter count matched to the m = 4 deep network
         t0 = time.perf_counter()
         half = (n_terms - 1) // 2
-        coeffs = fourier_coeffs(target.eval, half, quad)
+        coeffs = fourier_coeffs(target.eval, half)
         err1, err2 = lp_error(
             target.eval, lambda x: series_eval(coeffs, x), (1.0, 2.0), quad
         )
@@ -222,11 +229,10 @@ def cmd_gibbs(args) -> int:
     if sorted(args.depths) != args.depths:
         raise _AssertionFailure("depths must be sorted ascending")
     target = target_lookup(args.target)
-    quad = _quad_from_args(args)
     lines = ["L,support_width,max_overshoot"]
     widths = []
     for depth in args.depths:
-        spec = BuildSpec(target, args.m, args.modes, depth, quad)
+        spec = BuildSpec(target, args.m, args.modes, depth)
         net = build_piecewise_net(spec)
         approx = lambda x: network.eval_grid(net, x)  # noqa: E731
         width = gibbs_support_width(target.eval, approx, args.threshold)
@@ -268,7 +274,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--modes", type=int, required=True, help="half mode count K (W = 2K)")
     p.add_argument("--depth", type=int, required=True)
     p.add_argument("--out", required=True)
-    _add_quad_flags(p)
     p.set_defaults(func=cmd_build)
 
     p = sub.add_parser("eval", help="evaluate a serialized network")
@@ -293,7 +298,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--depths", type=_int_list, required=True)
     p.add_argument("--threshold", type=float, required=True)
     p.add_argument("--out", required=True)
-    _add_quad_flags(p)
     p.set_defaults(func=cmd_gibbs)
 
     return parser

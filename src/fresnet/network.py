@@ -23,11 +23,11 @@ nonnegative frequency and merges duplicates.  Modes at exact multiples
 k pi of pi become one coefficient array c_0..c_K, summed by complex Horner
 in z = e^{i pi x}: one complex exp per point instead of a sin and a cos
 per point and mode.  The few other modes (pi/2 in the first sign layer,
-the sin(x) neuron, the quarter-pi Hermite modes) are summed as a dense
-sine/cosine product over their D distinct frequencies.  Both parts run
-over the flattened input in chunks of :data:`TRIG_CHUNK` points, so
-memory is O(chunk) besides the output, and an N-D input gives the bits of
-the flat one reshaped.
+the sin(x) neuron, the quarter-pi Hermite modes) are summed densely, one
+sine and cosine per point and distinct frequency, in a fixed order.  Both
+parts run over the flattened input in chunks of :data:`TRIG_CHUNK`
+points, so memory is O(chunk) besides the output, and a point's bits do
+not depend on where it sits in the input or on the input's shape.
 
 The forward pass evaluates only what still changes.  A run of consecutive
 layers with an empty g-branch and equal h-branches (the width-1 sign
@@ -52,10 +52,9 @@ from typing import Optional
 import numpy as np
 
 #: Points per block in which :func:`trig_sum` evaluates its Horner and dense
-#: parts, so the Horner state (16 B per point) stays cache-sized.  A
-#: multiple of 4: OpenBLAS sums the last n mod 4 rows of a matrix-vector
-#: product in another order, and with such a block size those are the same
-#: points as in one unchunked product, so chunking changes no bit.
+#: parts, so the Horner state (16 B per point) stays cache-sized.  Every
+#: point is summed in the same order whatever its block, so chunking
+#: changes no bit.
 TRIG_CHUNK = 16384
 
 
@@ -170,9 +169,11 @@ def _trig_apply(plan, x):
                 p *= z
                 p += c
             oc += p.real
-        if freqs.size:
-            phase = np.multiply.outer(xc, freqs)
-            oc += np.sin(phase) @ sin_amps + np.cos(phase) @ cos_amps
+        # one frequency at a time, so a point's sum has a fixed order
+        # (a matrix-vector product's order depends on the row's position)
+        for w, a, b in zip(freqs, sin_amps, cos_amps):
+            wx = xc * w
+            oc += a * np.sin(wx) + b * np.cos(wx)
     return out[0] if x.ndim == 0 else out.reshape(x.shape)
 
 

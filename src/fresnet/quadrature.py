@@ -1,5 +1,12 @@
 """Composite Gauss-Legendre quadrature on [-1, 1], split at the origin.
 
+The package uses two kinds of rule for two jobs.  Measuring error
+(:func:`fresnet.metrics.lp_error`) uses the graded rule configured by
+:class:`QuadratureConfig`, by default :data:`DEFAULT_QUAD`.  Building the
+spectral layer's coefficients uses :func:`build_rule`, which depends on
+the mode count K alone: uniform 16-node panels, 10 nodes per wavelength
+of the top mode, no cascade.
+
 Panels never straddle 0, and with ``grading_ratio < 1`` a geometric
 cascade of breakpoints accumulates toward 0 on both sides, down to a
 minimum panel width of 1e-12.  The geometric points are laid on top of a
@@ -12,12 +19,20 @@ their error.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
 MIN_PANEL_WIDTH = 1e-12
+#: Gauss nodes per panel of the build rule.
+BUILD_NODES = 16
+#: Build-rule nodes per side per mode: 5 K nodes on [0, 1] are 10 nodes per
+#: wavelength of e^{i K pi x}.  The integrand g e^{-ik pi x} reaches mode
+#: 2K, and 5 is the smallest round value at which a degree-K trigonometric
+#: polynomial's coefficients come back to rounding.
+BUILD_NODES_PER_MODE = 5
 
 
 @dataclass(frozen=True)
@@ -36,6 +51,13 @@ class QuadratureConfig:
 
 
 DEFAULT_QUAD = QuadratureConfig()
+
+
+def build_rule(half_modes: int) -> QuadratureConfig:
+    """Uniform rule for the Fourier coefficients of modes -K..K:
+    max(1, ceil(5K / 16)) panels of 16 Gauss nodes per side, no grading."""
+    panels = max(1, math.ceil(BUILD_NODES_PER_MODE * half_modes / BUILD_NODES))
+    return QuadratureConfig(panels, BUILD_NODES, 1.0)
 
 
 def _positive_breakpoints(cfg: QuadratureConfig) -> np.ndarray:

@@ -9,14 +9,19 @@ sin(pi x / 2).  Integer points are fixed points of phi, everything else in
 from __future__ import annotations
 
 import math
+from functools import lru_cache
 
 import numpy as np
 
 from .network import Branch, FourierResNet, Layer
 
 
+@lru_cache(maxsize=8)
 def build_sign_net(depth: int) -> FourierResNet:
-    """Depth-``depth`` width-1 network whose output converges to sgn."""
+    """Depth-``depth`` width-1 network whose output converges to sgn.
+
+    The network is immutable, so one instance per depth is cached and shared.
+    """
     if depth < 1:
         raise ValueError("depth must be >= 1")
     layers = [Layer(Branch((math.pi / 2,), (1.0,), (0.0,)))]

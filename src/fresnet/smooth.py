@@ -6,12 +6,16 @@ at +-1, and G is the truncated Fourier series of the periodized residual
 g = f - H_r.  Because g's periodic extension is C^m, its coefficients
 decay like k^{-m} and the truncation error is spectral in the mode count.
 
-The coefficients come from one quadrature sum per mode, computed by the
-transpose of the evaluation kernel's Horner scheme: z = e^{-i pi x} is
-formed once per node, and the weighted samples are multiplied by z once
-per mode.  That is one complex exp per node instead of one per mode and
-node, and O(nodes) memory for any K.  Because g is real, only k >= 0 is
-computed; the negative modes are the conjugates c_{-k} = conj(c_k).
+The coefficients are quadrature sums over the build rule
+:func:`fresnet.quadrature.build_rule`, which depends on K alone: 2n
+uniform panels of 16 Gauss nodes, n = ceil(5K/16) per side, so 10 nodes
+per wavelength of the top mode.  Node j of panel p sits at
+x_pj = x_0j + p h with h = 1/n, so e^{-ik pi x_pj} = e^{-ik pi x_0j}
+e^{-2 pi i k p / 2n}, and the sum over panels is a discrete Fourier
+transform of length 2n: one FFT per Gauss node column and a
+(K+1) x 16 phase product give every mode.  Because g is real, only
+k >= 0 is computed; the negative modes are the conjugates
+c_{-k} = conj(c_k).
 
 Mode-count convention: ``half_modes`` K gives the symmetric set of
 integer frequencies k = -K..K (2K+1 modes including the constant); the
@@ -26,30 +30,31 @@ import numpy as np
 
 from .hermite import hermite_endpoint, trig_deriv_eval
 from .network import Branch, branch_from_modes, trig_sum
-from .quadrature import DEFAULT_QUAD, QuadratureConfig, nodes_weights
+from .quadrature import build_rule, nodes_weights
 
 
-def fourier_coeffs(g, half_modes: int, quad: QuadratureConfig = DEFAULT_QUAD) -> np.ndarray:
+def fourier_coeffs(g, half_modes: int) -> np.ndarray:
     """Coefficients g_k = (1/2) integral g(x) e^{-i k pi x} dx, k = -K..K.
 
     ``g`` must be a vectorized real callable, finite on [-1, 1].  The
-    composite Gauss-Legendre rule never straddles 0, preserving accuracy
-    when g has a higher-derivative jump there.  With p = (1/2) w g(x) at
-    the nodes, the recurrence c_k = sum(p), p *= e^{-i pi x} gives
-    c_0..c_K in K+1 steps over one node-sized array; the negative modes
-    are their exact conjugates, and c_0 is real.
+    build rule's panels never straddle 0, preserving accuracy when g has
+    a higher-derivative jump there.  With A the FFT over panels of
+    (1/2) w g(x) shaped (panels, nodes per panel) and x_0j the nodes of
+    the first panel, c_k = sum_j e^{-ik pi x_0j} A[k mod panels, j] for
+    k = 0..K; the negative modes are their exact conjugates, and c_0 is
+    real.
     """
     if half_modes < 0:
         raise ValueError("half_modes must be nonnegative")
-    x, w = nodes_weights(quad)
-    z = np.exp(-1j * np.pi * x)
-    p = 0.5 * w * np.asarray(g(x), dtype=float)
-    c = np.empty(half_modes + 1, dtype=complex)
-    c[0] = p.sum()
-    p = p.astype(complex)
-    for k in range(1, half_modes + 1):
-        p *= z
-        c[k] = p.sum()
+    rule = build_rule(half_modes)
+    x, w = nodes_weights(rule)
+    panels, nodes = 2 * rule.panels_per_side, rule.nodes_per_panel
+    samples = 0.5 * w * np.asarray(g(x), dtype=float)
+    spectrum = np.fft.fft(samples.reshape(panels, nodes), axis=0)
+    ks = np.arange(half_modes + 1)
+    phase = np.exp(-1j * np.pi * np.multiply.outer(ks, x[:nodes]))
+    c = np.einsum("kj,kj->k", phase, spectrum[ks % panels])
+    c[0] = c[0].real
     return np.concatenate([c[:0:-1].conj(), c])
 
 
@@ -65,7 +70,6 @@ def build_smooth_branch(
     endpoint_derivs_plus,
     m: int,
     half_modes: int,
-    quad: QuadratureConfig = DEFAULT_QUAD,
 ) -> Branch:
     """Single branch realizing H_r + G for the target ``f``.
 
@@ -83,7 +87,7 @@ def build_smooth_branch(
     def residual(x):
         return np.asarray(f(x), dtype=float) - trig_deriv_eval(h_poly, x, 0)
 
-    ghat = fourier_coeffs(residual, half_modes, quad)
+    ghat = fourier_coeffs(residual, half_modes)
     ks = np.arange(-half_modes, half_modes + 1)
     coeffs = np.concatenate([ghat, np.asarray(h_poly.coeffs)])
     omegas = np.concatenate([ks * np.pi, h_poly.mode_freqs])

@@ -3,7 +3,7 @@
 Each recomputes a library quantity by an independent method: jet
 composition instead of the Bell-matrix chain rule, a dense grid, the
 sign map iterated directly instead of the network's layers, one
-complex exponential per mode and node instead of a recurrence, every
+complex exponential per mode and node instead of an FFT over panels, every
 layer applied to every point instead of only to the points still moving,
 or one mode at a time instead of a vectorised fold.
 """
@@ -17,7 +17,7 @@ from fresnet.hermite import TrigPoly, trig_deriv_eval
 from fresnet.jets import Jet
 from fresnet.jump import z_profile
 from fresnet.network import FourierResNet
-from fresnet.quadrature import DEFAULT_QUAD, QuadratureConfig, nodes_weights
+from fresnet.quadrature import build_rule, nodes_weights
 
 
 def trig_eval_jet(poly: TrigPoly, u: Jet) -> Jet:
@@ -54,13 +54,14 @@ def jet_z(point: float, side: str, m: int) -> Jet:
     return jets.jet_add(jets.jet_const(step, point, m), jets.jet_sin(jets.jet_var(point, m)))
 
 
-def fourier_coeffs_dense(g, half_modes: int, quad: QuadratureConfig = DEFAULT_QUAD) -> np.ndarray:
-    """(1/2) sum_j w_j g(x_j) e^{-i k pi x_j} for k = -K..K, each mode formed directly.
+def fourier_coeffs_dense(g, half_modes: int) -> np.ndarray:
+    """(1/2) sum_j w_j g(x_j) e^{-i k pi x_j} for k = -K..K over the build
+    rule's nodes, each mode formed directly.
 
     Evaluated one row of the (2K+1) x nodes exponential matrix at a time,
     so memory stays at O(nodes).
     """
-    x, w = nodes_weights(quad)
+    x, w = nodes_weights(build_rule(half_modes))
     wg = w * np.asarray(g(x), dtype=float)
     return np.array([0.5 * np.exp(-1j * np.pi * (k * x)) @ wg
                      for k in range(-half_modes, half_modes + 1)])

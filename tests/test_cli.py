@@ -128,6 +128,37 @@ def test_usage_error_on_bad_int_list(capsys):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["build", "--target", "hat", "--m", "1", "--modes", "4", "--depth", "5"],
+    ["gibbs", "--target", "hat", "--m", "1", "--modes", "4", "--depths", "3",
+     "--threshold", "0.02"],
+])
+def test_build_rule_flags_are_gone(argv, tmp_path, capsys):
+    # the build rule follows from --modes; only measuring commands take a rule
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--out", str(tmp_path / "o"), "--panels", "8"])
+    assert exc.value.code == 2
+
+
+def test_convergence_flags_set_only_the_measurement_rule(tmp_path):
+    from fresnet import network
+    from fresnet.builder import BuildSpec, build_piecewise_net
+    from fresnet.metrics import lp_error
+    from fresnet.quadrature import QuadratureConfig
+    from fresnet.targets import target_lookup
+
+    out = tmp_path / "conv.csv"
+    assert main(["convergence", "--target", "hat", "--m", "2", "--modes-list", "8",
+                 "--depth", "6", "--panels", "128", "--nodes", "16", "--out", str(out)]) == 0
+    _, rows = read_csv(out)
+    # the network built without any rule, measured by the rule of the flags
+    t = target_lookup("hat")
+    net = build_piecewise_net(BuildSpec(t, 2, 8, 6))
+    want = lp_error(t.eval, lambda x: network.eval_grid(net, x), (1.0, 2.0),
+                    QuadratureConfig(128, 16, 0.7))
+    assert (float(rows[0][6]), float(rows[0][7])) == want
+
+
 def test_sign_curves_gibbs_contrast(tmp_path):
     out = tmp_path / "c.csv"
     assert main(["sign-curves", "--depths", "5,20", "--grid", "2001", "--out", str(out)]) == 0

@@ -9,6 +9,7 @@ from fresnet.quadrature import (
     DEFAULT_QUAD,
     MIN_PANEL_WIDTH,
     QuadratureConfig,
+    build_rule,
     integrate,
     nodes_weights,
 )
@@ -32,6 +33,15 @@ def test_high_mode_orthogonality():
     x, w = nodes_weights(DEFAULT_QUAD)
     val = w @ np.exp(-1j * 64 * np.pi * x)
     assert abs(val) < 1e-12
+
+
+@pytest.mark.parametrize("half, panels", [(0, 1), (1, 1), (3, 1), (4, 2), (512, 160), (1024, 320)])
+def test_build_rule_sized_from_modes(half, panels):
+    # 5K nodes per side: 10 per wavelength of mode K, in uniform 16-node panels
+    assert build_rule(half) == QuadratureConfig(panels, 16, 1.0)
+    x, w = nodes_weights(build_rule(half))
+    assert x.size == 2 * 16 * panels
+    assert np.all(np.diff(x) > 0) and np.sum(w) == pytest.approx(2.0, rel=1e-14)
 
 
 def test_resolves_exponentially_narrow_spike():

@@ -28,6 +28,11 @@ def test_structure():
         build_sign_net(0)
 
 
+def test_sign_net_is_cached_per_depth():
+    assert build_sign_net(60) is build_sign_net(60)
+    assert build_sign_net(61).depth == 61
+
+
 def test_depth_two_value_is_phi_of_layer_one():
     # Oracle computed from scratch: S_2(1/2) = phi(sin(pi/4))
     y1 = math.sin(math.pi / 4)

@@ -7,14 +7,13 @@ import numpy as np
 import pytest
 
 from fresnet.builder import BuildSpec, build_piecewise_net
+from fresnet.network import eval_grid
 from fresnet.hermite import trig_deriv_eval
-from fresnet.quadrature import DEFAULT_QUAD, QuadratureConfig, nodes_weights
+from fresnet.quadrature import build_rule, nodes_weights
 from fresnet.smooth import build_smooth_branch, fourier_coeffs, series_eval
 from fresnet.targets import target_lookup
 
 from oracles import fourier_coeffs_dense
-
-FINE_QUAD = QuadratureConfig(256, 16, 0.7)
 
 
 def kinked(x):
@@ -48,6 +47,17 @@ def test_series_eval_inverts_coefficients():
     coeffs = coeffs + np.conj(coeffs[::-1])
     got = fourier_coeffs(lambda x: series_eval(coeffs, x), half)
     assert got == pytest.approx(coeffs, abs=1e-12)
+
+
+@pytest.mark.parametrize("half", [40, 256])
+def test_build_rule_recovers_trig_polynomials(half):
+    # g e^{-ik pi x} reaches mode 2K; with 4 instead of 5 build-rule nodes
+    # per mode and side the error is 9e-11 here, with 5 it is 2e-13 or less
+    rng = np.random.default_rng(half)
+    coeffs = rng.normal(size=2 * half + 1) + 1j * rng.normal(size=2 * half + 1)
+    coeffs = coeffs + np.conj(coeffs[::-1])
+    got = fourier_coeffs(lambda x: series_eval(coeffs, x), half)
+    assert np.max(np.abs(got - coeffs)) <= 1e-12
 
 
 def test_branch_matches_hermite_plus_series():
@@ -106,13 +116,29 @@ def test_truncation_error_decreases_with_modes():
     assert errs[-1] < errs[0] / 10
 
 
-def test_quadrature_config_is_honored():
-    coarse = QuadratureConfig(4, 4, 1.0)
-    c_coarse = fourier_coeffs(lambda x: np.cos(40 * np.pi * x), 1, coarse)
-    c_fine = fourier_coeffs(lambda x: np.cos(40 * np.pi * x), 1, QuadratureConfig(64, 12, 1.0))
-    # the coarse rule aliases the oscillation; the fine one resolves it to ~0
-    assert np.max(np.abs(c_fine)) < 1e-10
-    assert not np.allclose(c_coarse, c_fine, atol=1e-10)
+def _coeff_scale(g, half):
+    """sum |w g| over the build rule of K = half, the scale of each coefficient's rounding."""
+    x, w = nodes_weights(build_rule(half))
+    return np.sum(np.abs(w * g(x)))
+
+
+@pytest.mark.parametrize("half", [512, 1024, 4096])
+def test_build_rule_agrees_with_twice_finer_rule(half):
+    # fourier_coeffs(g, 2K) runs on a rule with twice the nodes; its middle
+    # 2K+1 modes are the same integrals, so the rule for K resolves them
+    got = fourier_coeffs(kinked, half)
+    finer = fourier_coeffs(kinked, 2 * half)[half:3 * half + 1]
+    assert np.max(np.abs(got - finer)) <= (half + 1) * 1e-15 * _coeff_scale(kinked, half)
+
+
+@pytest.mark.parametrize("half", [512, 1024])
+@pytest.mark.parametrize("name", ["pw_smooth", "hat"])
+def test_deep_build_error_off_jump_at_rounding_floor(name, half):
+    t = target_lookup(name)
+    net = build_piecewise_net(BuildSpec(t, 4, half, 60))
+    xs = np.linspace(-1.0, 1.0, 20001)
+    xs = xs[np.abs(xs) >= 0.05]
+    assert np.max(np.abs(eval_grid(net, xs) - t.eval(xs))) <= 1e-12
 
 
 def test_validation():
@@ -165,15 +191,12 @@ def test_smooth_target_width_rate():
         assert fit_rate(ws, errs).slope <= -(m - 0.5), m
 
 
-@pytest.mark.parametrize("quad", [DEFAULT_QUAD, FINE_QUAD], ids=["default", "256x16"])
 @pytest.mark.parametrize("half", [0, 1, 7, 80, 1024])
-def test_recurrence_matches_dense_oracle(half, quad):
-    got = fourier_coeffs(kinked, half, quad)
-    want = fourier_coeffs_dense(kinked, half, quad)
-    x, w = nodes_weights(quad)
-    scale = np.sum(np.abs(w * kinked(x)))
+def test_coeffs_match_dense_oracle(half):
+    got = fourier_coeffs(kinked, half)
+    want = fourier_coeffs_dense(kinked, half)
     assert got.shape == (2 * half + 1,)
-    assert np.max(np.abs(got - want)) <= (half + 1) * 1e-15 * scale
+    assert np.max(np.abs(got - want)) <= (half + 1) * 1e-15 * _coeff_scale(kinked, half)
 
 
 @pytest.mark.parametrize("half", [0, 1, 7, 80])
@@ -194,12 +217,13 @@ def _build_peak(spec):
 
 def test_build_memory_stays_linear_in_nodes():
     # a dense (2K+1) x nodes exponential matrix alone would take
-    # 2049 * 3360 * 16 B = 110 MB
+    # 2049 * 10240 * 16 B = 336 MB
     peak = _build_peak(BuildSpec(target_lookup("pw_smooth"), 4, 1024, 60))
     assert peak < 16e6, f"build peak {peak / 1e6:.1f} MB"
 
 
 def test_fine_rule_build_memory_at_high_modes():
-    # the dense matrix would be 8193 x 10,000+ complex entries, over 1.3 GB
-    peak = _build_peak(BuildSpec(target_lookup("pw_smooth"), 4, 4096, 60, FINE_QUAD))
+    # the build rule at K = 4096 has 40,960 nodes; a dense
+    # (2K+1) x nodes exponential matrix would take 5.4 GB
+    peak = _build_peak(BuildSpec(target_lookup("pw_smooth"), 4, 4096, 60))
     assert peak < 32e6, f"build peak {peak / 1e6:.1f} MB"

@@ -91,6 +91,20 @@ def test_branch_matches_its_sin_cos_form():
     assert br == Branch(br.freqs, br.sin_amps, br.cos_amps)
 
 
+def test_dense_sum_bits_do_not_depend_on_position():
+    # nine distinct frequencies off the k pi grid: all go to the dense part
+    rng = np.random.default_rng(9)
+    freqs = tuple((2 * np.arange(9) + 1) * math.pi / 4 + 0.01 * np.arange(9))
+    br = Branch(freqs, tuple(rng.uniform(-1, 1, 9)), tuple(rng.uniform(-1, 1, 9)))
+    x = rng.uniform(-1.5, 1.5, 4003)
+    full = br(x)
+    singles = np.array([br(x[i:i + 1])[0] for i in range(x.size)])
+    assert np.array_equal(singles.view(np.int64), full.view(np.int64))
+    for size in (1, 5, 17, 1000, 4002):
+        idx = rng.choice(x.size, size, replace=False)
+        assert np.array_equal(br(x[idx]).view(np.int64), full[idx].view(np.int64))
+
+
 def test_eval_memory_stays_linear_in_points():
     net = build_piecewise_net(BuildSpec(target_lookup("pw_smooth"), 4, 512, 60))
     xs = np.linspace(-1.0, 1.0, 20000)
