@@ -78,7 +78,11 @@ def _positive_breakpoints(cfg: QuadratureConfig) -> np.ndarray:
 
 @lru_cache(maxsize=32)
 def nodes_weights(cfg: QuadratureConfig = DEFAULT_QUAD):
-    """Quadrature nodes and weights over [-1, 1] as (x, w) arrays."""
+    """Quadrature nodes and weights over [-1, 1] as (x, w) arrays.
+
+    Nodes ascend: panel by panel from -1, each panel's nodes in the order
+    of the reference rule (``fourier_coeffs`` relies on this layout).
+    """
     ref_x, ref_w = np.polynomial.legendre.leggauss(cfg.nodes_per_panel)
     bps = _positive_breakpoints(cfg)
     los, his = bps[:-1], bps[1:]
