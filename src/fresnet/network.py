@@ -57,6 +57,13 @@ import numpy as np
 #: changes no bit.
 TRIG_CHUNK = 16384
 
+#: Amplitude sets whose largest entry is below 2**-TINY_EXP are summed
+#: scaled up by 2**TINY_SHIFT and scaled back once: a power of two is exact,
+#: so their products stay out of the subnormal range, where each rounds to
+#: an absolute 5e-324 and a sum of such amplitudes loses all its digits.
+TINY_EXP = 900
+TINY_SHIFT = 600
+
 
 class NetworkFormatError(ValueError):
     """Raised for malformed or inconsistent serialized networks."""
@@ -128,13 +135,18 @@ def trig_sum(omegas, amps, x, deriv: int = 0):
 
 def _trig_plan(omegas, amps, deriv: int):
     """Split the modes into a Horner array for the multiples of pi and a
-    dense remainder, both folded onto nonnegative, distinct frequencies."""
+    dense remainder, both folded onto nonnegative, distinct frequencies,
+    and the power of two (see :data:`TINY_EXP`) by which both are scaled."""
     if deriv < 0:
         raise ValueError("derivative order must be nonnegative")
     omegas = np.asarray(omegas, dtype=float).ravel()
     amps = np.asarray(amps, dtype=complex).ravel()
     if omegas.shape != amps.shape:
         raise ValueError(f"{omegas.size} frequencies but {amps.size} amplitudes")
+    top = np.max(np.abs(amps), initial=0.0)
+    shift = TINY_SHIFT if 0 < top < 2.0 ** -TINY_EXP else 0
+    if shift:
+        amps = np.ldexp(amps.real, shift) + 1j * np.ldexp(amps.imag, shift)
     if deriv:
         amps = amps * (1j * omegas) ** deriv
     # Re(c e^{-iwx}) == Re(conj(c) e^{iwx})
@@ -151,11 +163,11 @@ def _trig_plan(omegas, amps, deriv: int):
     freqs, where = np.unique(omegas[~on_grid], return_inverse=True)
     dense = np.zeros(freqs.size, dtype=complex)
     np.add.at(dense, where, amps[~on_grid])
-    return horner.tolist(), freqs, dense.real, -dense.imag
+    return horner.tolist(), freqs, dense.real, -dense.imag, shift
 
 
 def _trig_apply(plan, x):
-    horner, freqs, cos_amps, sin_amps = plan
+    horner, freqs, cos_amps, sin_amps, shift = plan
     x = np.asarray(x, dtype=float)
     flat = x.ravel()
     out = np.zeros(flat.size)
@@ -174,6 +186,8 @@ def _trig_apply(plan, x):
         for w, a, b in zip(freqs, sin_amps, cos_amps):
             wx = xc * w
             oc += a * np.sin(wx) + b * np.cos(wx)
+        if shift:
+            np.ldexp(oc, -shift, out=oc)
     return out[0] if x.ndim == 0 else out.reshape(x.shape)
 
 

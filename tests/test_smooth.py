@@ -191,8 +191,11 @@ def test_smooth_target_width_rate():
         assert fit_rate(ws, errs).slope <= -(m - 0.5), m
 
 
-@pytest.mark.parametrize("half", [0, 1, 7, 80, 1024])
-def test_coeffs_match_dense_oracle(half):
+# Named for the recurrence the panel FFT replaced.  The ids keep the
+# "default" rule of the time fourier_coeffs also took a rule; the build
+# rule is now the only one.
+@pytest.mark.parametrize("half", [0, 1, 7, 80, 1024], ids=lambda k: f"{k}-default")
+def test_recurrence_matches_dense_oracle(half):
     got = fourier_coeffs(kinked, half)
     want = fourier_coeffs_dense(kinked, half)
     assert got.shape == (2 * half + 1,)

@@ -16,11 +16,20 @@ from fresnet.targets import target_lookup
 
 
 def fsum_oracle(omegas, amps, x, deriv):
-    """Re sum_j amps_j (i omegas_j)^deriv e^{i omegas_j x}, mode by mode, fsum'd."""
-    return math.fsum(
-        (complex(c) * (1j * w) ** deriv * cmath.exp(1j * w * x)).real
-        for w, c in zip(omegas, amps)
-    )
+    """Re sum_j amps_j (i omegas_j)^deriv e^{i omegas_j x}, mode by mode, fsum'd.
+
+    The amplitudes are scaled by a power of two so that the largest has
+    magnitude in [1/2, 1), and the sum is scaled back once: amplitudes
+    near the subnormal range would otherwise round in every product.
+    """
+    top = max((abs(complex(c)) for c in amps), default=0.0)
+    e = math.frexp(top)[1]
+    scaled = [complex(math.ldexp(complex(c).real, -e), math.ldexp(complex(c).imag, -e))
+              for c in amps]
+    return math.ldexp(math.fsum(
+        (c * (1j * w) ** deriv * cmath.exp(1j * w * x)).real
+        for w, c in zip(omegas, scaled)
+    ), e)
 
 
 def tolerance(omegas, amps, deriv):
@@ -55,6 +64,15 @@ def test_kernel_matches_fsum_oracle(mode_list, deriv, xs):
         scalar = trig_sum(omegas, amps, x, deriv)
         assert np.ndim(scalar) == 0
         assert abs(scalar - fsum_oracle(omegas, amps, x, deriv)) <= tol
+
+
+def test_subnormal_amplitudes_keep_their_digits():
+    # unscaled, every product rounds to the absolute 5e-324 grid and the
+    # first sum comes out as -1e-323
+    assert trig_sum([2 * math.pi], [5e-324j], 0.25) == -5e-324
+    for deriv in range(3):
+        want = fsum_oracle([math.pi, 0.75], [2.2250738585e-313j, 3e-320], 1.0625, deriv)
+        assert trig_sum([math.pi, 0.75], [2.2250738585e-313j, 3e-320], 1.0625, deriv) == want
 
 
 def test_kernel_keeps_the_shape_of_x():
