@@ -15,11 +15,12 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
 from . import jets
-from .network import Branch, branch_from_modes, trig_sum
+from .network import Branch, _trig_apply, _trig_plan, branch_from_modes
 
 #: Warn when the interpolation system is estimated worse-conditioned than this.
 CONDITION_WARN_THRESHOLD = 1e10
@@ -97,7 +98,15 @@ def trig_deriv_eval(poly: TrigPoly, x, s: int = 0):
     Defined for all real x (the polynomial is entire), including arguments
     outside [-1, 1].
     """
-    return trig_sum(poly.mode_freqs, poly.coeffs, x, s)
+    return _trig_apply(_deriv_plan(poly, s), x)
+
+
+@lru_cache(maxsize=64)
+def _deriv_plan(poly: TrigPoly, s: int):
+    """The kernel's plan for the s-th derivative.  A polynomial is immutable
+    and usually evaluated at many single points (the endpoint derivatives of
+    q, the Hermite residual), so each (poly, s) plan is built once."""
+    return _trig_plan(poly.mode_freqs, poly.coeffs, s)
 
 
 def to_branch(poly: TrigPoly) -> Branch:

@@ -19,15 +19,34 @@ piecewise construction.
 
 Every branch, and every other trigonometric sum in the package, is
 evaluated by one kernel, :func:`trig_sum`.  It folds each mode onto a
-nonnegative frequency and merges duplicates.  Modes at exact multiples
-k pi of pi become one coefficient array c_0..c_K, summed by complex Horner
-in z = e^{i pi x}: one complex exp per point instead of a sin and a cos
-per point and mode.  The few other modes (pi/2 in the first sign layer,
-the sin(x) neuron, the quarter-pi Hermite modes) are summed densely, one
-sine and cosine per point and distinct frequency, in a fixed order.  Both
-parts run over the flattened input in chunks of :data:`TRIG_CHUNK`
-points, so memory is O(chunk) besides the output, and a point's bits do
-not depend on where it sits in the input or on the input's shape.
+nonnegative frequency and merges duplicates, then sums each part by the
+cheapest rule that keeps it exact to rounding:
+
+* Modes at exact multiples k pi (the spectral modes) form the pi ladder
+  c_1..c_K, summed as Re z sum_k c_k z^(k-1) by complex Horner in
+  z = e^{i pi x}; the constant c_0 is added as its real part.
+* Modes at exact odd multiples (2j+1) pi/4 (the m+1 distinct Hermite
+  frequencies of H and H_r) form the quarter-pi ladder c_0..c_m, summed
+  as Re u sum_j c_j w^j with u = e^{i pi x/4} and w = u^2.
+* Every other mode is a dense term (pi/2 in the first sign layer, the
+  sin(x) neuron), and so is each mode of a ladder with a single nonzero
+  frequency (the sign stack's h, at pi).  Dense terms are summed one
+  frequency at a time, in a fixed order, computing only the sine or cosine
+  whose amplitude is nonzero.
+
+A ladder costs one complex exp per point and one complex multiply per
+mode and point, instead of a sine and a cosine per point and mode; for a
+single frequency the dense term is no dearer.  So the spectral layer
+costs two complex exps per point, the jump layer one, and sin(pi v)/pi,
+sin(pi x/2) and sin(x) one real sine each.
+
+Horner steps multiply into a second buffer rather than in place: numpy's
+in-place complex multiply rounds a length-1 array differently from a
+longer one, and a point's bits must not depend on the call.  All parts run
+over the flattened input in chunks of :data:`TRIG_CHUNK` points, so memory
+is O(chunk) besides the output, and a point's bits do not depend on where
+it sits in the input or on the input's shape: a point evaluated alone, in
+any subset or in the full input gets the same bits.
 
 The forward pass evaluates only what still changes.  A run of consecutive
 layers with an empty g-branch and equal h-branches (the width-1 sign
@@ -134,16 +153,17 @@ def trig_sum(omegas, amps, x, deriv: int = 0):
 
 
 def _trig_plan(omegas, amps, deriv: int):
-    """Split the modes into a Horner array for the multiples of pi and a
-    dense remainder, both folded onto nonnegative, distinct frequencies,
-    and the power of two (see :data:`TINY_EXP`) by which both are scaled."""
+    """Fold the modes onto nonnegative, distinct frequencies and split them
+    into the constant, the pi ladder, the quarter-pi ladder and the dense
+    terms (see the module docstring), with the power of two (see
+    :data:`TINY_EXP`) by which all are scaled."""
     if deriv < 0:
         raise ValueError("derivative order must be nonnegative")
     omegas = np.asarray(omegas, dtype=float).ravel()
     amps = np.asarray(amps, dtype=complex).ravel()
     if omegas.shape != amps.shape:
         raise ValueError(f"{omegas.size} frequencies but {amps.size} amplitudes")
-    top = np.max(np.abs(amps), initial=0.0)
+    top = np.abs(amps).max(initial=0.0)
     shift = TINY_SHIFT if 0 < top < 2.0 ** -TINY_EXP else 0
     if shift:
         amps = np.ldexp(amps.real, shift) + 1j * np.ldexp(amps.imag, shift)
@@ -152,40 +172,81 @@ def _trig_plan(omegas, amps, deriv: int):
     # Re(c e^{-iwx}) == Re(conj(c) e^{iwx})
     amps = np.where(omegas < 0, amps.conj(), amps)
     omegas = np.abs(omegas)
-    ks = np.rint(omegas / np.pi)
-    # Horner takes max(k) steps per point, so multiples of pi beyond twice
-    # the mode count (the builder makes none; a loaded file may) are
-    # cheaper as dense terms.
-    on_grid = (ks * np.pi == omegas) & (ks <= 2 * omegas.size)
-    k_on = ks[on_grid].astype(int)
-    horner = np.zeros(k_on.max() + 1 if k_on.size else 0, dtype=complex)
-    np.add.at(horner, k_on, amps[on_grid])
-    freqs, where = np.unique(omegas[~on_grid], return_inverse=True)
-    dense = np.zeros(freqs.size, dtype=complex)
-    np.add.at(dense, where, amps[~on_grid])
-    return horner.tolist(), freqs, dense.real, -dense.imag, shift
+    # grid[q] sums the modes at exactly q pi/4, up to 2n pi: Horner takes
+    # one step per multiple, so higher ones (the builder makes none; a
+    # loaded file may) are cheaper as dense terms
+    quarters = np.rint(omegas / (np.pi / 4))
+    on = (quarters * (np.pi / 4) == omegas) & (quarters <= 8 * omegas.size)
+    q = quarters[on].astype(int)
+    grid = np.zeros(q.max(initial=-1) + 1, dtype=complex)
+    np.add.at(grid, q, amps[on])
+    # q = 0 is the constant, added as its real part; the pi ladder holds
+    # q = 4k at index k - 1, the quarter-pi ladder q = 2j + 1 at index j,
+    # and q = 4k + 2 (pi/2 in the first sign layer) is always dense
+    bias = grid[0].real if grid.size else 0.0
+    rest = grid != 0
+    rest[:1] = False
+    ladders = []
+    for start, step in ((4, 4), (1, 2)):
+        nonzero = grid[start::step].nonzero()[0]
+        # a single frequency costs a sine and a cosine at most, no more
+        # than the ladder's complex exp
+        if nonzero.size < 2:
+            ladders.append([])
+            continue
+        ladders.append(grid[start:start + step * nonzero[-1] + 1:step].tolist())
+        rest[start::step] = False
+    qs = rest.nonzero()[0]
+    freqs, merged = qs * (np.pi / 4), grid[qs]
+    if q.size < omegas.size:
+        off, where = np.unique(omegas[~on], return_inverse=True)
+        off_amps = np.zeros(off.size, dtype=complex)
+        np.add.at(off_amps, where, amps[~on])
+        freqs, merged = np.concatenate([freqs, off]), np.concatenate([merged, off_amps])
+    # a sin(wx) + b cos(wx) == Re((b - ia) e^{iwx}); a term with a = b = 0
+    # is dropped, and one with a or b zero computes only the other's trig
+    terms = [(w, a, b) for w, a, b in zip(freqs.tolist(), (-merged.imag).tolist(),
+                                          merged.real.tolist()) if a or b]
+    return bias, ladders[0], ladders[1], terms, shift
+
+
+def _horner(coeffs, z):
+    """sum_j coeffs[j] z^j by Horner.  Each step multiplies into the other
+    of two buffers: numpy's in-place complex multiply rounds a length-1
+    array differently from a longer one."""
+    p = np.full(z.shape, coeffs[-1])
+    q = np.empty_like(p)
+    for c in reversed(coeffs[:-1]):
+        np.multiply(p, z, out=q)
+        q += c
+        p, q = q, p
+    return p
 
 
 def _trig_apply(plan, x):
-    horner, freqs, cos_amps, sin_amps, shift = plan
+    bias, pi_ladder, quarter_ladder, terms, shift = plan
     x = np.asarray(x, dtype=float)
     flat = x.ravel()
-    out = np.zeros(flat.size)
+    out = np.full(flat.size, bias)
     for lo in range(0, flat.size, TRIG_CHUNK):
         xc = flat[lo:lo + TRIG_CHUNK]
         oc = out[lo:lo + TRIG_CHUNK]
-        if horner:
+        if pi_ladder:
             z = np.exp(1j * np.pi * xc)
-            p = np.full(xc.shape, horner[-1])
-            for c in reversed(horner[:-1]):
-                p *= z
-                p += c
-            oc += p.real
+            oc += (z * _horner(pi_ladder, z)).real
+        if quarter_ladder:
+            u = np.exp(1j * (np.pi / 4) * xc)
+            oc += (u * _horner(quarter_ladder, u * u)).real
         # one frequency at a time, so a point's sum has a fixed order
         # (a matrix-vector product's order depends on the row's position)
-        for w, a, b in zip(freqs, sin_amps, cos_amps):
+        for w, a, b in terms:
             wx = xc * w
-            oc += a * np.sin(wx) + b * np.cos(wx)
+            if not b:
+                oc += a * np.sin(wx)
+            elif not a:
+                oc += b * np.cos(wx)
+            else:
+                oc += a * np.sin(wx) + b * np.cos(wx)
         if shift:
             np.ldexp(oc, -shift, out=oc)
     return out[0] if x.ndim == 0 else out.reshape(x.shape)

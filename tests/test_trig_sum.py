@@ -3,6 +3,7 @@
 import cmath
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -11,7 +12,8 @@ from hypothesis import strategies as st
 
 from fresnet import network
 from fresnet.builder import BuildSpec, build_piecewise_net
-from fresnet.network import Branch, trig_sum
+from fresnet.hermite import hermite_endpoint, trig_deriv_eval
+from fresnet.network import Branch, eval_grid, eval_prefix, trig_sum
 from fresnet.targets import target_lookup
 
 
@@ -121,6 +123,61 @@ def test_dense_sum_bits_do_not_depend_on_position():
     for size in (1, 5, 17, 1000, 4002):
         idx = rng.choice(x.size, size, replace=False)
         assert np.array_equal(br(x[idx]).view(np.int64), full[idx].view(np.int64))
+
+
+def test_ladder_bits_do_not_depend_on_position():
+    # the spectral branch sums both ladders, the jump branch the quarter-pi
+    # one; each Horner step must round a lone point as it rounds it in an array
+    net = build_piecewise_net(BuildSpec(target_lookup("pw_smooth"), 4, 128, 60))
+    rng = np.random.default_rng(11)
+    x = rng.uniform(-2.0, 2.0, 400)
+    last = net.layers[-1]
+    for br in (last.g_branch, last.h_branch):
+        full = br(x)
+        singles = np.array([br(x[i:i + 1])[0] for i in range(x.size)])
+        assert np.array_equal(singles.view(np.int64), full.view(np.int64))
+        for size in (1, 5, 17, 399):
+            idx = rng.choice(x.size, size, replace=False)
+            assert np.array_equal(br(x[idx]).view(np.int64), full[idx].view(np.int64))
+    full = eval_grid(net, x)
+    scalars = np.array([eval_prefix(net, v, net.depth) for v in x])
+    assert np.array_equal(scalars.view(np.int64), full.view(np.int64))
+
+
+def hermite_polys():
+    """One random endpoint polynomial per order m, up to the largest order
+    jets support (the solve warns about its condition from m = 9 on)."""
+    rng = np.random.default_rng(12)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        return [hermite_endpoint(rng.normal(size=m + 1), rng.normal(size=m + 1))
+                for m in (1, 4, 8, 12)]
+
+
+def test_quarter_pi_ladder_matches_fsum_oracle():
+    rng = np.random.default_rng(13)
+    xs = np.concatenate([np.linspace(-2.5, 2.5, 41), rng.uniform(-2.5, 2.5, 40)])
+    for poly in hermite_polys():
+        omegas, amps = poly.mode_freqs, poly.coeffs
+        for s in range(poly.order_m + 1):
+            tol = tolerance(omegas, amps, s)
+            got = trig_deriv_eval(poly, xs, s)
+            for x, value in zip(xs, got):
+                assert abs(value - fsum_oracle(omegas, amps, x, s)) <= tol, (poly.order_m, s, x)
+
+
+@pytest.mark.parametrize("m", [1, 4, 8, 12])
+def test_built_layers_match_their_sin_cos_form(m):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        net = build_piecewise_net(BuildSpec(target_lookup("pw_smooth"), m, 64, 20))
+    xs = np.linspace(-2.5, 2.5, 101)
+    last = net.layers[-1]
+    for br in (last.g_branch, last.h_branch):
+        tol = 1e-13 * math.fsum(map(abs, br.sin_amps + br.cos_amps))
+        want = [math.fsum(a * math.sin(w * x) + b * math.cos(w * x)
+                          for w, a, b in zip(br.freqs, br.sin_amps, br.cos_amps)) for x in xs]
+        assert np.max(np.abs(br(xs) - want)) <= tol
 
 
 def test_eval_memory_stays_linear_in_points():
