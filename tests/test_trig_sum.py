@@ -144,20 +144,16 @@ def test_ladder_bits_do_not_depend_on_position():
     assert np.array_equal(scalars.view(np.int64), full.view(np.int64))
 
 
-def hermite_polys():
-    """One random endpoint polynomial per order m, up to the largest order
-    jets support (the solve warns about its condition from m = 9 on)."""
+def test_quarter_pi_ladder_matches_fsum_oracle():
+    # up to the largest order jets support; the solve warns about its
+    # condition from m = 9 on
     rng = np.random.default_rng(12)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
-        return [hermite_endpoint(rng.normal(size=m + 1), rng.normal(size=m + 1))
-                for m in (1, 4, 8, 12)]
-
-
-def test_quarter_pi_ladder_matches_fsum_oracle():
-    rng = np.random.default_rng(13)
+        polys = [hermite_endpoint(rng.normal(size=m + 1), rng.normal(size=m + 1))
+                 for m in (1, 4, 8, 12)]
     xs = np.concatenate([np.linspace(-2.5, 2.5, 41), rng.uniform(-2.5, 2.5, 40)])
-    for poly in hermite_polys():
+    for poly in polys:
         omegas, amps = poly.mode_freqs, poly.coeffs
         for s in range(poly.order_m + 1):
             tol = tolerance(omegas, amps, s)
