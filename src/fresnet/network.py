@@ -354,6 +354,15 @@ def neuron_count(net: FourierResNet) -> int:
 #                              "h": {...} | null}, ...]}
 # Numbers are written as decimal with 17 significant digits, which
 # round-trips IEEE binary64 exactly.
+#
+# Formatting a number costs about 1 us and is most of the cost, while about
+# half the numbers of a built network repeat an earlier one bit for bit
+# (each +-k pair of the spectral layer folds to the same entry, and every
+# sign layer holds the same h-branch).  So serialize builds the text as a
+# skeleton with one %s per number, formats each distinct float64 bit
+# pattern once and fills the skeleton in one step; the bytes are those of
+# formatting every number in turn.  Numbers are told apart by their bits,
+# not their values: -0.0 == 0.0, but one is written "-0.0", the other "0.0".
 
 def _fmt(v: float) -> str:
     s = format(float(v), ".17g")
@@ -364,26 +373,29 @@ def _fmt(v: float) -> str:
     return s
 
 
-def _branch_json(br: Branch) -> str:
-    def arr(vals):
-        return "[" + ", ".join(_fmt(v) for v in vals) + "]"
-
-    return (
-        '{"freqs": ' + arr(br.freqs)
-        + ', "a": ' + arr(br.sin_amps)
-        + ', "b": ' + arr(br.cos_amps) + "}"
-    )
+def _branch_skeleton(br: Branch, values: list) -> str:
+    """The branch's JSON with a %s per number; its numbers go onto ``values``
+    in the same order."""
+    arr = "[" + ", ".join(["%s"] * br.width) + "]"
+    values += br.freqs
+    values += br.sin_amps
+    values += br.cos_amps
+    return '{"freqs": ' + arr + ', "a": ' + arr + ', "b": ' + arr + "}"
 
 
 def serialize(net: FourierResNet) -> str:
+    values = []
     lines = ['{', f'  "depth": {net.depth},', '  "layers": [']
     for i, layer in enumerate(net.layers):
-        h = _branch_json(layer.h_branch) if layer.h_branch is not None else "null"
+        g = _branch_skeleton(layer.g_branch, values)
+        h = _branch_skeleton(layer.h_branch, values) if layer.h_branch is not None else "null"
         sep = "," if i < net.depth - 1 else ""
-        lines.append('    {"g": ' + _branch_json(layer.g_branch) + ', "h": ' + h + "}" + sep)
+        lines.append('    {"g": ' + g + ', "h": ' + h + "}" + sep)
     lines.append("  ]")
     lines.append("}")
-    return "\n".join(lines) + "\n"
+    bits, slots = np.unique(np.array(values, dtype=float).view(np.int64), return_inverse=True)
+    texts = [_fmt(v) for v in bits.view(float).tolist()]
+    return ("\n".join(lines) + "\n") % tuple([texts[j] for j in slots.tolist()])
 
 
 def _parse_branch(obj, where: str) -> Branch:

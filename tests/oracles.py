@@ -5,7 +5,8 @@ composition instead of the Bell-matrix chain rule, a dense grid, the
 sign map iterated directly instead of the network's layers, one
 complex exponential per mode and node instead of an FFT over panels, every
 layer applied to every point instead of only to the points still moving,
-or one mode at a time instead of a vectorised fold.
+one mode at a time instead of a vectorised fold, or every number of a
+network formatted in turn instead of each distinct bit pattern once.
 """
 
 import math
@@ -16,7 +17,7 @@ from fresnet import jets
 from fresnet.hermite import TrigPoly, trig_deriv_eval
 from fresnet.jets import Jet
 from fresnet.jump import z_profile
-from fresnet.network import FourierResNet
+from fresnet.network import Branch, FourierResNet
 from fresnet.quadrature import build_rule, nodes_weights
 
 
@@ -97,3 +98,35 @@ def frequency_multiset(net: FourierResNet):
         if layer.h_branch is not None:
             out.extend(layer.h_branch.freqs)
     return sorted(out)
+
+
+def _fmt(v: float) -> str:
+    s = format(float(v), ".17g")
+    # keep a decimal point so JSON parses the value as a float ("-0" would
+    # otherwise come back as the integer 0 and lose the sign of -0.0)
+    if "." not in s and "e" not in s:
+        s += ".0"
+    return s
+
+
+def _branch_json(br: Branch) -> str:
+    def arr(vals):
+        return "[" + ", ".join(_fmt(v) for v in vals) + "]"
+
+    return (
+        '{"freqs": ' + arr(br.freqs)
+        + ', "a": ' + arr(br.sin_amps)
+        + ', "b": ' + arr(br.cos_amps) + "}"
+    )
+
+
+def serialize_plain(net: FourierResNet) -> str:
+    """The network's ``.fnet.json`` text, every number formatted in turn."""
+    lines = ['{', f'  "depth": {net.depth},', '  "layers": [']
+    for i, layer in enumerate(net.layers):
+        h = _branch_json(layer.h_branch) if layer.h_branch is not None else "null"
+        sep = "," if i < net.depth - 1 else ""
+        lines.append('    {"g": ' + _branch_json(layer.g_branch) + ', "h": ' + h + "}" + sep)
+    lines.append("  ]")
+    lines.append("}")
+    return "\n".join(lines) + "\n"
