@@ -3,7 +3,10 @@
 import numpy as np
 import pytest
 
+from fresnet.builder import BuildSpec, build_piecewise_net
 from fresnet.cli import EXIT_ASSERTION, EXIT_IO, EXIT_USAGE, main
+from fresnet.targets import target_lookup
+from oracles import serialize_plain
 
 
 def read_csv(path):
@@ -120,6 +123,14 @@ def test_float_formatting_round_trips(tmp_path):
     vals = network.eval_grid(net, xs)
     for row, v in zip(rows, vals):
         assert float(row[1]) == v  # 17 digits: exact round trip
+
+
+def test_built_file_matches_per_value_serializer(tmp_path):
+    net_path = tmp_path / "net.fnet.json"
+    assert main(["build", "--target", "pw_smooth", "--m", "4", "--modes", "512",
+                 "--depth", "60", "--out", str(net_path)]) == 0
+    net = build_piecewise_net(BuildSpec(target_lookup("pw_smooth"), 4, 512, 60))
+    assert net_path.read_bytes() == serialize_plain(net).encode("utf-8")
 
 
 def test_usage_error_on_bad_int_list(capsys):

@@ -1,0 +1,126 @@
+"""Serialization: the bytes of ``serialize`` against the per-value oracle
+``serialize_plain``, and the round trip compared bit for bit."""
+
+import math
+import struct
+
+import numpy as np
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from fresnet.builder import BuildSpec, build_piecewise_net
+from fresnet.network import Branch, FourierResNet, Layer, deserialize, serialize
+from fresnet.sign import build_sign_net
+from fresnet.targets import target_lookup
+from oracles import serialize_plain
+
+
+def bits(net):
+    """Every number of the network in file order, as int64 bit patterns."""
+    values = []
+    for layer in net.layers:
+        for br in (layer.g_branch, layer.h_branch):
+            if br is not None:
+                values += br.freqs + br.sin_amps + br.cos_amps
+    return np.array(values, dtype=float).view(np.int64)
+
+
+def assert_bytes_and_round_trip(net):
+    text = serialize(net)
+    assert text == serialize_plain(net)
+    again = deserialize(text)
+    assert again == net
+    assert np.array_equal(bits(again), bits(net))
+
+
+@pytest.mark.parametrize("half_modes", [32, 512, 1024])
+@pytest.mark.parametrize("m", [2, 4])
+@pytest.mark.parametrize("target", ["pw_smooth", "hat"])
+def test_built_net_bytes_match_oracle(target, m, half_modes):
+    net = build_piecewise_net(BuildSpec(target_lookup(target), m, half_modes, 60))
+    assert_bytes_and_round_trip(net)
+
+
+def test_one_layer_smooth_net_bytes_match_oracle():
+    net = build_piecewise_net(BuildSpec(target_lookup("smooth_nonper"), 3, 24, 5))
+    assert net.depth == 1
+    assert_bytes_and_round_trip(net)
+
+
+@pytest.mark.parametrize("depth", [1, 2, 60])
+def test_sign_net_bytes_match_oracle(depth):
+    assert_bytes_and_round_trip(build_sign_net(depth))
+
+
+def test_loaded_net_bytes_match_oracle():
+    built = build_piecewise_net(BuildSpec(target_lookup("hat"), 3, 40, 12))
+    assert_bytes_and_round_trip(deserialize(serialize_plain(built)))
+
+
+# whole numbers on both sides of the ".0" rule: .17g writes 2**53 and
+# 99999999999999984.0 without a point or exponent, 1e17 and 2**60 with one
+WHOLE = (1.0, -3.0, 1e16, 2.0 ** 53, 99999999999999984.0, 1e17, 2.0 ** 60)
+SUBNORMAL = (5e-324, -2.2e-313)
+HUGE = (1.7976931348623157e308, -1.7976931348623157e308)
+
+
+def edge_net():
+    g = Branch(
+        (0.0, -0.0, 1.0, 2.0 ** 53, 1e17),
+        (-0.0, 0.0, -3.0, 99999999999999984.0, 5e-324),
+        (0.0, 0.0, 1e16, 2.0 ** 60, -2.2e-313),
+    )
+    h = Branch(
+        (-0.0, 1.7976931348623157e308, 0.0),
+        (0.0, -1.7976931348623157e308, -0.0),
+        (-0.0, -0.0, 5e-324),
+    )
+    return FourierResNet((Layer(g), Layer(Branch((-0.0,), (0.0,), (-0.0,)), h)))
+
+
+def test_edge_values_keep_their_bits():
+    net = edge_net()
+    text = serialize(net)
+    assert text == serialize_plain(net)
+    assert np.array_equal(bits(deserialize(text)), bits(net))
+    numbers = set(bits(net).view(float).tolist())
+    assert numbers >= {*WHOLE, *SUBNORMAL, *HUGE}
+    # a number that is written as a whole number must keep its ".0"
+    assert '"freqs": [0.0, -0.0, 1.0, 9007199254740992.0, 1e+17]' in text
+    assert '"a": [-0.0, 0.0, -3.0, 99999999999999984.0, 4.9406564584124654e-324]' in text
+    assert '"b": [0.0, 0.0, 10000000000000000.0, 1.152921504606847e+18,' in text
+    assert '{"g": {"freqs": [-0.0], "a": [0.0], "b": [-0.0]}' in text
+
+
+def from_bits(pattern):
+    return struct.unpack("<d", struct.pack("<q", pattern))[0]
+
+
+finite_floats = st.integers(-2 ** 63, 2 ** 63 - 1).map(from_bits).filter(math.isfinite)
+
+
+@st.composite
+def small_nets(draw):
+    """Nets of depth 1..3 whose numbers come from a small pool of finite
+    float64 bit patterns, so values repeat, with both zeros always in it."""
+    pool = draw(st.lists(finite_floats, min_size=1, max_size=6)) + [0.0, -0.0]
+    numbers = st.sampled_from(pool)
+
+    def branch():
+        width = draw(st.integers(0, 4))
+        return Branch(*(tuple(draw(st.lists(numbers, min_size=width, max_size=width)))
+                        for _ in range(3)))
+
+    layers = [Layer(branch())]
+    for _ in range(draw(st.integers(0, 2))):
+        layers.append(Layer(branch(), branch() if draw(st.booleans()) else None))
+    return FourierResNet(tuple(layers))
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(small_nets())
+@example(FourierResNet((Layer(Branch((0.0, -0.0), (-0.0, 0.0), (5e-324, -5e-324))),)))
+@example(FourierResNet((Layer(Branch((), (), ())),)))
+def test_drawn_net_bytes_match_oracle(net):
+    assert_bytes_and_round_trip(net)
