@@ -355,14 +355,14 @@ def neuron_count(net: FourierResNet) -> int:
 # Numbers are written as decimal with 17 significant digits, which
 # round-trips IEEE binary64 exactly.
 #
-# Formatting a number costs about 1 us and is most of the cost, while about
-# half the numbers of a built network repeat an earlier one bit for bit
-# (each +-k pair of the spectral layer folds to the same entry, and every
-# sign layer holds the same h-branch).  So serialize builds the text as a
-# skeleton with one %s per number, formats each distinct float64 bit
-# pattern once and fills the skeleton in one step; the bytes are those of
-# formatting every number in turn.  Numbers are told apart by their bits,
-# not their values: -0.0 == 0.0, but one is written "-0.0", the other "0.0".
+# Formatting the numbers is most of the cost, and about half the numbers of
+# a built network repeat an earlier one bit for bit (each +-k pair of the
+# spectral layer folds to the same entry, and every sign layer holds the
+# same h-branch).  So serialize builds the text as a skeleton with one %s
+# per number, formats each distinct float64 bit pattern once and fills the
+# skeleton in one step; the bytes are those of formatting every number in
+# turn.  Numbers are told apart by their bits, not their values:
+# -0.0 == 0.0, but one is written "-0.0", the other "0.0".
 
 def _fmt(v: float) -> str:
     s = format(float(v), ".17g")
