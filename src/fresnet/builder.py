@@ -71,15 +71,10 @@ class ComponentViews:
     r_w: Callable
 
 
-def _endpoint_derivs(target: PiecewiseTarget, m: int):
-    minus = target.one_sided_derivs(-1.0, "right", m)
-    plus = target.one_sided_derivs(1.0, "left", m)
-    return minus, plus
-
-
-def _assemble(spec: BuildSpec):
+def component_views(spec: BuildSpec) -> ComponentViews:
     target, m = spec.target, spec.m
-    f_minus, f_plus = _endpoint_derivs(target, m)
+    f_minus = target.one_sided_derivs(-1.0, "right", m)
+    f_plus = target.one_sided_derivs(1.0, "left", m)
     sign_net = build_sign_net(spec.depth)
 
     if target.is_smooth:
@@ -90,9 +85,7 @@ def _assemble(spec: BuildSpec):
         )
         net = FourierResNet((Layer(smooth_branch),))
         h_poly = zero_poly(m)
-
-        def r_fn(x):
-            return target.eval(x)
+        r_fn = target.eval
 
         def q_fn(x):
             # Degenerate decomposition f = q + r with q = 0, r = f.
@@ -128,27 +121,19 @@ def _assemble(spec: BuildSpec):
     def z_l(x):
         return s_l(x) + np.sin(np.asarray(x, dtype=float))
 
-    def r_w(x):
-        return smooth_branch(x)
-
-    views = ComponentViews(
+    return ComponentViews(
         net=net,
         jump_poly=h_poly,
         s_l=s_l,
         z_l=z_l,
         q=q_fn,
         r=r_fn,
-        r_w=r_w,
+        r_w=smooth_branch,
     )
-    return net, views
 
 
 def build_piecewise_net(spec: BuildSpec) -> FourierResNet:
-    return _assemble(spec)[0]
-
-
-def component_views(spec: BuildSpec) -> ComponentViews:
-    return _assemble(spec)[1]
+    return component_views(spec).net
 
 
 def suggested_architecture(eps: float, m: int, c: float = 1.0):

@@ -58,16 +58,9 @@ def _int_list(text: str):
 
 
 def _write_lines(path: str, lines) -> None:
-    try:
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            for line in lines:
-                fh.write(line + "\n")
-    except OSError as exc:
-        raise _IoFailure(str(exc)) from exc
-
-
-class _IoFailure(Exception):
-    pass
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        for line in lines:
+            fh.write(line + "\n")
 
 
 class _AssertionFailure(Exception):
@@ -178,10 +171,7 @@ def cmd_build(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    try:
-        net = network.load(args.net)
-    except OSError as exc:
-        raise _IoFailure(str(exc)) from exc
+    net = network.load(args.net)
     grid = np.linspace(-1.0, 1.0, args.grid)
     vals = network.eval_grid(net, grid)
     lines = ["x,value"] + [f"{_fmt(x)},{_fmt(v)}" for x, v in zip(grid, vals)]
@@ -230,14 +220,14 @@ def cmd_gibbs(args) -> int:
         raise _AssertionFailure("depths must be sorted ascending")
     target = target_lookup(args.target)
     lines = ["L,support_width,max_overshoot"]
+    target_vals = target.eval(np.linspace(-1, 1, 4001))
+    lo, hi = float(np.min(target_vals)), float(np.max(target_vals))
     widths = []
     for depth in args.depths:
         spec = BuildSpec(target, args.m, args.modes, depth)
         net = build_piecewise_net(spec)
         approx = lambda x: network.eval_grid(net, x)  # noqa: E731
         width = gibbs_support_width(target.eval, approx, args.threshold)
-        lo = float(np.min(target.eval(np.linspace(-1, 1, 4001))))
-        hi = float(np.max(target.eval(np.linspace(-1, 1, 4001))))
         over = max_overshoot(approx, lo, hi)
         widths.append(width)
         lines.append(f"{depth},{_fmt(width)},{_fmt(over)}")
@@ -311,13 +301,13 @@ def main(argv=None) -> int:
     except UnknownTargetError as exc:
         print(f"error: {exc.args[0]}", file=sys.stderr)
         return EXIT_USAGE
-    except (ValueError,) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except _AssertionFailure as exc:
         print(f"experiment failure: {exc}", file=sys.stderr)
         return EXIT_ASSERTION
-    except (_IoFailure, OSError) as exc:
+    except OSError as exc:
         print(f"I/O error: {exc}", file=sys.stderr)
         return EXIT_IO
 

@@ -13,9 +13,12 @@ Coefficients are stored normalized (divided by k!) to keep the recurrences
 free of factorial growth; raw derivatives are recovered with
 :func:`derivatives`.
 
-The module-level :func:`sin`, :func:`cos` and :func:`exp` dispatch on the
-argument type (Jet vs. numpy array / scalar), so a single closure written
-against them can be evaluated both pointwise and as a jet.
+Jet arithmetic is the operators ``+``, ``-`` and ``*`` of :class:`Jet`
+(a scalar operand is promoted to a constant jet) and the module-level
+:func:`sin`, :func:`cos` and :func:`exp`.  These dispatch on the argument
+type (Jet vs. numpy array / scalar), so a single closure written against
+them can be evaluated both pointwise and as a jet.  Jets are started with
+:func:`jet_var` (the identity) and :func:`jet_const`.
 """
 
 from __future__ import annotations
@@ -58,47 +61,48 @@ class Jet:
     def order(self) -> int:
         return len(self.coeffs) - 1
 
-    @property
-    def value(self) -> float:
-        return self.coeffs[0]
-
-    # -- operator sugar; scalars are promoted to constant jets ------------
+    # -- arithmetic; scalars are promoted to constant jets -----------------
 
     def __add__(self, other):
-        return jet_add(self, _coerce(other, self))
+        other = _coerce(other, self)
+        return Jet(self.base_point, tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        return jet_sub(self, _coerce(other, self))
+        other = _coerce(other, self)
+        return Jet(self.base_point, tuple(a - b for a, b in zip(self.coeffs, other.coeffs)))
 
     def __rsub__(self, other):
-        return jet_sub(_coerce(other, self), self)
+        return _coerce(other, self) - self
 
     def __mul__(self, other):
-        if isinstance(other, Jet):
-            return jet_mul(self, other)
-        return jet_scale(self, other)
+        if not isinstance(other, Jet):
+            return Jet(self.base_point, tuple(float(other) * a for a in self.coeffs))
+        # Cauchy product truncated at the common order
+        u, v = self.coeffs, _coerce(other, self).coeffs
+        return Jet(self.base_point, tuple(
+            sum(u[j] * v[k - j] for j in range(k + 1)) for k in range(self.order + 1)
+        ))
 
     __rmul__ = __mul__
 
     def __neg__(self):
-        return jet_scale(self, -1.0)
+        return self * -1.0
 
 
 def _coerce(value, like: Jet) -> Jet:
-    if isinstance(value, Jet):
-        return value
-    return jet_const(float(value), like.base_point, like.order)
-
-
-def _require_compatible(u: Jet, v: Jet) -> None:
-    if u.base_point != v.base_point:
+    """``value`` as a jet compatible with ``like``: a scalar becomes a
+    constant jet, and a jet must share its base point and order."""
+    if not isinstance(value, Jet):
+        return jet_const(float(value), like.base_point, like.order)
+    if value.base_point != like.base_point:
         raise JetError(
-            f"mismatched base points: {u.base_point} vs {v.base_point}"
+            f"mismatched base points: {like.base_point} vs {value.base_point}"
         )
-    if u.order != v.order:
-        raise JetError(f"mismatched orders: {u.order} vs {v.order}")
+    if value.order != like.order:
+        raise JetError(f"mismatched orders: {like.order} vs {value.order}")
+    return value
 
 
 def jet_var(a: float, m: int) -> Jet:
@@ -114,38 +118,6 @@ def jet_const(c: float, a: float, m: int) -> Jet:
     """Jet of the constant function ``c`` at base point ``a``."""
     _check_order(m)
     return Jet(float(a), (float(c),) + (0.0,) * m)
-
-
-def jet_add(u: Jet, v: Jet) -> Jet:
-    _require_compatible(u, v)
-    return Jet(u.base_point, tuple(a + b for a, b in zip(u.coeffs, v.coeffs)))
-
-
-def jet_sub(u: Jet, v: Jet) -> Jet:
-    _require_compatible(u, v)
-    return Jet(u.base_point, tuple(a - b for a, b in zip(u.coeffs, v.coeffs)))
-
-
-def jet_scale(u: Jet, s: float) -> Jet:
-    return Jet(u.base_point, tuple(float(s) * a for a in u.coeffs))
-
-
-def jet_mul(u: Jet, v: Jet) -> Jet:
-    """Cauchy product truncated at the common order."""
-    _require_compatible(u, v)
-    m = u.order
-    out = [0.0] * (m + 1)
-    for k in range(m + 1):
-        out[k] = sum(u.coeffs[j] * v.coeffs[k - j] for j in range(k + 1))
-    return Jet(u.base_point, tuple(out))
-
-
-def jet_sin(u: Jet) -> Jet:
-    return _sin_cos(u)[0]
-
-
-def jet_cos(u: Jet) -> Jet:
-    return _sin_cos(u)[1]
 
 
 def _sin_cos(u: Jet):
@@ -168,7 +140,24 @@ def _sin_cos(u: Jet):
     return Jet(u.base_point, tuple(s)), Jet(u.base_point, tuple(c))
 
 
-def jet_exp(u: Jet) -> Jet:
+def derivatives(u: Jet) -> np.ndarray:
+    """Raw derivatives [f(a), f'(a), ..., f^{(m)}(a)] of the jet."""
+    return np.array([math.factorial(k) * ck for k, ck in enumerate(u.coeffs)])
+
+
+# -- generic elementary functions: Jet or numpy ---------------------------
+
+def sin(u):
+    return _sin_cos(u)[0] if isinstance(u, Jet) else np.sin(u)
+
+
+def cos(u):
+    return _sin_cos(u)[1] if isinstance(u, Jet) else np.cos(u)
+
+
+def exp(u):
+    if not isinstance(u, Jet):
+        return np.exp(u)
     m = u.order
     e = [0.0] * (m + 1)
     e[0] = math.exp(u.coeffs[0])
@@ -178,22 +167,3 @@ def jet_exp(u: Jet) -> Jet:
             acc += (j + 1) * u.coeffs[j + 1] * e[k - j]
         e[k + 1] = acc / (k + 1)
     return Jet(u.base_point, tuple(e))
-
-
-def derivatives(u: Jet) -> np.ndarray:
-    """Raw derivatives [f(a), f'(a), ..., f^{(m)}(a)] of the jet."""
-    return np.array([math.factorial(k) * ck for k, ck in enumerate(u.coeffs)])
-
-
-# -- generic elementary functions: Jet or numpy ---------------------------
-
-def sin(u):
-    return jet_sin(u) if isinstance(u, Jet) else np.sin(u)
-
-
-def cos(u):
-    return jet_cos(u) if isinstance(u, Jet) else np.cos(u)
-
-
-def exp(u):
-    return jet_exp(u) if isinstance(u, Jet) else np.exp(u)

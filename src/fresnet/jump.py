@@ -9,7 +9,10 @@ has q^{(s)}(0^-) = alpha_s and q^{(s)}(0^+) = beta_s for 0 <= s <= m.
 Because z(0^-) = -1 and z(0^+) = 1, the required values of H and its
 derivatives at y = -1 and y = +1 follow from two lower-triangular
 chain-rule systems, after which the endpoint Hermite interpolation of
-:mod:`fresnet.hermite` produces H.
+:mod:`fresnet.hermite` produces H.  :func:`z_profile` returns z's one-sided
+derivatives as one array [z, z', ..., z^(m)], laid out like a target's
+``one_sided_derivs``, so each system's right-hand side is a difference of
+two such arrays.
 
 The chain-rule coefficients are partial Bell polynomials
 B_{s,j}(z', z'', ...), computed by the standard recurrence
@@ -19,19 +22,10 @@ B_{n,k} = sum_i C(n-1, i-1) x_i B_{n-i,k-1}.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .hermite import TrigPoly, hermite_endpoint, trig_deriv_eval
-
-
-@dataclass(frozen=True)
-class ZProfile:
-    """Value and derivatives [z', ..., z^(m)] of z at a one-sided point."""
-
-    value: float
-    derivs: tuple
 
 
 def z_eval(x):
@@ -40,8 +34,9 @@ def z_eval(x):
     return np.sign(x) + np.sin(x)
 
 
-def z_profile(point: float, side: str, m: int) -> ZProfile:
-    """One-sided value and derivatives of z at ``point``.
+def z_profile(point: float, side: str, m: int) -> np.ndarray:
+    """One-sided [z(point), z'(point), ..., z^(m)(point)], the layout of
+    :meth:`fresnet.targets.PiecewiseTarget.one_sided_derivs`.
 
     The sgn part is locally constant away from the jump, so it contributes
     only to the value; the derivatives are those of sin.
@@ -54,9 +49,10 @@ def z_profile(point: float, side: str, m: int) -> ZProfile:
         step = math.copysign(1.0, point)
     else:
         step = 1.0 if side == "right" else -1.0
-    value = step + math.sin(point)
-    derivs = tuple(math.sin(point + k * math.pi / 2) for k in range(1, m + 1))
-    return ZProfile(value, derivs)
+    # sin^(k)(x) = sin(x + k pi/2); the sgn step adds to the value only
+    zs = np.array([math.sin(point + k * math.pi / 2) for k in range(m + 1)])
+    zs[0] += step
+    return zs
 
 
 def chain_rule_matrix(derivs) -> np.ndarray:
@@ -86,9 +82,9 @@ def build_jump_H(alphas, betas) -> TrigPoly:
     m = alphas.size - 1
     endpoint_values = []
     for side, data in (("left", alphas), ("right", betas)):
-        zp = z_profile(0.0, side, m)
-        rhs = data - np.concatenate([[zp.value], zp.derivs])
-        a = chain_rule_matrix(zp.derivs)
+        zs = z_profile(0.0, side, m)
+        rhs = data - zs
+        a = chain_rule_matrix(zs[1:])
         v = np.zeros(m + 1)
         for s in range(m + 1):
             v[s] = (rhs[s] - a[s, :s] @ v[:s]) / a[s, s]
@@ -104,10 +100,7 @@ def q_eval(poly: TrigPoly, x):
 
 def q_derivs_at(point: float, side: str, poly: TrigPoly, m: int) -> np.ndarray:
     """One-sided derivatives [q(point), ..., q^(m)(point)] of q = z + H(z)."""
-    zp = z_profile(point, side, m)
-    a = chain_rule_matrix(zp.derivs)
-    h_derivs = np.array(
-        [trig_deriv_eval(poly, zp.value, j) for j in range(m + 1)]
-    )
-    z_derivs = np.concatenate([[zp.value], zp.derivs])
-    return z_derivs + a @ h_derivs
+    zs = z_profile(point, side, m)
+    a = chain_rule_matrix(zs[1:])
+    h_derivs = np.array([trig_deriv_eval(poly, zs[0], j) for j in range(m + 1)])
+    return zs + a @ h_derivs

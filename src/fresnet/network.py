@@ -117,8 +117,6 @@ class Branch:
 
     def __call__(self, t):
         """Evaluate the branch at scalar or array input."""
-        if self.width == 0:
-            return np.zeros(np.shape(t))
         return _trig_apply(self._plan, t)
 
 
@@ -324,10 +322,7 @@ def _iterate(h: Optional[Branch], f: np.ndarray, steps: int) -> np.ndarray:
 
 def eval_grid(net: FourierResNet, xs) -> np.ndarray:
     """f_L at every point of ``xs``."""
-    xs = np.asarray(xs, dtype=float)
-    if xs.size == 0:
-        return np.zeros(xs.shape)
-    return _forward(net, xs, net.depth)
+    return _forward(net, np.asarray(xs, dtype=float), net.depth)
 
 
 def neuron_count(net: FourierResNet) -> int:

@@ -94,8 +94,3 @@ def nodes_weights(cfg: QuadratureConfig = DEFAULT_QUAD):
     w = np.concatenate([w_pos[::-1], w_pos])
     return x, w
 
-
-def integrate(f, cfg: QuadratureConfig = DEFAULT_QUAD) -> float:
-    """Integral of a vectorized callable over [-1, 1]."""
-    x, w = nodes_weights(cfg)
-    return float(w @ np.asarray(f(x), dtype=float))

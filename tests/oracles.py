@@ -29,12 +29,8 @@ def trig_eval_jet(poly: TrigPoly, u: Jet) -> Jet:
     """
     acc = jets.jet_const(0.0, u.base_point, u.order)
     for c, w in zip(poly.coeffs, poly.mode_freqs):
-        wu = jets.jet_scale(u, w)
-        term = jets.jet_sub(
-            jets.jet_scale(jets.jet_cos(wu), c.real),
-            jets.jet_scale(jets.jet_sin(wu), c.imag),
-        )
-        acc = jets.jet_add(acc, term)
+        wu = u * w
+        acc = acc + (jets.cos(wu) * c.real - jets.sin(wu) * c.imag)
     return acc
 
 
@@ -51,8 +47,8 @@ def phi(y):
 
 def jet_z(point: float, side: str, m: int) -> Jet:
     """Jet of z = sgn + sin at a one-sided point, composed in jet arithmetic."""
-    step = z_profile(point, side, 0).value - math.sin(point)
-    return jets.jet_add(jets.jet_const(step, point, m), jets.jet_sin(jets.jet_var(point, m)))
+    step = z_profile(point, side, 0)[0] - math.sin(point)
+    return jets.jet_const(step, point, m) + jets.sin(jets.jet_var(point, m))
 
 
 def fourier_coeffs_dense(g, half_modes: int) -> np.ndarray:

@@ -69,6 +69,20 @@ def test_eval_missing_file_exit_code(tmp_path):
     assert rc == EXIT_IO
 
 
+def test_out_under_missing_directory_exit_code(tmp_path, capsys):
+    # build writes through network.save, eval through the CSV writer
+    build = ["build", "--target", "hat", "--m", "1", "--modes", "4", "--depth", "5", "--out"]
+    net_path = tmp_path / "net.fnet.json"
+    assert main(build + [str(net_path)]) == 0
+    missing = tmp_path / "missing"
+    for argv in (build + [str(missing / "net.json")],
+                 ["eval", "--net", str(net_path), "--out", str(missing / "vals.csv")]):
+        capsys.readouterr()
+        assert main(argv) == EXIT_IO
+        assert capsys.readouterr().err.startswith("I/O error:")
+    assert not missing.exists()
+
+
 def test_convergence_rows_and_determinism(tmp_path):
     out1, out2 = tmp_path / "a.csv", tmp_path / "b.csv"
     args = ["convergence", "--target", "hat", "--m", "1", "--modes-list", "4,8",

@@ -81,6 +81,14 @@ def test_scalar_and_empty_inputs():
     net = random_net(np.random.default_rng(3), 2)
     assert eval_prefix(net, 0.25, net.depth) == pytest.approx(oracle_eval(net, 0.25))
     assert eval_grid(net, np.array([])).shape == (0,)
+    assert eval_grid(net, np.empty((0, 3))).shape == (0, 3)
+    # an empty branch evaluates like any other: np.float64 at a scalar,
+    # zeros of the input's shape at an array
+    empty, one = Branch((), (), ()), Branch((1.0,), (1.0,), (0.0,))
+    assert type(empty(0.25)) is type(one(0.25)) is np.float64
+    assert empty(0.25) == 0.0
+    got = empty(np.ones((2, 3)))
+    assert got.shape == (2, 3) and np.array_equal(got, np.zeros((2, 3)))
 
 
 def bits(values):
