@@ -23,8 +23,14 @@ nonnegative frequency and merges duplicates, then sums each part by the
 cheapest rule that keeps it exact to rounding:
 
 * Modes at exact multiples k pi (the spectral modes) form the pi ladder
-  c_1..c_K, summed as Re z sum_k c_k z^(k-1) by complex Horner in
-  z = e^{i pi x}; the constant c_0 is added as its real part.
+  c_1..c_K; the constant c_0 is added as its real part.  A ladder of at
+  most D + 1 = 12 terms is summed as Re z sum_k c_k z^(k-1) by complex
+  Horner in z = e^{i pi x}.  A longer one is summed from a Taylor table
+  (after Anderson & Dahleh, SIAM J. Sci. Comput. 17(4), 1996): the sum has
+  period 2, so the plan tabulates it and its first D = 11 derivatives at
+  the M = 16K nodes x_j = 2j/M of one period by D + 1 inverse real FFTs,
+  and a point takes D real Horner steps in its offset from the nearest
+  node.
 * Modes at exact odd multiples (2j+1) pi/4 (the m+1 distinct Hermite
   frequencies of H and H_r) form the quarter-pi ladder c_0..c_m, summed
   as Re u sum_j c_j w^j with u = e^{i pi x/4} and w = u^2.
@@ -34,15 +40,19 @@ cheapest rule that keeps it exact to rounding:
   frequency at a time, in a fixed order, computing only the sine or cosine
   whose amplitude is nonzero.
 
-A ladder costs one complex exp per point and one complex multiply per
-mode and point, instead of a sine and a cosine per point and mode; for a
-single frequency the dense term is no dearer.  So the spectral layer
-costs two complex exps per point, the jump layer one, and sin(pi v)/pi,
-sin(pi x/2) and sin(x) one real sine each.
+A Horner ladder costs one complex exp per point and one complex multiply
+per mode and point, instead of a sine and a cosine per point and mode; for
+a single frequency the dense term is no dearer.  The Taylor table costs
+O(K log K) once per plan, and then a gather and D real multiply-adds per
+point whatever K is: the Horner steps it replaces outnumber the Taylor
+steps.  So the spectral layer costs one table lookup and one complex exp
+per point, the jump layer one complex exp, and sin(pi v)/pi, sin(pi x/2)
+and sin(x) one real sine each.
 
 Horner steps multiply into a second buffer rather than in place: numpy's
 in-place complex multiply rounds a length-1 array differently from a
-longer one, and a point's bits must not depend on the call.  All parts run
+longer one, and a point's bits must not depend on the call.  The table
+lookup is real arithmetic, rounded the same whatever the array.  All parts run
 over the flattened input in chunks of :data:`TRIG_CHUNK` points, so memory
 is O(chunk) besides the output, and a point's bits do not depend on where
 it sits in the input or on the input's shape: a point evaluated alone, in
@@ -82,6 +92,13 @@ TRIG_CHUNK = 16384
 #: an absolute 5e-324 and a sum of such amplitudes loses all its digits.
 TINY_EXP = 900
 TINY_SHIFT = 600
+
+#: Taylor steps per point, and table nodes per pi-ladder term, of the pi
+#: ladder's Taylor table.  A point lies within 1/M of its nearest of the
+#: M = 16K nodes, so the first dropped term is below
+#: (pi K / M)^(D+1) / (D+1)! = (pi/16)^12 / 12! < 2**-54 of sum |c_k|.
+_TAYLOR_STEPS = 11
+_NODES_PER_TERM = 16
 
 
 class NetworkFormatError(ValueError):
@@ -152,9 +169,10 @@ def trig_sum(omegas, amps, x, deriv: int = 0):
 
 def _trig_plan(omegas, amps, deriv: int):
     """Fold the modes onto nonnegative, distinct frequencies and split them
-    into the constant, the pi ladder, the quarter-pi ladder and the dense
-    terms (see the module docstring), with the power of two (see
-    :data:`TINY_EXP`) by which all are scaled."""
+    into the constant, the pi ladder (as Horner coefficients or as its
+    Taylor table), the quarter-pi ladder and the dense terms (see the
+    module docstring), with the power of two (see :data:`TINY_EXP`) by
+    which all are scaled."""
     if deriv < 0:
         raise ValueError("derivative order must be nonnegative")
     omegas = np.asarray(omegas, dtype=float).ravel()
@@ -171,8 +189,11 @@ def _trig_plan(omegas, amps, deriv: int):
     amps = np.where(omegas < 0, amps.conj(), amps)
     omegas = np.abs(omegas)
     # grid[q] sums the modes at exactly q pi/4, up to 2n pi: Horner takes
-    # one step per multiple, so higher ones (the builder makes none; a
-    # loaded file may) are cheaper as dense terms
+    # one step per multiple, and the Taylor table holds 16 nodes per
+    # multiple, so a ladder's time and memory grow with its top multiple.
+    # Capped at 2n pi, they stay O(n) per point and per plan; higher
+    # multiples (the builder makes none; a loaded file may) are cheaper as
+    # dense terms
     quarters = np.rint(omegas / (np.pi / 4))
     on = (quarters * (np.pi / 4) == omegas) & (quarters <= 8 * omegas.size)
     q = quarters[on].astype(int)
@@ -205,7 +226,54 @@ def _trig_plan(omegas, amps, deriv: int):
     # is dropped, and one with a or b zero computes only the other's trig
     terms = [(w, a, b) for w, a, b in zip(freqs.tolist(), (-merged.imag).tolist(),
                                           merged.real.tolist()) if a or b]
-    return bias, ladders[0], ladders[1], terms, shift
+    pi_ladder, pi_table = ladders[0], None
+    # the table pays off once Horner would take more steps than Taylor
+    if len(pi_ladder) > _TAYLOR_STEPS + 1:
+        pi_ladder, pi_table = [], _taylor_table(pi_ladder)
+    return bias, pi_ladder, pi_table, ladders[1], terms, shift
+
+
+def _taylor_table(ladder):
+    """Taylor table of S(x) = Re sum_k c_k e^{i k pi x} for the ladder
+    c_1..c_K: row d, column j holds S^(d)(x_j) h^d / d! at the M = 16K nodes
+    x_j = j h, h = 2/M, of S's period 2.  Row d is
+    Re sum_k c_k (i k pi h)^d / d! e^{2 pi i k j / M}, which is M/2 times
+    the inverse real FFT of that half spectrum (K < M/2)."""
+    terms = len(ladder)
+    nodes = _NODES_PER_TERM * terms
+    spectrum = np.zeros(nodes // 2 + 1, dtype=complex)
+    modes = spectrum[1:terms + 1]  # a view: k = 1..K
+    modes[:] = ladder
+    step = 1j * (2 * np.pi / nodes) * np.arange(1, terms + 1)
+    # one order at a time, so the only transient is one half spectrum
+    table = np.empty((_TAYLOR_STEPS + 1, nodes))
+    for d, row in enumerate(table):
+        if d:
+            modes *= step / d
+        row[:] = np.fft.irfft(spectrum, nodes)
+    table *= nodes / 2
+    return table
+
+
+def _taylor(table, x):
+    """S(x) from its Taylor table (see :func:`_taylor_table`): x is reduced
+    exactly into the period, and the value is the Taylor sum at the nearest
+    node in the offset t, in node spacings, |t| <= 1/2."""
+    nodes = table.shape[1]
+    with np.errstate(invalid="ignore"):  # fmod(+-inf, 2) is NaN
+        u = np.fmod(x, 2.0) * (nodes / 2)
+    j = np.rint(u)
+    t = u - j
+    # a non-finite x gives a NaN t, so a NaN value whatever its node; its
+    # index is set before the cast, which would warn on NaN
+    j[np.isnan(j)] = 0.0
+    # j is in [-M, M]: the period wraps it onto a column
+    j = j.astype(np.intp) % nodes
+    p = table[-1].take(j)
+    for row in table[-2::-1]:
+        p *= t
+        p += row.take(j)
+    return p
 
 
 def _horner(coeffs, z):
@@ -222,13 +290,15 @@ def _horner(coeffs, z):
 
 
 def _trig_apply(plan, x):
-    bias, pi_ladder, quarter_ladder, terms, shift = plan
+    bias, pi_ladder, pi_table, quarter_ladder, terms, shift = plan
     x = np.asarray(x, dtype=float)
     flat = x.ravel()
     out = np.full(flat.size, bias)
     for lo in range(0, flat.size, TRIG_CHUNK):
         xc = flat[lo:lo + TRIG_CHUNK]
         oc = out[lo:lo + TRIG_CHUNK]
+        if pi_table is not None:
+            oc += _taylor(pi_table, xc)
         if pi_ladder:
             z = np.exp(1j * np.pi * xc)
             oc += (z * _horner(pi_ladder, z)).real

@@ -85,7 +85,8 @@ def test_kernel_keeps_the_shape_of_x():
 
 
 def test_lone_high_multiple_of_pi():
-    # Far off the Horner range, still summed correctly (as one dense term).
+    # Far above the ladders' cap of 2n multiples of pi for n modes, still
+    # summed correctly (as one dense term).
     w = 1e6 * math.pi
     for x in (0.3, -1.7):
         assert trig_sum([w], [0.5 - 2j], x) == pytest.approx(
@@ -187,3 +188,69 @@ def test_eval_memory_stays_linear_in_points():
         tracemalloc.stop()
     # a dense n x W phase matrix alone would take 20000 * 1055 * 8 B = 169 MB
     assert peak < 32e6, f"eval_grid peak {peak / 1e6:.1f} MB"
+
+
+def pi_ladder_branch(terms, seed):
+    """A branch of only the modes k pi, k = 0..terms: the constant and a pi
+    ladder of ``terms`` terms, nothing dense."""
+    rng = np.random.default_rng(seed)
+    freqs = tuple(np.arange(terms + 1) * math.pi)
+    return Branch(freqs, tuple(rng.uniform(-1, 1, terms + 1)),
+                  tuple(rng.uniform(-1, 1, terms + 1)))
+
+
+@pytest.mark.parametrize("terms", [12, 13, 80, 512])
+@pytest.mark.parametrize("deriv", [0, 2])
+def test_pi_ladder_matches_fsum_oracle_on_both_sides_of_the_table(terms, deriv):
+    # up to D + 1 = 12 terms by Horner, from 13 on by the Taylor table
+    rng = np.random.default_rng(terms)
+    omegas = np.concatenate([[0.0], np.arange(1, terms + 1) * math.pi * rng.choice([-1, 1], terms)])
+    amps = rng.normal(size=terms + 1) + 1j * rng.normal(size=terms + 1)
+    plan = network._trig_plan(omegas, amps, deriv)
+    assert (plan[2] is not None) == (terms > 12)
+    xs = np.concatenate([np.linspace(-2.5, 2.5, 41), rng.uniform(-2.5, 2.5, 40)])
+    tol = tolerance(omegas, amps, deriv)
+    got = trig_sum(omegas, amps, xs, deriv)
+    for x, value in zip(xs, got):
+        assert abs(value - fsum_oracle(omegas, amps, x, deriv)) <= tol, (terms, x)
+
+
+def test_pi_ladder_table_takes_any_float():
+    br = pi_ladder_branch(40, 21)
+    x = np.array([np.nan, np.inf, -np.inf, 1e300, -1e300, 2.0**53, 1e3 + 0.3, -1e3 - 0.3])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = br(x)
+        assert np.isnan(br(np.inf))
+    assert np.isnan(got[:3]).all() and np.isfinite(got[3:]).all()
+    # fmod(x, 2) is exact, so a far point has the bits of its reduction
+    reduced = np.fmod(x[3:], 2.0)
+    assert np.array_equal(got[3:].view(np.int64), br(reduced).view(np.int64))
+    # an even integer reduces to 0, which is also what the oracle sums
+    assert got[3] == got[4] == got[5] == br(0.0)
+    omegas, amps = br.freqs, np.array(br.cos_amps) - 1j * np.array(br.sin_amps)
+    for x0, value in zip(reduced, got[3:]):
+        assert abs(value - fsum_oracle(omegas, amps, x0, 0)) <= tolerance(omegas, amps, 0)
+
+
+def test_pi_ladder_table_is_periodic_to_the_bit():
+    br = pi_ladder_branch(80, 22)
+    x = np.arange(128) / 64.0  # dyadic points of [0, 2): x + 2j is exact
+    base = br(x).view(np.int64)
+    for j in (-500, -3, -1, 1, 2, 7, 499):
+        assert np.array_equal(br(x + 2 * j).view(np.int64), base), j
+
+
+def test_pi_ladder_table_bits_do_not_depend_on_position_far_out():
+    rng = np.random.default_rng(23)
+    x = rng.uniform(-1e3, 1e3, 3001)
+    for br in (pi_ladder_branch(13, 24), pi_ladder_branch(300, 25)):
+        assert br._plan[2] is not None
+        full = br(x)
+        singles = np.array([br(x[i:i + 1])[0] for i in range(x.size)])
+        assert np.array_equal(singles.view(np.int64), full.view(np.int64))
+        assert np.array_equal(br(x[:3000].reshape(3, 1000)).ravel().view(np.int64),
+                              full[:3000].view(np.int64))
+        for size in (1, 5, 17, 1000, 3000):
+            idx = rng.choice(x.size, size, replace=False)
+            assert np.array_equal(br(x[idx]).view(np.int64), full[idx].view(np.int64))
