@@ -26,12 +26,13 @@ from __future__ import annotations
 import argparse
 import sys
 import time
+from functools import partial
 
 import numpy as np
 
 from . import network
 from .builder import BuildSpec, build_piecewise_net
-from .metrics import gibbs_support_width, lp_error, max_overshoot
+from .metrics import _gibbs_profile, lp_error
 from .quadrature import QuadratureConfig
 from .sign import build_sign_net, sign_error_bound, truncated_sign_series
 from .smooth import fourier_coeffs, series_eval
@@ -222,13 +223,12 @@ def cmd_gibbs(args) -> int:
     lines = ["L,support_width,max_overshoot"]
     target_vals = target.eval(np.linspace(-1, 1, 4001))
     lo, hi = float(np.min(target_vals)), float(np.max(target_vals))
+    # each net is built only when the profile asks for it
+    approxes = (partial(network.eval_grid, build_piecewise_net(
+        BuildSpec(target, args.m, args.modes, depth))) for depth in args.depths)
+    profile = _gibbs_profile(target.eval, approxes, args.threshold, lo, hi)
     widths = []
-    for depth in args.depths:
-        spec = BuildSpec(target, args.m, args.modes, depth)
-        net = build_piecewise_net(spec)
-        approx = lambda x: network.eval_grid(net, x)  # noqa: E731
-        width = gibbs_support_width(target.eval, approx, args.threshold)
-        over = max_overshoot(approx, lo, hi)
+    for depth, (width, over) in zip(args.depths, profile):
         widths.append(width)
         lines.append(f"{depth},{_fmt(width)},{_fmt(over)}")
     _write_lines(args.out, lines)

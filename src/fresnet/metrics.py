@@ -61,20 +61,38 @@ def _diagnostic_grid() -> np.ndarray:
     return grid[grid != 0.0]  # sgn convention at 0 is measure-zero; skip it
 
 
-def gibbs_support_width(f, approx, threshold: float) -> float:
-    """Largest |x| where |f - approx| exceeds the threshold (0 if nowhere)."""
+def _support_width(grid, f_vals, approx_vals, threshold: float) -> float:
     if threshold <= 0:
         raise ValueError("threshold must be positive")
-    grid = _diagnostic_grid()
-    err = np.abs(np.asarray(f(grid), dtype=float) - np.asarray(approx(grid), dtype=float))
+    err = np.abs(np.asarray(f_vals, dtype=float) - np.asarray(approx_vals, dtype=float))
     exceed = np.abs(grid)[err > threshold]
     return float(exceed.max()) if exceed.size else 0.0
 
 
-def max_overshoot(approx, lo: float, hi: float) -> float:
-    """How far the approximation leaves the band [lo, hi] on [-1, 1]."""
+def _overshoot(approx_vals, lo: float, hi: float) -> float:
     if lo >= hi:
         raise ValueError("lo must be < hi")
-    grid = _diagnostic_grid()
-    vals = np.asarray(approx(grid), dtype=float)
+    vals = np.asarray(approx_vals, dtype=float)
     return float(max(0.0, vals.max() - hi, lo - vals.min()))
+
+
+def gibbs_support_width(f, approx, threshold: float) -> float:
+    """Largest |x| where |f - approx| exceeds the threshold (0 if nowhere)."""
+    grid = _diagnostic_grid()
+    return _support_width(grid, f(grid), approx(grid), threshold)
+
+
+def max_overshoot(approx, lo: float, hi: float) -> float:
+    """How far the approximation leaves the band [lo, hi] on [-1, 1]."""
+    return _overshoot(approx(_diagnostic_grid()), lo, hi)
+
+
+def _gibbs_profile(f, approxes, threshold: float, lo: float, hi: float):
+    """Yield (:func:`gibbs_support_width`, :func:`max_overshoot`) of each
+    approximation in ``approxes`` in turn, evaluating f once for all of them
+    and each approximation once for both."""
+    grid = _diagnostic_grid()
+    f_vals = f(grid)
+    for approx in approxes:
+        vals = approx(grid)
+        yield _support_width(grid, f_vals, vals, threshold), _overshoot(vals, lo, hi)

@@ -115,6 +115,43 @@ def test_gibbs_command(tmp_path):
     assert widths == sorted(widths, reverse=True)
 
 
+def test_gibbs_evaluates_each_net_and_the_target_once(tmp_path, monkeypatch):
+    from fresnet import network
+    from fresnet.metrics import DEFAULT_GRID_N, gibbs_support_width, max_overshoot
+    from fresnet.targets import PiecewiseTarget
+
+    target = target_lookup("pw_smooth")
+    # the CSV, from the one-quantity diagnostics on the same nets
+    lo, hi = (f(target.eval(np.linspace(-1, 1, 4001))) for f in (np.min, np.max))
+    want = ["L,support_width,max_overshoot"]
+    for depth in (4, 8):
+        net = build_piecewise_net(BuildSpec(target, 1, 20, depth))
+        approx = lambda x: network.eval_grid(net, x)  # noqa: E731
+        want.append(f"{depth},{gibbs_support_width(target.eval, approx, 0.02):.17g},"
+                    f"{max_overshoot(approx, float(lo), float(hi)):.17g}")
+    # the build evaluates the target too, so count the diagnostic grid's calls
+    grid_n = DEFAULT_GRID_N - 1
+    calls = {"net": 0, "target": 0}
+    eval_grid, target_eval = network.eval_grid, PiecewiseTarget.eval
+
+    def counting_eval_grid(net, xs):
+        calls["net"] += np.size(xs) == grid_n
+        return eval_grid(net, xs)
+
+    def counting_target_eval(self, x):
+        calls["target"] += np.size(x) == grid_n
+        return target_eval(self, x)
+
+    monkeypatch.setattr(network, "eval_grid", counting_eval_grid)
+    monkeypatch.setattr(PiecewiseTarget, "eval", counting_target_eval)
+    out = tmp_path / "gibbs.csv"
+    rc = main(["gibbs", "--target", "pw_smooth", "--m", "1", "--modes", "20",
+               "--depths", "4,8", "--threshold", "0.02", "--out", str(out)])
+    assert rc == 0
+    assert calls == {"net": 2, "target": 1}
+    assert out.read_text() == "\n".join(want) + "\n"
+
+
 def test_gibbs_unsorted_depths_rejected(tmp_path):
     rc = main(
         ["gibbs", "--target", "pw_smooth", "--m", "1", "--modes", "5",
