@@ -52,11 +52,11 @@ and sin(x) one real sine each.
 Horner steps multiply into a second buffer rather than in place: numpy's
 in-place complex multiply rounds a length-1 array differently from a
 longer one, and a point's bits must not depend on the call.  The table
-lookup is real arithmetic, rounded the same whatever the array.  All parts run
-over the flattened input in chunks of :data:`TRIG_CHUNK` points, so memory
-is O(chunk) besides the output, and a point's bits do not depend on where
-it sits in the input or on the input's shape: a point evaluated alone, in
-any subset or in the full input gets the same bits.
+lookup is real arithmetic, rounded the same whatever the array.  All parts
+run over the flattened input in chunks of :data:`TRIG_CHUNK` points, so
+memory is O(chunk) besides the output, and a point's bits do not depend on
+where it sits in the input or on the input's shape: a point evaluated
+alone, in any subset or in the full input gets the same bits.
 
 The forward pass evaluates only what still changes.  A run of consecutive
 layers with an empty g-branch and equal h-branches (the width-1 sign

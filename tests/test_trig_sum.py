@@ -204,7 +204,8 @@ def pi_ladder_branch(terms, seed):
 def test_pi_ladder_matches_fsum_oracle_on_both_sides_of_the_table(terms, deriv):
     # up to D + 1 = 12 terms by Horner, from 13 on by the Taylor table
     rng = np.random.default_rng(terms)
-    omegas = np.concatenate([[0.0], np.arange(1, terms + 1) * math.pi * rng.choice([-1, 1], terms)])
+    signs = rng.choice([-1, 1], terms)
+    omegas = np.concatenate([[0.0], np.arange(1, terms + 1) * math.pi * signs])
     amps = rng.normal(size=terms + 1) + 1j * rng.normal(size=terms + 1)
     plan = network._trig_plan(omegas, amps, deriv)
     assert (plan[2] is not None) == (terms > 12)
@@ -226,8 +227,9 @@ def test_pi_ladder_table_takes_any_float():
     # fmod(x, 2) is exact, so a far point has the bits of its reduction
     reduced = np.fmod(x[3:], 2.0)
     assert np.array_equal(got[3:].view(np.int64), br(reduced).view(np.int64))
-    # an even integer reduces to 0, which is also what the oracle sums
+    # every float from 2^53 up is an even integer, so it reduces to 0
     assert got[3] == got[4] == got[5] == br(0.0)
+    # k pi x and k pi fmod(x, 2) differ by a multiple of 2 pi
     omegas, amps = br.freqs, np.array(br.cos_amps) - 1j * np.array(br.sin_amps)
     for x0, value in zip(reduced, got[3:]):
         assert abs(value - fsum_oracle(omegas, amps, x0, 0)) <= tolerance(omegas, amps, 0)
