@@ -26,7 +26,7 @@ from __future__ import annotations
 import argparse
 import sys
 import time
-from functools import partial
+from functools import lru_cache, partial
 
 import numpy as np
 
@@ -293,9 +293,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@lru_cache(maxsize=1)
+def _parser() -> argparse.ArgumentParser:
+    # building the parser takes about as long as a small experiment cell
+    # (2 ms), and parsing leaves it unchanged, so a process builds it once
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except UnknownTargetError as exc:

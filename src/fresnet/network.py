@@ -56,7 +56,9 @@ lookup is real arithmetic, rounded the same whatever the array.  All parts
 run over the flattened input in chunks of :data:`TRIG_CHUNK` points, so
 memory is O(chunk) besides the output, and a point's bits do not depend on
 where it sits in the input or on the input's shape: a point evaluated
-alone, in any subset or in the full input gets the same bits.
+alone, in any subset or in the full input gets the same bits.  An
+infinite or NaN x gives NaN in every part, without a floating-point
+warning.
 
 The forward pass evaluates only what still changes.  A run of consecutive
 layers with an empty g-branch and equal h-branches (the width-1 sign
@@ -66,6 +68,16 @@ not change in one step is fixed for the rest of the run: the run is
 iterated only on the points that still move, which is bit-identical to
 applying every layer to every point.  Under phi(y) = y + sin(pi y)/pi most
 points reach their floating-point fixed point within about 20 layers.
+
+The forward pass takes the flattened input in blocks of :data:`TRIG_CHUNK`
+points, so it holds one block at a time besides the output, and runs
+every layer on a block in increasing order of x: one argsort per block
+(none for a block that is already non-decreasing, such as a grid or
+quadrature nodes), one take, and one scatter of the result back into the
+output.  A point's bits do not depend on its position, so the order
+changes no bit, but neighbouring points then take the same branches of
+sin and exp, touch nearby rows of the Taylor table, and leave the sign
+stack's run in contiguous stretches.
 
 Networks are immutable after construction and evaluation is pure, so all
 operations are safe for concurrent use.
@@ -80,10 +92,10 @@ from typing import Optional
 
 import numpy as np
 
-#: Points per block in which :func:`trig_sum` evaluates its Horner and dense
-#: parts, so the Horner state (16 B per point) stays cache-sized.  Every
-#: point is summed in the same order whatever its block, so chunking
-#: changes no bit.
+#: Points per block in which :func:`trig_sum` evaluates its parts and the
+#: forward pass its layers, so the Horner state (16 B per point) stays
+#: cache-sized.  Every point is summed in the same order whatever its
+#: block, so chunking changes no bit.
 TRIG_CHUNK = 16384
 
 #: Amplitude sets whose largest entry is below 2**-TINY_EXP are summed
@@ -299,22 +311,27 @@ def _trig_apply(plan, x):
         oc = out[lo:lo + TRIG_CHUNK]
         if pi_table is not None:
             oc += _taylor(pi_table, xc)
+        # an infinite x gives NaN, silently, as through the table
         if pi_ladder:
-            z = np.exp(1j * np.pi * xc)
+            with np.errstate(invalid="ignore"):
+                z = np.exp(1j * np.pi * xc)
             oc += (z * _horner(pi_ladder, z)).real
         if quarter_ladder:
-            u = np.exp(1j * (np.pi / 4) * xc)
+            with np.errstate(invalid="ignore"):
+                u = np.exp(1j * (np.pi / 4) * xc)
             oc += (u * _horner(quarter_ladder, u * u)).real
         # one frequency at a time, so a point's sum has a fixed order
         # (a matrix-vector product's order depends on the row's position)
-        for w, a, b in terms:
-            wx = xc * w
-            if not b:
-                oc += a * np.sin(wx)
-            elif not a:
-                oc += b * np.cos(wx)
-            else:
-                oc += a * np.sin(wx) + b * np.cos(wx)
+        if terms:
+            with np.errstate(invalid="ignore"):
+                for w, a, b in terms:
+                    wx = xc * w
+                    if not b:
+                        oc += a * np.sin(wx)
+                    elif not a:
+                        oc += b * np.cos(wx)
+                    else:
+                        oc += a * np.sin(wx) + b * np.cos(wx)
         if shift:
             np.ldexp(oc, -shift, out=oc)
     return out[0] if x.ndim == 0 else out.reshape(x.shape)
@@ -353,23 +370,31 @@ def eval_prefix(net: FourierResNet, x, ell: int):
 def _forward(net: FourierResNet, xs: np.ndarray, upto: int) -> np.ndarray:
     layers = net.layers[:upto]
     flat = xs.ravel()
-    f = layers[0].g_branch(flat)
-    i = 1
-    while i < len(layers):
-        g, h = layers[i].g_branch, layers[i].h_branch
-        end = i + 1
-        if g.width == 0:
-            while (end < len(layers) and layers[end].g_branch.width == 0
-                   and layers[end].h_branch == h):
-                end += 1
-            f = _iterate(h, f, end - i)
-        else:
-            prev = f
-            f = prev + g(flat)
-            if h is not None:
-                f += h(prev)
-        i = end
-    return f.reshape(xs.shape)
+    out = np.empty(flat.size)
+    for lo in range(0, flat.size, TRIG_CHUNK):
+        x = flat[lo:lo + TRIG_CHUNK]
+        # each block in increasing order of x; a non-decreasing one (a grid,
+        # quadrature nodes) is taken as it is
+        order = slice(None) if (x[1:] >= x[:-1]).all() else x.argsort()
+        x = x[order]
+        f = layers[0].g_branch(x)
+        i = 1
+        while i < len(layers):
+            g, h = layers[i].g_branch, layers[i].h_branch
+            end = i + 1
+            if g.width == 0:
+                while (end < len(layers) and layers[end].g_branch.width == 0
+                       and layers[end].h_branch == h):
+                    end += 1
+                f = _iterate(h, f, end - i)
+            else:
+                prev = f
+                f = prev + g(x)
+                if h is not None:
+                    f += h(prev)
+            i = end
+        out[lo:lo + TRIG_CHUNK][order] = f
+    return out.reshape(xs.shape)
 
 
 def _iterate(h: Optional[Branch], f: np.ndarray, steps: int) -> np.ndarray:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from fresnet.builder import BuildSpec, build_piecewise_net
+from fresnet import cli
 from fresnet.cli import EXIT_ASSERTION, EXIT_IO, EXIT_USAGE, main
 from fresnet.targets import target_lookup
 from oracles import serialize_plain
@@ -100,6 +101,32 @@ def test_convergence_rows_and_determinism(tmp_path):
     _, rows2 = read_csv(out2)
     for r1, r2 in zip(rows, rows2):
         assert r1[:-1] == r2[:-1]
+
+
+def test_parser_built_once_carries_nothing_between_calls(tmp_path, capsys):
+    """main reuses one parser per process: repeated calls write the same
+    bytes (bar the wall-clock column), a measuring rule given to one call
+    does not reach the next, and a bad flag is still a usage error."""
+    args = ["convergence", "--target", "hat", "--m", "2", "--modes-list", "8", "--depth", "6"]
+    fine = ["--panels", "128", "--nodes", "16"]
+    outs = [tmp_path / f"{i}.csv" for i in range(4)]
+    assert main(args + ["--out", str(outs[0])]) == 0
+    assert main(args + fine + ["--out", str(outs[1])]) == 0
+    with pytest.raises(SystemExit) as exc:
+        main(args + ["--out", str(outs[2]), "--bogus"])
+    assert exc.value.code == EXIT_USAGE
+    assert "unrecognized arguments: --bogus" in capsys.readouterr().err
+    assert main(args + ["--out", str(outs[2])]) == 0
+    assert main(args + fine + ["--out", str(outs[3])]) == 0
+
+    def without_wall_ms(path):
+        return b"\n".join(line.rsplit(b",", 1)[0] for line in path.read_bytes().split(b"\n"))
+
+    assert without_wall_ms(outs[0]) == without_wall_ms(outs[2])
+    assert without_wall_ms(outs[1]) == without_wall_ms(outs[3])
+    assert without_wall_ms(outs[0]) != without_wall_ms(outs[1])
+    assert cli._parser() is cli._parser()
+    assert cli.build_parser() is not cli._parser()
 
 
 def test_gibbs_command(tmp_path):

@@ -1,8 +1,9 @@
 """The forward pass against the plain recursion, bit for bit.
 
-``network._forward`` iterates a run of identical width-1 layers only on
-the points whose bits still change, and ``trig_sum`` evaluates in chunks
-over the flattened input.  Neither may change a single output bit.
+``network._forward`` evaluates the flattened input in blocks, each in
+increasing order of x, and iterates a run of identical width-1 layers only
+on the points whose bits still change; ``trig_sum`` evaluates in chunks
+over the flattened input.  None of these may change a single output bit.
 """
 
 import math
@@ -92,6 +93,51 @@ def test_non_finite_inputs(built_net):
         assert_same_bits(got[finite], want[finite])
 
 
+def test_infinite_inputs_give_nan_without_a_warning(built_net):
+    """No errstate here: pytest turns every warning into an error."""
+    short = build_piecewise_net(BuildSpec(target_lookup("hat"), 2, 8, 10))
+    for net in (built_net, short, build_sign_net(40)):
+        got = eval_grid(net, [np.inf, -np.inf, 0.5])
+        assert np.isnan(got[:2]).all()
+        assert_same_bits(got[2:], forward_plain(net, [0.5]))
+        assert np.isnan(eval_prefix(net, -np.inf, 5))
+        for br in (net.layers[0].g_branch, net.layers[-1].g_branch, net.layers[-1].h_branch):
+            if br.width:
+                assert np.isnan(br(np.array([np.inf, -np.inf]))).all()
+
+
+def test_shuffled_input_gives_the_shuffled_bits(built_net):
+    """Each block is evaluated in increasing order of x; a point's bits
+    must not depend on that order or on where the point sits."""
+    xs = tricky_points(seed=9)
+    perm = np.random.default_rng(10).permutation(xs.size)
+    for net in (built_net, build_sign_net(60)):
+        assert_same_bits(eval_grid(net, xs[perm]), forward_plain(net, xs)[perm])
+        for ell in (1, 2, 5, 19, 30, 60):
+            assert_same_bits(eval_prefix(net, xs[perm], ell),
+                             forward_plain(net, xs, ell)[perm], f"depth {ell}")
+
+
+def test_blocks_of_an_unordered_input(built_net):
+    """Tricky points straddle both block edges of a three-block input, in
+    random order; the blocks between are random or non-decreasing."""
+    chunk = network.TRIG_CHUNK
+    rng = np.random.default_rng(11)
+    tricky = tricky_points(200, seed=12)
+    half = tricky.size // 2
+    xs = rng.uniform(-1.0, 1.0, 2 * chunk + 1234)
+    for edge in (chunk, 2 * chunk):
+        xs[edge - half:edge - half + tricky.size] = rng.permutation(tricky)
+    assert_same_bits(eval_grid(built_net, xs), forward_plain(built_net, xs))
+    # the first block non-decreasing, signed zeros side by side; the second
+    # decreasing; the third unordered
+    xs[:chunk] = np.sort(xs[:chunk])
+    xs[100:104] = [-0.0, 0.0, -0.0, 0.0]
+    xs[chunk:2 * chunk] = np.sort(xs[chunk:2 * chunk])[::-1]
+    for ell in (3, 60):
+        assert_same_bits(eval_prefix(built_net, xs, ell), forward_plain(built_net, xs, ell))
+
+
 def test_eval_prefix_at_every_depth(built_net):
     xs = tricky_points(1000, seed=3)
     for ell in range(1, built_net.depth + 1):
@@ -163,3 +209,18 @@ def test_million_point_eval_memory():
     finally:
         tracemalloc.stop()
     assert peak < 80e6, f"eval_grid peak {peak / 1e6:.1f} MB"
+
+
+def test_random_order_million_point_eval_holds_one_block():
+    """Besides its 8 MB output, the forward pass holds one block at a
+    time: a 1e6-point eval in random order, table build included, peaks
+    within a few MB of the output."""
+    net = build_piecewise_net(BuildSpec(target_lookup("pw_smooth"), 4, 512, 60))
+    xs = np.random.default_rng(13).uniform(-1.0, 1.0, 1_000_000)
+    tracemalloc.start()
+    try:
+        eval_grid(net, xs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < xs.nbytes + 4e6, f"eval_grid peak {peak / 1e6:.1f} MB"
