@@ -295,8 +295,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 @lru_cache(maxsize=1)
 def _parser() -> argparse.ArgumentParser:
-    # building the parser takes about as long as a small experiment cell
-    # (2 ms), and parsing leaves it unchanged, so a process builds it once
+    # building the parser takes about 2 ms, a fifth of a small convergence
+    # cell, and parsing leaves it unchanged, so a process builds it once
     return build_parser()
 
 

@@ -129,10 +129,12 @@ def test_blocks_of_an_unordered_input(built_net):
     for edge in (chunk, 2 * chunk):
         xs[edge - half:edge - half + tricky.size] = rng.permutation(tricky)
     assert_same_bits(eval_grid(built_net, xs), forward_plain(built_net, xs))
-    # the first block non-decreasing, signed zeros side by side; the second
-    # decreasing; the third unordered
+    # the first block non-decreasing, with signed zeros side by side; the
+    # second decreasing; the third unordered
     xs[:chunk] = np.sort(xs[:chunk])
-    xs[100:104] = [-0.0, 0.0, -0.0, 0.0]
+    zero = np.searchsorted(xs[:chunk], 0.0)
+    xs[zero - 2:zero + 2] = [-0.0, 0.0, -0.0, 0.0]
+    assert (xs[1:chunk] >= xs[:chunk - 1]).all()
     xs[chunk:2 * chunk] = np.sort(xs[chunk:2 * chunk])[::-1]
     for ell in (3, 60):
         assert_same_bits(eval_prefix(built_net, xs, ell), forward_plain(built_net, xs, ell))
