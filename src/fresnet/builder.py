@@ -25,7 +25,6 @@ from typing import Callable
 
 import numpy as np
 
-from .hermite import TrigPoly, to_branch, zero_poly
 from .jump import build_jump_H, q_derivs_at, q_eval
 from .network import Branch, FourierResNet, Layer, eval_grid
 from .quadrature import DEFAULT_QUAD, QuadratureConfig
@@ -60,10 +59,14 @@ class BuildSpec:
 
 @dataclass(frozen=True)
 class ComponentViews:
-    """Separately evaluable construction stages, for testing and plotting."""
+    """Separately evaluable construction stages, for testing and plotting.
+
+    ``jump_poly`` is H, the last layer's h-branch itself (an empty branch
+    for a smooth target); ``r_w`` is the last layer's g-branch.
+    """
 
     net: FourierResNet
-    jump_poly: TrigPoly
+    jump_poly: Branch
     s_l: Callable
     z_l: Callable
     q: Callable
@@ -84,7 +87,7 @@ def component_views(spec: BuildSpec) -> ComponentViews:
             target.eval, f_minus, f_plus, m, spec.half_modes
         )
         net = FourierResNet((Layer(smooth_branch),))
-        h_poly = zero_poly(m)
+        h_poly = Branch((), (), ())
         r_fn = target.eval
 
         def q_fn(x):
@@ -112,7 +115,7 @@ def component_views(spec: BuildSpec) -> ComponentViews:
         last = layers[-1]
         sin_neuron = Branch((1.0,), (1.0,), (0.0,))
         layers[-1] = Layer(sin_neuron, last.h_branch)
-        layers.append(Layer(smooth_branch, to_branch(h_poly)))
+        layers.append(Layer(smooth_branch, h_poly))
         net = FourierResNet(tuple(layers))
 
     def s_l(x):

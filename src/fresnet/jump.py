@@ -9,10 +9,11 @@ has q^{(s)}(0^-) = alpha_s and q^{(s)}(0^+) = beta_s for 0 <= s <= m.
 Because z(0^-) = -1 and z(0^+) = 1, the required values of H and its
 derivatives at y = -1 and y = +1 follow from two lower-triangular
 chain-rule systems, after which the endpoint Hermite interpolation of
-:mod:`fresnet.hermite` produces H.  :func:`z_profile` returns z's one-sided
-derivatives as one array [z, z', ..., z^(m)], laid out like a target's
-``one_sided_derivs``, so each system's right-hand side is a difference of
-two such arrays.
+:mod:`fresnet.hermite` produces H, a :class:`fresnet.network.Branch`: the
+builder puts it into the network as the last layer's h-branch as it is.
+:func:`z_profile` returns z's one-sided derivatives as one array
+[z, z', ..., z^(m)], laid out like a target's ``one_sided_derivs``, so
+each system's right-hand side is a difference of two such arrays.
 
 The chain-rule coefficients are partial Bell polynomials
 B_{s,j}(z', z'', ...), computed by the standard recurrence
@@ -25,7 +26,8 @@ import math
 
 import numpy as np
 
-from .hermite import TrigPoly, hermite_endpoint, trig_deriv_eval
+from .hermite import hermite_endpoint, trig_deriv_eval
+from .network import Branch
 
 
 def z_eval(x):
@@ -73,7 +75,7 @@ def chain_rule_matrix(derivs) -> np.ndarray:
     return bell
 
 
-def build_jump_H(alphas, betas) -> TrigPoly:
+def build_jump_H(alphas, betas) -> Branch:
     """H such that q = z + H(z) has the prescribed one-sided derivatives."""
     alphas = np.asarray(alphas, dtype=float)
     betas = np.asarray(betas, dtype=float)
@@ -92,15 +94,15 @@ def build_jump_H(alphas, betas) -> TrigPoly:
     return hermite_endpoint(endpoint_values[0], endpoint_values[1])
 
 
-def q_eval(poly: TrigPoly, x):
+def q_eval(h: Branch, x):
     """q(x) = z(x) + H(z(x)), vectorized."""
     z = z_eval(x)
-    return z + trig_deriv_eval(poly, z, 0)
+    return z + trig_deriv_eval(h, z, 0)
 
 
-def q_derivs_at(point: float, side: str, poly: TrigPoly, m: int) -> np.ndarray:
+def q_derivs_at(point: float, side: str, h: Branch, m: int) -> np.ndarray:
     """One-sided derivatives [q(point), ..., q^(m)(point)] of q = z + H(z)."""
     zs = z_profile(point, side, m)
     a = chain_rule_matrix(zs[1:])
-    h_derivs = np.array([trig_deriv_eval(poly, zs[0], j) for j in range(m + 1)])
+    h_derivs = np.array([trig_deriv_eval(h, zs[0], j) for j in range(m + 1)])
     return zs + a @ h_derivs

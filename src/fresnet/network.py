@@ -140,9 +140,7 @@ class Branch:
 
     @cached_property
     def _plan(self):
-        # a sin(wt) + b cos(wt) == Re((b - ia) e^{iwt})
-        amps = np.asarray(self.cos_amps, dtype=float) - 1j * np.asarray(self.sin_amps, dtype=float)
-        return _trig_plan(self.freqs, amps, 0)
+        return _branch_plan(self, 0)
 
     def __call__(self, t):
         """Evaluate the branch at scalar or array input."""
@@ -177,6 +175,21 @@ def trig_sum(omegas, amps, x, deriv: int = 0):
     amplitudes; the result has the shape of ``x``.
     """
     return _trig_apply(_trig_plan(omegas, amps, deriv), x)
+
+
+def _branch_modes(branch: Branch):
+    """(freqs, amps): one complex mode per entry, amplitude b - ia, since
+    a sin(wt) + b cos(wt) == Re((b - ia) e^{iwt}).  Built without
+    arithmetic, so :func:`branch_from_modes` gives back the entries bit for
+    bit, signed zeros included."""
+    amps = np.asarray(branch.cos_amps, dtype=complex)
+    amps.imag = np.negative(branch.sin_amps)
+    return np.asarray(branch.freqs, dtype=float), amps
+
+
+def _branch_plan(branch: Branch, deriv: int):
+    """The kernel's plan for the branch's ``deriv``-th derivative."""
+    return _trig_plan(*_branch_modes(branch), deriv)
 
 
 def _trig_plan(omegas, amps, deriv: int):
@@ -270,14 +283,14 @@ def _taylor_table(ladder):
 def _taylor(table, x):
     """S(x) from its Taylor table (see :func:`_taylor_table`): x is reduced
     exactly into the period, and the value is the Taylor sum at the nearest
-    node in the offset t, in node spacings, |t| <= 1/2."""
+    node in the offset t, in node spacings, |t| <= 1/2.  Runs under
+    :func:`_trig_apply`'s errstate, as fmod(+-inf, 2) is NaN."""
     nodes = table.shape[1]
-    with np.errstate(invalid="ignore"):  # fmod(+-inf, 2) is NaN
-        u = np.fmod(x, 2.0) * (nodes / 2)
+    u = np.fmod(x, 2.0) * (nodes / 2)
     j = np.rint(u)
     t = u - j
     # a non-finite x gives a NaN t, so a NaN value whatever its node; its
-    # index is set before the cast, which would warn on NaN
+    # index is set before the cast, whose result on NaN is undefined
     j[np.isnan(j)] = 0.0
     # j is in [-M, M]: the period wraps it onto a column
     j = j.astype(np.intp) % nodes
@@ -306,34 +319,32 @@ def _trig_apply(plan, x):
     x = np.asarray(x, dtype=float)
     flat = x.ravel()
     out = np.full(flat.size, bias)
-    for lo in range(0, flat.size, TRIG_CHUNK):
-        xc = flat[lo:lo + TRIG_CHUNK]
-        oc = out[lo:lo + TRIG_CHUNK]
-        if pi_table is not None:
-            oc += _taylor(pi_table, xc)
-        # an infinite x gives NaN, silently, as through the table
-        if pi_ladder:
-            with np.errstate(invalid="ignore"):
+    # an infinite x gives NaN, silently, in every part: fmod(+-inf, 2) in
+    # the table, exp in the ladders, sin and cos in the dense terms
+    with np.errstate(invalid="ignore"):
+        for lo in range(0, flat.size, TRIG_CHUNK):
+            xc = flat[lo:lo + TRIG_CHUNK]
+            oc = out[lo:lo + TRIG_CHUNK]
+            if pi_table is not None:
+                oc += _taylor(pi_table, xc)
+            if pi_ladder:
                 z = np.exp(1j * np.pi * xc)
-            oc += (z * _horner(pi_ladder, z)).real
-        if quarter_ladder:
-            with np.errstate(invalid="ignore"):
+                oc += (z * _horner(pi_ladder, z)).real
+            if quarter_ladder:
                 u = np.exp(1j * (np.pi / 4) * xc)
-            oc += (u * _horner(quarter_ladder, u * u)).real
-        # one frequency at a time, so a point's sum has a fixed order
-        # (a matrix-vector product's order depends on the row's position)
-        if terms:
-            with np.errstate(invalid="ignore"):
-                for w, a, b in terms:
-                    wx = xc * w
-                    if not b:
-                        oc += a * np.sin(wx)
-                    elif not a:
-                        oc += b * np.cos(wx)
-                    else:
-                        oc += a * np.sin(wx) + b * np.cos(wx)
-        if shift:
-            np.ldexp(oc, -shift, out=oc)
+                oc += (u * _horner(quarter_ladder, u * u)).real
+            # one frequency at a time, so a point's sum has a fixed order
+            # (a matrix-vector product's order depends on the row's position)
+            for w, a, b in terms:
+                wx = xc * w
+                if not b:
+                    oc += a * np.sin(wx)
+                elif not a:
+                    oc += b * np.cos(wx)
+                else:
+                    oc += a * np.sin(wx) + b * np.cos(wx)
+            if shift:
+                np.ldexp(oc, -shift, out=oc)
     return out[0] if x.ndim == 0 else out.reshape(x.shape)
 
 

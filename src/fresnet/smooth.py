@@ -29,7 +29,7 @@ from __future__ import annotations
 import numpy as np
 
 from .hermite import hermite_endpoint, trig_deriv_eval
-from .network import Branch, branch_from_modes, trig_sum
+from .network import Branch, _branch_modes, branch_from_modes, trig_sum
 from .quadrature import build_rule, nodes_weights
 
 
@@ -82,13 +82,16 @@ def build_smooth_branch(
     plus = np.asarray(endpoint_derivs_plus, dtype=float)
     if minus.shape != plus.shape or minus.size != m + 1:
         raise ValueError("endpoint derivative lists must both have length m + 1")
-    h_poly = hermite_endpoint(minus, plus)
+    h_r = hermite_endpoint(minus, plus)
 
     def residual(x):
-        return np.asarray(f(x), dtype=float) - trig_deriv_eval(h_poly, x, 0)
+        return np.asarray(f(x), dtype=float) - trig_deriv_eval(h_r, x, 0)
 
     ghat = fourier_coeffs(residual, half_modes)
     ks = np.arange(-half_modes, half_modes + 1)
-    coeffs = np.concatenate([ghat, np.asarray(h_poly.coeffs)])
-    omegas = np.concatenate([ks * np.pi, h_poly.mode_freqs])
+    # H_r's entries come back from its modes bit for bit, so the branch is
+    # made once over all 2K + 1 + 2(m+1) modes
+    h_freqs, h_amps = _branch_modes(h_r)
+    coeffs = np.concatenate([ghat, h_amps])
+    omegas = np.concatenate([ks * np.pi, h_freqs])
     return branch_from_modes(coeffs, omegas)

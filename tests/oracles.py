@@ -14,30 +14,33 @@ import math
 import numpy as np
 
 from fresnet import jets
-from fresnet.hermite import TrigPoly, trig_deriv_eval
+from fresnet.hermite import trig_deriv_eval
 from fresnet.jets import Jet
 from fresnet.jump import z_profile
 from fresnet.network import Branch, FourierResNet
 from fresnet.quadrature import build_rule, nodes_weights
 
 
-def trig_eval_jet(poly: TrigPoly, u: Jet) -> Jet:
-    """Compose the (real part of the) polynomial with a jet argument.
-
-    Uses Re(c e^{i w u}) = Re(c) cos(w u) - Im(c) sin(w u) per mode, so the
-    composition stays in real jet arithmetic.
-    """
+def trig_eval_jet(br: Branch, u: Jet) -> Jet:
+    """Compose the branch with a jet argument, a sin(w u) + b cos(w u) per
+    entry, so the composition stays in real jet arithmetic."""
     acc = jets.jet_const(0.0, u.base_point, u.order)
-    for c, w in zip(poly.coeffs, poly.mode_freqs):
+    for w, a, b in zip(br.freqs, br.sin_amps, br.cos_amps):
         wu = u * w
-        acc = acc + (jets.cos(wu) * c.real - jets.sin(wu) * c.imag)
+        acc = acc + (jets.sin(wu) * a + jets.cos(wu) * b)
     return acc
 
 
-def max_abs_deriv(poly: TrigPoly, lo: float, hi: float, n: int = 4001) -> float:
+def branch_modes(br: Branch):
+    """(omegas, amps): one complex mode b - ia at frequency w per entry, so
+    Re(c e^{i w t}) == a sin(w t) + b cos(w t), built without arithmetic."""
+    return list(br.freqs), [complex(b, -a) for a, b in zip(br.sin_amps, br.cos_amps)]
+
+
+def max_abs_deriv(br: Branch, lo: float, hi: float, n: int = 4001) -> float:
     """Grid estimate of max |H'| on [lo, hi]."""
     grid = np.linspace(lo, hi, n)
-    return float(np.max(np.abs(trig_deriv_eval(poly, grid, 1))))
+    return float(np.max(np.abs(trig_deriv_eval(br, grid, 1))))
 
 
 def phi(y):

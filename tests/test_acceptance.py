@@ -113,8 +113,10 @@ def test_criterion_04_hermite_interpolation():
                     abs(trig_deriv_eval(poly, -1.0, s) - a[s]) / scale,
                     abs(trig_deriv_eval(poly, 1.0, s) - b[s]) / scale,
                 )
-            c = np.asarray(poly.coeffs)
-            worst_sym = max(worst_sym, float(np.max(np.abs(c - np.conj(c[::-1])))))
+            # |c_k - conj(c_{-k-1})|: entry j holds mode k = j - (m+1) and
+            # its mirror 2(m+1) - 1 - j mode -k-1, folded by conjugation
+            sa, ca = np.asarray(poly.sin_amps), np.asarray(poly.cos_amps)
+            worst_sym = max(worst_sym, float(np.max(np.hypot(sa - sa[::-1], ca - ca[::-1]))))
     elapsed = time.perf_counter() - t0
     print(f"criterion 4: residual {worst_res:.2e}, symmetry {worst_sym:.2e}, {elapsed:.2f}s")
     assert worst_res <= 1e-8

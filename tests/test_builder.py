@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from fresnet import network
+from fresnet import hermite, network
 from fresnet.builder import (
     BuildSpec,
     build_piecewise_net,
@@ -13,8 +13,9 @@ from fresnet.builder import (
     suggested_architecture,
 )
 from fresnet.hermite import trig_deriv_eval
-from fresnet.jump import q_eval
+from fresnet.jump import q_derivs_at, q_eval
 from fresnet.metrics import lp_error
+from fresnet.network import Branch
 from fresnet.sign import build_sign_net
 from fresnet.targets import target_lookup
 
@@ -32,6 +33,24 @@ def test_network_realizes_component_sum():
     z = v.z_l(xs)
     expect = z + trig_deriv_eval(v.jump_poly, z) + v.r_w(xs)
     assert network.eval_grid(v.net, xs) == pytest.approx(expect, abs=1e-12)
+
+
+def test_jump_poly_is_the_h_branch_and_its_plans_are_reused():
+    m = 3
+    v = component_views(BuildSpec(target_lookup("hat"), m, 8, 6))
+    assert v.jump_poly is v.net.layers[-1].h_branch
+    assert v.r_w is v.net.layers[-1].g_branch
+    first = q_derivs_at(1.0, "left", v.jump_poly, m)
+    before = hermite._deriv_plan.cache_info()
+    again = q_derivs_at(1.0, "left", v.jump_poly, m)
+    after = hermite._deriv_plan.cache_info()
+    # one plan per derivative order, built by the first call only
+    assert after.misses == before.misses
+    assert after.hits == before.hits + m + 1
+    assert np.array_equal(again, first)
+    smooth = component_views(BuildSpec(target_lookup("smooth_nonper"), m, 8, 6))
+    assert smooth.jump_poly == Branch((), (), ())
+    assert smooth.net.layers[-1].h_branch is None
 
 
 def test_decomposition_f_equals_q_plus_r():

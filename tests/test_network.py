@@ -113,6 +113,25 @@ def test_branch_from_modes_matches_per_mode_oracle():
         assert got == pytest.approx((c * np.exp(1j * w * ts)).real, abs=1e-13)
 
 
+def test_branch_modes_give_back_the_entries_bit_for_bit():
+    # the smooth build joins H_r's modes to the residual's this way
+    rng = np.random.default_rng(6)
+    # signed zeros of both kinds among the amplitudes
+    br = Branch(
+        tuple(abs(rng.normal(size=8) * 3).tolist()) + (0.0, 1.0, 2.0, 0.5),
+        tuple(rng.normal(size=8).tolist()) + (0.0, -0.0, -0.0, 0.0),
+        tuple(rng.normal(size=8).tolist()) + (-0.0, 0.0, -0.0, 0.0),
+    )
+    freqs, amps = network._branch_modes(br)
+    back = branch_from_modes(amps, freqs)
+    for got, want in zip((back.freqs, back.sin_amps, back.cos_amps),
+                         (br.freqs, br.sin_amps, br.cos_amps)):
+        assert bits(got) == bits(want)
+    ts = rng.uniform(-3, 3, 13)
+    assert br(ts) == pytest.approx((np.exp(1j * np.multiply.outer(ts, freqs)) @ amps).real,
+                                   abs=1e-13)
+
+
 def test_branch_from_modes_width():
     br = branch_from_modes([1 + 2j, 3j, 0.5], [-2.0, 0.0, 2.0])
     assert br.width == 3
