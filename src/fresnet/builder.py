@@ -33,6 +33,11 @@ from .smooth import build_smooth_branch
 from .targets import PiecewiseTarget
 
 
+#: The sin(x) neuron of layer L's g-branch, the same in every net, so its
+#: evaluation plan is built once per process, as the cached sign net's are.
+_SIN_NEURON = Branch((1.0,), (1.0,), (0.0,))
+
+
 @dataclass(frozen=True)
 class BuildSpec:
     """What to build: target, Hermite order m, half mode count K, depth L.
@@ -113,8 +118,7 @@ def component_views(spec: BuildSpec) -> ComponentViews:
 
         layers = list(sign_net.layers)
         last = layers[-1]
-        sin_neuron = Branch((1.0,), (1.0,), (0.0,))
-        layers[-1] = Layer(sin_neuron, last.h_branch)
+        layers[-1] = Layer(_SIN_NEURON, last.h_branch)
         layers.append(Layer(smooth_branch, h_poly))
         net = FourierResNet(tuple(layers))
 

@@ -8,7 +8,9 @@ matching prescribed derivative values H^{(s)}(-1) and H^{(s)}(1) for
 0 <= s <= m.  The coefficients solve a dense complex linear system with
 one row per derivative constraint; the system is uniquely solvable, so a
 singular solve indicates a numerical problem and is reported with a
-condition estimate.
+condition estimate.  The matrix and its condition estimate depend on m
+alone, so a process builds them once per order; the warning for a badly
+conditioned system and the solve come with every call.
 
 H is returned as a :class:`fresnet.network.Branch`, the type every
 trigonometric polynomial of a network has: one real entry per complex
@@ -43,16 +45,7 @@ def hermite_endpoint(alphas, betas) -> Branch:
     m = alphas.size - 1
     if m > jets.MAX_ORDER:
         raise ValueError(f"order {m} exceeds maximum supported order {jets.MAX_ORDER}")
-    n = 2 * (m + 1)
-    omegas = (2 * np.arange(-(m + 1), m + 1) + 1) * np.pi / 4.0
-    rows = []
-    rhs = []
-    for endpoint, targets in ((-1.0, alphas), (1.0, betas)):
-        for s in range(m + 1):
-            rows.append((1j * omegas) ** s * np.exp(1j * omegas * endpoint))
-            rhs.append(targets[s])
-    matrix = np.array(rows).reshape(n, n)
-    cond = np.linalg.cond(matrix)
+    matrix, omegas, cond = _hermite_system(m)
     if cond > CONDITION_WARN_THRESHOLD:
         warnings.warn(
             f"Hermite interpolation system badly conditioned (cond ~ {cond:.2e}); "
@@ -60,13 +53,31 @@ def hermite_endpoint(alphas, betas) -> Branch:
             RuntimeWarning,
             stacklevel=2,
         )
+    rhs = np.concatenate([alphas, betas])
     try:
-        coeffs = np.linalg.solve(matrix, np.asarray(rhs))
+        coeffs = np.linalg.solve(matrix, rhs)
     except np.linalg.LinAlgError as exc:
         raise HermiteSolveError(
             f"singular interpolation system (cond ~ {cond:.2e})"
         ) from exc
     return branch_from_modes(coeffs, omegas)
+
+
+@lru_cache(maxsize=jets.MAX_ORDER + 1)
+def _hermite_system(m: int):
+    """(matrix, omegas, cond) of the order-m interpolation system, read-only.
+
+    They depend on m alone, so a process builds each order's system and
+    condition estimate once: rows s = 0..m are the derivative conditions
+    at -1, rows m+1..2m+1 those at +1.
+    """
+    omegas = (2 * np.arange(-(m + 1), m + 1) + 1) * np.pi / 4.0
+    rows = [(1j * omegas) ** s * np.exp(1j * omegas * endpoint)
+            for endpoint in (-1.0, 1.0) for s in range(m + 1)]
+    matrix = np.array(rows)
+    cond = np.linalg.cond(matrix)
+    matrix.flags.writeable = omegas.flags.writeable = False
+    return matrix, omegas, cond
 
 
 def trig_deriv_eval(branch: Branch, x, s: int = 0):

@@ -13,7 +13,9 @@ chain-rule systems, after which the endpoint Hermite interpolation of
 builder puts it into the network as the last layer's h-branch as it is.
 :func:`z_profile` returns z's one-sided derivatives as one array
 [z, z', ..., z^(m)], laid out like a target's ``one_sided_derivs``, so
-each system's right-hand side is a difference of two such arrays.
+each system's right-hand side is a difference of two such arrays.  The
+profile and its chain-rule matrix depend on (point, side, m) alone, so a
+process computes each once.
 
 The chain-rule coefficients are partial Bell polynomials
 B_{s,j}(z', z'', ...), computed by the standard recurrence
@@ -23,6 +25,7 @@ B_{n,k} = sum_i C(n-1, i-1) x_i B_{n-i,k-1}.
 from __future__ import annotations
 
 import math
+from functools import lru_cache
 
 import numpy as np
 
@@ -75,6 +78,19 @@ def chain_rule_matrix(derivs) -> np.ndarray:
     return bell
 
 
+@lru_cache(maxsize=64)
+def _chain_rule_system(point: float, side: str, m: int):
+    """(z_profile, chain_rule_matrix) at (point, side, m), read-only.
+
+    A build reads them at 0 from both sides and at the two endpoints, for
+    its own m, so a process computes each once.
+    """
+    zs = z_profile(point, side, m)
+    a = chain_rule_matrix(zs[1:])
+    zs.flags.writeable = a.flags.writeable = False
+    return zs, a
+
+
 def build_jump_H(alphas, betas) -> Branch:
     """H such that q = z + H(z) has the prescribed one-sided derivatives."""
     alphas = np.asarray(alphas, dtype=float)
@@ -84,9 +100,8 @@ def build_jump_H(alphas, betas) -> Branch:
     m = alphas.size - 1
     endpoint_values = []
     for side, data in (("left", alphas), ("right", betas)):
-        zs = z_profile(0.0, side, m)
+        zs, a = _chain_rule_system(0.0, side, m)
         rhs = data - zs
-        a = chain_rule_matrix(zs[1:])
         v = np.zeros(m + 1)
         for s in range(m + 1):
             v[s] = (rhs[s] - a[s, :s] @ v[:s]) / a[s, s]
@@ -102,7 +117,6 @@ def q_eval(h: Branch, x):
 
 def q_derivs_at(point: float, side: str, h: Branch, m: int) -> np.ndarray:
     """One-sided derivatives [q(point), ..., q^(m)(point)] of q = z + H(z)."""
-    zs = z_profile(point, side, m)
-    a = chain_rule_matrix(zs[1:])
+    zs, a = _chain_rule_system(point, side, m)
     h_derivs = np.array([trig_deriv_eval(h, zs[0], j) for j in range(m + 1)])
     return zs + a @ h_derivs

@@ -28,9 +28,9 @@ cheapest rule that keeps it exact to rounding:
   Horner in z = e^{i pi x}.  A longer one is summed from a Taylor table
   (after Anderson & Dahleh, SIAM J. Sci. Comput. 17(4), 1996): the sum has
   period 2, so the plan tabulates it and its first D = 11 derivatives at
-  the M = 16K nodes x_j = 2j/M of one period by D + 1 inverse real FFTs,
-  and a point takes D real Horner steps in its offset from the nearest
-  node.
+  the M = 16K nodes x_j = 2j/M of one period by one batched inverse real
+  FFT of D + 1 half spectra, and a point takes D real Horner steps in its
+  offset from the nearest node.
 * Modes at exact odd multiples (2j+1) pi/4 (the m+1 distinct Hermite
   frequencies of H and H_r) form the quarter-pi ladder c_0..c_m, summed
   as Re u sum_j c_j w^j with u = e^{i pi x/4} and w = u^2.
@@ -222,8 +222,7 @@ def _trig_plan(omegas, amps, deriv: int):
     quarters = np.rint(omegas / (np.pi / 4))
     on = (quarters * (np.pi / 4) == omegas) & (quarters <= 8 * omegas.size)
     q = quarters[on].astype(int)
-    grid = np.zeros(q.max(initial=-1) + 1, dtype=complex)
-    np.add.at(grid, q, amps[on])
+    grid = _merge(q, amps[on], q.max(initial=-1) + 1)
     # q = 0 is the constant, added as its real part; the pi ladder holds
     # q = 4k at index k - 1, the quarter-pi ladder q = 2j + 1 at index j,
     # and q = 4k + 2 (pi/2 in the first sign layer) is always dense
@@ -244,8 +243,7 @@ def _trig_plan(omegas, amps, deriv: int):
     freqs, merged = qs * (np.pi / 4), grid[qs]
     if q.size < omegas.size:
         off, where = np.unique(omegas[~on], return_inverse=True)
-        off_amps = np.zeros(off.size, dtype=complex)
-        np.add.at(off_amps, where, amps[~on])
+        off_amps = _merge(where, amps[~on], off.size)
         freqs, merged = np.concatenate([freqs, off]), np.concatenate([merged, off_amps])
     # a sin(wx) + b cos(wx) == Re((b - ia) e^{iwx}); a term with a = b = 0
     # is dropped, and one with a or b zero computes only the other's trig
@@ -258,24 +256,34 @@ def _trig_plan(omegas, amps, deriv: int):
     return bias, pi_ladder, pi_table, ladders[1], terms, shift
 
 
+def _merge(index, amps, size: int):
+    """out[i] = sum of amps[j] over index[j] == i, for i < size: one
+    bincount for the real parts and one for the imaginary parts, each
+    adding in input order, as np.add.at does."""
+    out = np.empty(size, dtype=complex)
+    out.real = np.bincount(index, amps.real, size)
+    out.imag = np.bincount(index, amps.imag, size)
+    return out
+
+
 def _taylor_table(ladder):
     """Taylor table of S(x) = Re sum_k c_k e^{i k pi x} for the ladder
     c_1..c_K: row d, column j holds S^(d)(x_j) h^d / d! at the M = 16K nodes
     x_j = j h, h = 2/M, of S's period 2.  Row d is
     Re sum_k c_k (i k pi h)^d / d! e^{2 pi i k j / M}, which is M/2 times
-    the inverse real FFT of that half spectrum (K < M/2)."""
+    the inverse real FFT of that half spectrum (K < M/2).  All D + 1 half
+    spectra go through one batched inverse FFT, so the transient is
+    (D + 1) (M/2 + 1) complex values, 12 * 8K * 16 B, about 1.5 MB at
+    K = 1024."""
     terms = len(ladder)
     nodes = _NODES_PER_TERM * terms
-    spectrum = np.zeros(nodes // 2 + 1, dtype=complex)
-    modes = spectrum[1:terms + 1]  # a view: k = 1..K
-    modes[:] = ladder
+    spectra = np.zeros((_TAYLOR_STEPS + 1, nodes // 2 + 1), dtype=complex)
+    modes = spectra[:, 1:terms + 1]  # a view: k = 1..K of every order
+    modes[0] = ladder
     step = 1j * (2 * np.pi / nodes) * np.arange(1, terms + 1)
-    # one order at a time, so the only transient is one half spectrum
-    table = np.empty((_TAYLOR_STEPS + 1, nodes))
-    for d, row in enumerate(table):
-        if d:
-            modes *= step / d
-        row[:] = np.fft.irfft(spectrum, nodes)
+    for d in range(1, _TAYLOR_STEPS + 1):
+        np.multiply(modes[d - 1], step / d, out=modes[d])
+    table = np.fft.irfft(spectra, nodes, axis=1, out=np.empty((_TAYLOR_STEPS + 1, nodes)))
     table *= nodes / 2
     return table
 

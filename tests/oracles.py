@@ -5,8 +5,9 @@ composition instead of the Bell-matrix chain rule, a dense grid, the
 sign map iterated directly instead of the network's layers, one
 complex exponential per mode and node instead of an FFT over panels, every
 layer applied to every point instead of only to the points still moving,
-one mode at a time instead of a vectorised fold, or every number of a
-network formatted in turn instead of each distinct bit pattern once.
+one mode at a time instead of a vectorised fold, every number of a
+network formatted in turn instead of each distinct bit pattern once, or a
+Taylor table's rows one inverse FFT at a time instead of one batched FFT.
 """
 
 import math
@@ -17,7 +18,7 @@ from fresnet import jets
 from fresnet.hermite import trig_deriv_eval
 from fresnet.jets import Jet
 from fresnet.jump import z_profile
-from fresnet.network import Branch, FourierResNet
+from fresnet.network import _NODES_PER_TERM, _TAYLOR_STEPS, Branch, FourierResNet
 from fresnet.quadrature import build_rule, nodes_weights
 
 
@@ -65,6 +66,25 @@ def fourier_coeffs_dense(g, half_modes: int) -> np.ndarray:
     wg = w * np.asarray(g(x), dtype=float)
     return np.array([0.5 * np.exp(-1j * np.pi * (k * x)) @ wg
                      for k in range(-half_modes, half_modes + 1)])
+
+
+def taylor_table_per_order(ladder) -> np.ndarray:
+    """The pi ladder's Taylor table (``network._taylor_table``) one order at
+    a time: the half spectrum is multiplied by (i k pi h)/d in place and
+    inverse-transformed on its own for each d = 0..D."""
+    terms = len(ladder)
+    nodes = _NODES_PER_TERM * terms
+    spectrum = np.zeros(nodes // 2 + 1, dtype=complex)
+    modes = spectrum[1:terms + 1]  # a view: k = 1..K
+    modes[:] = ladder
+    step = 1j * (2 * np.pi / nodes) * np.arange(1, terms + 1)
+    table = np.empty((_TAYLOR_STEPS + 1, nodes))
+    for d, row in enumerate(table):
+        if d:
+            modes *= step / d
+        row[:] = np.fft.irfft(spectrum, nodes)
+    table *= nodes / 2
+    return table
 
 
 def forward_plain(net: FourierResNet, xs, upto: int = None) -> np.ndarray:

@@ -15,7 +15,7 @@ from fresnet.builder import BuildSpec, build_piecewise_net
 from fresnet.hermite import hermite_endpoint, trig_deriv_eval
 from fresnet.network import Branch, eval_grid, eval_prefix, trig_sum
 from fresnet.targets import target_lookup
-from oracles import branch_modes
+from oracles import branch_modes, taylor_table_per_order
 
 
 def fsum_oracle(omegas, amps, x, deriv):
@@ -258,3 +258,15 @@ def test_pi_ladder_table_bits_do_not_depend_on_position_far_out():
         for size in (1, 5, 17, 1000, 3000):
             idx = rng.choice(x.size, size, replace=False)
             assert np.array_equal(br(x[idx]).view(np.int64), full[idx].view(np.int64))
+
+
+@pytest.mark.parametrize("terms,scale", [(13, 1.0), (100, 1.0), (1024, 1.0),
+                                         (100, 2.0 ** -950)])
+def test_taylor_table_matches_the_per_order_oracle_bit_for_bit(terms, scale):
+    # one batched inverse FFT of all D + 1 half spectra, against one FFT per
+    # order; the scaled ladder's amplitudes are near the subnormal range
+    rng = np.random.default_rng(terms)
+    ladder = ((rng.normal(size=terms) + 1j * rng.normal(size=terms)) * scale).tolist()
+    got = network._taylor_table(ladder)
+    assert got.shape == (12, 16 * terms)
+    assert np.array_equal(got.view(np.int64), taylor_table_per_order(ladder).view(np.int64))
