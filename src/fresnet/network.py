@@ -507,16 +507,21 @@ def serialize(net: FourierResNet) -> str:
     return ("\n".join(lines) + "\n") % tuple([texts[j] for j in slots.tolist()])
 
 
+_NUMBER_TYPES = {int, float}
+
+
 def _parse_branch(obj, where: str) -> Branch:
     if not isinstance(obj, dict):
         raise NetworkFormatError(f"{where}: branch must be an object")
     for key in ("freqs", "a", "b"):
         if key not in obj or not isinstance(obj[key], list):
             raise NetworkFormatError(f"{where}: missing or invalid '{key}' array")
-        for v in obj[key]:
-            # exact types: json.loads gives bool, a subclass of int, for true/false
-            if type(v) not in (int, float):
-                raise NetworkFormatError(f"{where}: '{key}' entry {v!r} is not a number")
+        # exact types: json.loads gives bool, a subclass of int, for true/false.
+        # One set of the entries' types; the entries are scanned one by one
+        # only to name the first offending one
+        if not set(map(type, obj[key])) <= _NUMBER_TYPES:
+            v = next(v for v in obj[key] if type(v) not in _NUMBER_TYPES)
+            raise NetworkFormatError(f"{where}: '{key}' entry {v!r} is not a number")
     try:
         return Branch(*(tuple(map(float, obj[key])) for key in ("freqs", "a", "b")))
     except (ValueError, OverflowError) as exc:
