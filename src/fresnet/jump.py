@@ -54,8 +54,13 @@ def z_profile(point: float, side: str, m: int) -> np.ndarray:
         step = math.copysign(1.0, point)
     else:
         step = 1.0 if side == "right" else -1.0
-    # sin^(k)(x) = sin(x + k pi/2); the sgn step adds to the value only
-    zs = np.array([math.sin(point + k * math.pi / 2) for k in range(m + 1)])
+    # sin's derivatives cycle through sin, cos, -sin, -cos, so they are exact
+    # at a zero point, where sin(k pi/2) would round for even k; + 0.0 turns
+    # -0.0 into 0.0, so the points -0.0 and 0.0 give the same bits.  The sgn
+    # step adds to the value only
+    s, c = math.sin(point), math.cos(point)
+    cycle = (s, c, -s, -c)
+    zs = np.array([cycle[k % 4] for k in range(m + 1)]) + 0.0
     zs[0] += step
     return zs
 

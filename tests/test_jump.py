@@ -8,6 +8,7 @@ import sympy
 
 from fresnet import jets
 from fresnet.jump import (
+    _chain_rule_system,
     build_jump_H,
     chain_rule_matrix,
     q_derivs_at,
@@ -27,9 +28,20 @@ def test_z_values_and_jump():
 
 def test_z_profile_derivatives_are_sine_cycle():
     zs = z_profile(0.0, "right", 4)
-    assert zs[1:] == pytest.approx((1.0, 0.0, -1.0, 0.0), abs=1e-15)
+    assert zs[1:].tolist() == [1.0, 0.0, -1.0, 0.0]
     zs = z_profile(0.3, "left", 2)
     assert zs[1:] == pytest.approx((math.cos(0.3), -math.sin(0.3)))
+
+
+def test_z_profile_gives_the_same_bits_at_both_zeros():
+    # a value-keyed cache takes -0.0 and 0.0 as one key
+    for side in ("left", "right"):
+        plus, minus = z_profile(0.0, side, 8), z_profile(-0.0, side, 8)
+        assert np.array_equal(plus.view(np.int64), minus.view(np.int64))
+        assert not np.signbit(plus[plus == 0.0]).any()
+        zs, bell = _chain_rule_system(-0.0, side, 8)
+        assert np.array_equal(zs.view(np.int64), plus.view(np.int64))
+        assert np.array_equal(bell.view(np.int64), chain_rule_matrix(plus[1:]).view(np.int64))
 
 
 def test_z_profile_matches_jet_route():
