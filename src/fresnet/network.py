@@ -283,7 +283,7 @@ def _taylor_table(ladder):
     step = 1j * (2 * np.pi / nodes) * np.arange(1, terms + 1)
     for d in range(1, _TAYLOR_STEPS + 1):
         np.multiply(modes[d - 1], step / d, out=modes[d])
-    table = np.fft.irfft(spectra, nodes, axis=1, out=np.empty((_TAYLOR_STEPS + 1, nodes)))
+    table = np.fft.irfft(spectra, nodes, axis=1)
     table *= nodes / 2
     return table
 
