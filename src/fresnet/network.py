@@ -272,13 +272,14 @@ def _taylor_table(ladder):
     x_j = j h, h = 2/M, of S's period 2.  Row d is
     Re sum_k c_k (i k pi h)^d / d! e^{2 pi i k j / M}, which is M/2 times
     the inverse real FFT of that half spectrum (K < M/2).  All D + 1 half
-    spectra go through one batched inverse FFT, so the transient is
-    (D + 1) (M/2 + 1) complex values, 12 * 8K * 16 B, about 1.5 MB at
-    K = 1024."""
+    spectra go through one batched inverse FFT, each given as its K + 1
+    modes k = 0..K, which the FFT pads with zeros to M/2 + 1: the
+    transient is (D + 1)(K + 1) complex values, 0.2 MB at K = 1024,
+    besides the table."""
     terms = len(ladder)
     nodes = _NODES_PER_TERM * terms
-    spectra = np.zeros((_TAYLOR_STEPS + 1, nodes // 2 + 1), dtype=complex)
-    modes = spectra[:, 1:terms + 1]  # a view: k = 1..K of every order
+    spectra = np.zeros((_TAYLOR_STEPS + 1, terms + 1), dtype=complex)
+    modes = spectra[:, 1:]  # a view: k = 1..K of every order
     modes[0] = ladder
     step = 1j * (2 * np.pi / nodes) * np.arange(1, terms + 1)
     for d in range(1, _TAYLOR_STEPS + 1):
