@@ -86,6 +86,7 @@ operations are safe for concurrent use.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional
@@ -131,8 +132,18 @@ class Branch:
                 f"mismatched lengths freqs={len(self.freqs)} "
                 f"a={len(self.sin_amps)} b={len(self.cos_amps)}"
             )
-        if not np.isfinite(np.asarray((*self.freqs, *self.sin_amps, *self.cos_amps))).all():
-            raise NetworkFormatError("branch parameters must be finite")
+        # A NaN or infinite entry makes the entries' sum NaN or infinite, so a
+        # finite float sum shows every entry finite without building an array.
+        # Any other sum (finite entries that overflow, entries that are not all
+        # floats or cannot be added) leaves the verdict to numpy's check.  An
+        # empty branch has no entry to check.
+        try:
+            total = sum(self.freqs) + sum(self.sin_amps) + sum(self.cos_amps)
+        except (TypeError, ValueError, ArithmeticError):
+            total = None
+        if self.freqs and not (type(total) is float and math.isfinite(total)):
+            if not np.isfinite(np.asarray((*self.freqs, *self.sin_amps, *self.cos_amps))).all():
+                raise NetworkFormatError("branch parameters must be finite")
 
     @property
     def width(self) -> int:
@@ -473,39 +484,50 @@ def neuron_count(net: FourierResNet) -> int:
 # skeleton in one step; the bytes are those of formatting every number in
 # turn.  Numbers are told apart by their bits, not their values:
 # -0.0 == 0.0, but one is written "-0.0", the other "0.0".
-
-def _fmt(v: float) -> str:
-    s = format(float(v), ".17g")
-    # keep a decimal point so JSON parses the value as a float ("-0" would
-    # otherwise come back as the integer 0 and lose the sign of -0.0)
-    if "." not in s and "e" not in s:
-        s += ".0"
-    return s
-
-
-def _branch_skeleton(br: Branch, values: list) -> str:
-    """The branch's JSON with a %s per number; its numbers go onto ``values``
-    in the same order."""
-    arr = "[" + ", ".join(["%s"] * br.width) + "]"
-    values += br.freqs
-    values += br.sin_amps
-    values += br.cos_amps
-    return '{"freqs": ' + arr + ', "a": ' + arr + ', "b": ' + arr + "}"
-
+#
+# No step takes a Python call per number.  The distinct numbers are
+# formatted by one %-operation on "%.17g" repeated once per number, and each
+# whole number below 1e17, which %.17g writes without a point or an
+# exponent, gets ".0" from one numpy mask, so that JSON parses it as a float
+# ("-0" would come back as the integer 0 and lose the sign of -0.0).  A
+# layer's skeleton line depends only on the widths of its g- and h-branch,
+# and is built once per such shape (a built net has at most four).
 
 def serialize(net: FourierResNet) -> str:
+    def skeleton(width):
+        if width is None:
+            return "null"
+        arr = "[" + ", ".join(["%s"] * width) + "]"
+        return '{"freqs": ' + arr + ', "a": ' + arr + ', "b": ' + arr + "}"
+
     values = []
+    shapes = {}
     lines = ['{', f'  "depth": {net.depth},', '  "layers": [']
-    for i, layer in enumerate(net.layers):
-        g = _branch_skeleton(layer.g_branch, values)
-        h = _branch_skeleton(layer.h_branch, values) if layer.h_branch is not None else "null"
-        sep = "," if i < net.depth - 1 else ""
-        lines.append('    {"g": ' + g + ', "h": ' + h + "}" + sep)
+    for layer in net.layers:
+        g, h = layer.g_branch, layer.h_branch
+        values += g.freqs
+        values += g.sin_amps
+        values += g.cos_amps
+        if h is not None:
+            values += h.freqs
+            values += h.sin_amps
+            values += h.cos_amps
+        shape = (g.width, None if h is None else h.width)
+        line = shapes.get(shape)
+        if line is None:
+            line = '    {"g": ' + skeleton(shape[0]) + ', "h": ' + skeleton(shape[1]) + "},"
+            shapes[shape] = line
+        lines.append(line)
+    # the last layer's line drops its comma
+    lines[-1] = lines[-1][:-1]
     lines.append("  ]")
     lines.append("}")
     bits, slots = np.unique(np.array(values, dtype=float).view(np.int64), return_inverse=True)
-    texts = [_fmt(v) for v in bits.view(float).tolist()]
-    return ("\n".join(lines) + "\n") % tuple([texts[j] for j in slots.tolist()])
+    d = bits.view(float)
+    texts = (("%.17g\0" * d.size) % tuple(d.tolist())).split("\0")
+    for i in np.flatnonzero((d == np.floor(d)) & (np.abs(d) < 1e17)).tolist():
+        texts[i] += ".0"
+    return ("\n".join(lines) + "\n") % tuple(map(texts.__getitem__, slots.tolist()))
 
 
 _NUMBER_TYPES = {int, float}
@@ -514,17 +536,23 @@ _NUMBER_TYPES = {int, float}
 def _parse_branch(obj, where: str) -> Branch:
     if not isinstance(obj, dict):
         raise NetworkFormatError(f"{where}: branch must be an object")
+    columns = []
     for key in ("freqs", "a", "b"):
         if key not in obj or not isinstance(obj[key], list):
             raise NetworkFormatError(f"{where}: missing or invalid '{key}' array")
         # exact types: json.loads gives bool, a subclass of int, for true/false.
         # One set of the entries' types; the entries are scanned one by one
         # only to name the first offending one
-        if not set(map(type, obj[key])) <= _NUMBER_TYPES:
+        types = set(map(type, obj[key]))
+        if not types <= _NUMBER_TYPES:
             v = next(v for v in obj[key] if type(v) not in _NUMBER_TYPES)
             raise NetworkFormatError(f"{where}: '{key}' entry {v!r} is not a number")
+        columns.append((obj[key], int in types))
     try:
-        return Branch(*(tuple(map(float, obj[key])) for key in ("freqs", "a", "b")))
+        # serialize writes floats only, taken as they are; int entries (a
+        # hand-written file) are converted, so a branch holds floats
+        return Branch(*(tuple(map(float, entries)) if has_int else tuple(entries)
+                        for entries, has_int in columns))
     except (ValueError, OverflowError) as exc:
         raise NetworkFormatError(f"{where}: {exc}") from exc
 

@@ -246,6 +246,8 @@ def test_integer_entries_load_as_floats():
     br = net.layers[0].g_branch
     assert br == Branch((0.0, 3.0), (1.0, -2.0), (0.5, 0.0))
     assert all(type(v) is float for v in br.freqs + br.sin_amps + br.cos_amps)
+    # so load -> save writes them as floats
+    assert '{"freqs": [0.0, 3.0], "a": [1.0, -2.0], "b": [0.5, 0.0]}' in serialize(net)
 
 
 @pytest.mark.parametrize("entry", ["NaN", "Infinity", "-Infinity", "1e400", "1" + "0" * 400])
@@ -269,6 +271,39 @@ def test_branch_rejects_non_finite_in_every_field(field, bad):
     fields[field][1] = bad
     with pytest.raises(NetworkFormatError, match="finite"):
         Branch(*map(tuple, fields))
+
+
+MAX = 1.7976931348623157e308
+
+
+@pytest.mark.parametrize("fields", [
+    ((1.0,), (MAX,), (MAX,)),  # the sum overflows to +inf
+    ((1.0, 2.0), (MAX, MAX), (-MAX, -MAX)),  # +inf + -inf: NaN
+    ((MAX, -MAX), (-MAX, -MAX), (0.0, 0.0)),  # -inf
+])
+def test_branch_accepts_finite_entries_whose_sum_overflows(fields):
+    assert Branch(*fields).freqs == fields[0]
+
+
+@pytest.mark.parametrize("fields", [
+    ((1.0, math.inf), (-math.inf, 0.0), (0.0, 0.0)),  # the sum is NaN
+    ((math.inf,), (0.0,), (-math.inf,)),
+    ((1.0,), (math.nan,), (MAX,)),
+])
+def test_branch_refuses_non_finite_entries_that_cancel_in_the_sum(fields):
+    with pytest.raises(NetworkFormatError, match="^branch parameters must be finite$"):
+        Branch(*fields)
+
+
+def test_branch_check_of_entries_that_are_not_all_floats():
+    # int entries, and ints mixed with floats, are accepted as numbers
+    assert Branch((1, 2), (0, True), (1.5, 0)).width == 2
+    assert Branch((), (), ()).width == 0
+    # entries that are not numbers raise numpy's error, as they always did
+    with pytest.raises(TypeError):
+        Branch(("1.0",), (1.0,), (0.0,))
+    with pytest.raises(TypeError):
+        Branch((10 ** 400,), (1.0,), (0.0,))
 
 
 def test_save_load(tmp_path):

@@ -118,9 +118,55 @@ def small_nets(draw):
     return FourierResNet(tuple(layers))
 
 
+@st.composite
+def deep_nets(draw):
+    """Nets of depth 3..6 whose layers are drawn from a few shared branches,
+    so Branch objects and layer shapes recur in non-adjacent layers.  The
+    last layer takes the shape of an earlier, non-adjacent one with new
+    branches: serialize builds one skeleton line per shape, and only the
+    last layer's line drops its comma."""
+    pool = draw(st.lists(finite_floats, min_size=1, max_size=4)) + [0.0, -0.0]
+    numbers = st.sampled_from(pool)
+
+    def branch(width):
+        return Branch(*(tuple(draw(st.lists(numbers, min_size=width, max_size=width)))
+                        for _ in range(3)))
+
+    shared = [branch(draw(st.integers(0, 3))) for _ in range(draw(st.integers(1, 3)))]
+    pick = st.sampled_from(shared)
+    depth = draw(st.integers(3, 6))
+    layers = [Layer(draw(pick))]
+    for _ in range(depth - 2):
+        layers.append(Layer(draw(pick), draw(st.one_of(st.none(), pick))))
+    model = layers[draw(st.integers(0, depth - 3))]
+    h = model.h_branch
+    layers.append(Layer(branch(model.g_branch.width), None if h is None else branch(h.width)))
+    return FourierResNet(tuple(layers))
+
+
 @settings(derandomize=True, max_examples=200, deadline=None)
 @given(small_nets())
 @example(FourierResNet((Layer(Branch((0.0, -0.0), (-0.0, 0.0), (5e-324, -5e-324))),)))
 @example(FourierResNet((Layer(Branch((), (), ())),)))
 def test_drawn_net_bytes_match_oracle(net):
+    assert_bytes_and_round_trip(net)
+
+
+A = Branch((1.0, -0.0), (0.5, 2.0 ** 53), (-0.0, 1e17))
+B = Branch((3.0,), (0.25,), (0.0,))
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(deep_nets())
+# shapes (2, -), (1, 2), (2, 1), (1, 2), (0, -), (1, 2): the first and the
+# last line of shape (1, 2) differ only by the comma
+@example(FourierResNet((
+    Layer(A), Layer(B, A), Layer(A, B), Layer(B, A), Layer(Branch((), (), ())),
+    Layer(Branch((9.0,), (1.0,), (-1.0,)), Branch((0.0, 1.0), (2.0, 3.0), (4.0, 5.0))),
+)))
+def test_deep_net_bytes_match_oracle(net):
+    def shape(layer):
+        return layer.g_branch.width, None if layer.h_branch is None else layer.h_branch.width
+
+    assert shape(net.layers[-1]) in map(shape, net.layers[:-2])
     assert_bytes_and_round_trip(net)
