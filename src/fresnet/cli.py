@@ -53,9 +53,12 @@ def _fmt(v) -> str:
 
 def _int_list(text: str):
     try:
-        return [int(tok) for tok in text.split(",") if tok]
+        values = [int(tok) for tok in text.split(",") if tok]
     except ValueError:
         raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}")
+    if not values:
+        raise argparse.ArgumentTypeError(f"expected at least one integer, got {text!r}")
+    return values
 
 
 def _write_lines(path: str, lines) -> None:
@@ -113,8 +116,6 @@ def _write_svg(path: str, xs, series: dict) -> None:
 # -- commands -------------------------------------------------------------
 
 def cmd_sign_curves(args) -> int:
-    if not args.depths:
-        raise _AssertionFailure("depths must be nonempty")
     grid = np.linspace(-1.0, 1.0, args.grid)
     sgn = target_lookup("sgn")
     columns = {"x": grid, "sgn": sgn.eval(grid)}

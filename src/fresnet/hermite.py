@@ -15,7 +15,10 @@ conditioned system and the solve come with every call.
 H is returned as a :class:`fresnet.network.Branch`, the type every
 trigonometric polynomial of a network has: one real entry per complex
 mode, so each frequency (2k+1) pi / 4, k = 0..m, appears twice, the
-negative-frequency mode sign-folded onto it.
+negative-frequency mode sign-folded onto it.  H has only 2(m+1) modes c,
+so its derivatives of orders 0..m at a point y are one small product,
+Re(V c), with the rows V of :func:`deriv_rows`; the interpolation matrix
+is those rows at y = -1 and y = +1.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import jets
-from .network import Branch, _branch_plan, _trig_apply, branch_from_modes
+from .network import Branch, branch_from_modes
 
 #: Warn when the interpolation system is estimated worse-conditioned than this.
 CONDITION_WARN_THRESHOLD = 1e10
@@ -72,26 +75,18 @@ def _hermite_system(m: int):
     at -1, rows m+1..2m+1 those at +1.
     """
     omegas = (2 * np.arange(-(m + 1), m + 1) + 1) * np.pi / 4.0
-    rows = [(1j * omegas) ** s * np.exp(1j * omegas * endpoint)
-            for endpoint in (-1.0, 1.0) for s in range(m + 1)]
-    matrix = np.array(rows)
+    matrix = np.concatenate([deriv_rows(omegas, -1.0, m), deriv_rows(omegas, 1.0, m)])
     cond = np.linalg.cond(matrix)
     matrix.flags.writeable = omegas.flags.writeable = False
     return matrix, omegas, cond
 
 
-def trig_deriv_eval(branch: Branch, x, s: int = 0):
-    """The s-th derivative of the branch at ``x``.
+def deriv_rows(omegas, y, m: int) -> np.ndarray:
+    """(m+1) x n matrix V with V[s, k] = (i omegas_k)^s e^{i omegas_k y}.
 
-    Defined for all real x (the polynomial is entire), including arguments
-    outside [-1, 1].
+    For amplitudes c at the frequencies ``omegas``, Re(V @ c) is
+    [H(y), H'(y), ..., H^(m)(y)] of H(t) = Re sum_k c_k e^{i omegas_k t}.
     """
-    return _trig_apply(_deriv_plan(branch, s), x)
-
-
-@lru_cache(maxsize=64)
-def _deriv_plan(branch: Branch, s: int):
-    """The kernel's plan for the s-th derivative.  A branch is immutable,
-    and H's derivatives are evaluated one order at a time at single points
-    (the endpoint derivatives of q), so each (branch, s) plan is built once."""
-    return _branch_plan(branch, s)
+    omegas = np.asarray(omegas, dtype=float)
+    phase = np.exp(1j * omegas * y)
+    return np.array([(1j * omegas) ** s * phase for s in range(m + 1)])

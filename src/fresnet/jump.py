@@ -15,7 +15,10 @@ builder puts it into the network as the last layer's h-branch as it is.
 [z, z', ..., z^(m)], laid out like a target's ``one_sided_derivs``, so
 each system's right-hand side is a difference of two such arrays.  The
 profile and its chain-rule matrix depend on (point, side, m) alone, so a
-process computes each once.
+process computes each once.  :func:`q_derivs_at` takes H's derivatives at
+z(point) from H's 2(m+1) modes by one row product
+(:func:`fresnet.hermite.deriv_rows`), and :func:`q_eval` evaluates H as
+the branch it is.
 
 The chain-rule coefficients are partial Bell polynomials
 B_{s,j}(z', z'', ...), computed by the standard recurrence
@@ -29,8 +32,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .hermite import hermite_endpoint, trig_deriv_eval
-from .network import Branch
+from .hermite import deriv_rows, hermite_endpoint
+from .network import Branch, _branch_modes
 
 
 def z_eval(x):
@@ -117,11 +120,12 @@ def build_jump_H(alphas, betas) -> Branch:
 def q_eval(h: Branch, x):
     """q(x) = z(x) + H(z(x)), vectorized."""
     z = z_eval(x)
-    return z + trig_deriv_eval(h, z, 0)
+    return z + h(z)
 
 
 def q_derivs_at(point: float, side: str, h: Branch, m: int) -> np.ndarray:
     """One-sided derivatives [q(point), ..., q^(m)(point)] of q = z + H(z)."""
     zs, a = _chain_rule_system(point, side, m)
-    h_derivs = np.array([trig_deriv_eval(h, zs[0], j) for j in range(m + 1)])
+    freqs, amps = _branch_modes(h)
+    h_derivs = (deriv_rows(freqs, zs[0], m) @ amps).real
     return zs + a @ h_derivs

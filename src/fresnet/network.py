@@ -18,7 +18,9 @@ that neuron totals match the L + W + 1 + 4(m+1) accounting of the deep
 piecewise construction.
 
 Every branch, and every other trigonometric sum in the package, is
-evaluated by one kernel, :func:`trig_sum`.  It folds each mode onto a
+evaluated by one kernel, :func:`trig_sum`, which sums values only (H's
+derivatives at a point are one small product of its modes, see
+:func:`fresnet.hermite.deriv_rows`).  It folds each mode onto a
 nonnegative frequency and merges duplicates, then sums each part by the
 cheapest rule that keeps it exact to rounding:
 
@@ -151,7 +153,7 @@ class Branch:
 
     @cached_property
     def _plan(self):
-        return _branch_plan(self, 0)
+        return _trig_plan(*_branch_modes(self))
 
     def __call__(self, t):
         """Evaluate the branch at scalar or array input."""
@@ -179,13 +181,13 @@ class FourierResNet:
         return len(self.layers)
 
 
-def trig_sum(omegas, amps, x, deriv: int = 0):
-    """Re sum_j amps_j (i omegas_j)^deriv e^{i omegas_j x} at scalar or array x.
+def trig_sum(omegas, amps, x):
+    """Re sum_j amps_j e^{i omegas_j x} at scalar or array x.
 
     ``omegas`` are real frequencies of any sign and ``amps`` complex
     amplitudes; the result has the shape of ``x``.
     """
-    return _trig_apply(_trig_plan(omegas, amps, deriv), x)
+    return _trig_apply(_trig_plan(omegas, amps), x)
 
 
 def _branch_modes(branch: Branch):
@@ -198,19 +200,12 @@ def _branch_modes(branch: Branch):
     return np.asarray(branch.freqs, dtype=float), amps
 
 
-def _branch_plan(branch: Branch, deriv: int):
-    """The kernel's plan for the branch's ``deriv``-th derivative."""
-    return _trig_plan(*_branch_modes(branch), deriv)
-
-
-def _trig_plan(omegas, amps, deriv: int):
+def _trig_plan(omegas, amps):
     """Fold the modes onto nonnegative, distinct frequencies and split them
     into the constant, the pi ladder (as Horner coefficients or as its
     Taylor table), the quarter-pi ladder and the dense terms (see the
     module docstring), with the power of two (see :data:`TINY_EXP`) by
     which all are scaled."""
-    if deriv < 0:
-        raise ValueError("derivative order must be nonnegative")
     omegas = np.asarray(omegas, dtype=float).ravel()
     amps = np.asarray(amps, dtype=complex).ravel()
     if omegas.shape != amps.shape:
@@ -219,8 +214,6 @@ def _trig_plan(omegas, amps, deriv: int):
     shift = TINY_SHIFT if 0 < top < 2.0 ** -TINY_EXP else 0
     if shift:
         amps = np.ldexp(amps.real, shift) + 1j * np.ldexp(amps.imag, shift)
-    if deriv:
-        amps = amps * (1j * omegas) ** deriv
     # Re(c e^{-iwx}) == Re(conj(c) e^{iwx})
     amps = np.where(omegas < 0, amps.conj(), amps)
     omegas = np.abs(omegas)

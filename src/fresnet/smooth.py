@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .hermite import hermite_endpoint, trig_deriv_eval
+from .hermite import hermite_endpoint
 from .network import Branch, _branch_modes, branch_from_modes, trig_sum
 from .quadrature import build_rule, nodes_weights
 
@@ -85,7 +85,7 @@ def build_smooth_branch(
     h_r = hermite_endpoint(minus, plus)
 
     def residual(x):
-        return np.asarray(f(x), dtype=float) - trig_deriv_eval(h_r, x, 0)
+        return np.asarray(f(x), dtype=float) - h_r(x)
 
     ghat = fourier_coeffs(residual, half_modes)
     ks = np.arange(-half_modes, half_modes + 1)

@@ -15,7 +15,6 @@ import math
 import numpy as np
 
 from fresnet import jets
-from fresnet.hermite import trig_deriv_eval
 from fresnet.jets import Jet
 from fresnet.jump import z_profile
 from fresnet.network import _NODES_PER_TERM, _TAYLOR_STEPS, Branch, FourierResNet
@@ -39,9 +38,13 @@ def branch_modes(br: Branch):
 
 
 def max_abs_deriv(br: Branch, lo: float, hi: float, n: int = 4001) -> float:
-    """Grid estimate of max |H'| on [lo, hi]."""
+    """Grid estimate of max |H'| on [lo, hi], with
+    H' = sum w (a cos(w x) - b sin(w x)) summed entry by entry."""
     grid = np.linspace(lo, hi, n)
-    return float(np.max(np.abs(trig_deriv_eval(br, grid, 1))))
+    deriv = np.zeros_like(grid)
+    for w, a, b in zip(br.freqs, br.sin_amps, br.cos_amps):
+        deriv += w * (a * np.cos(w * grid) - b * np.sin(w * grid))
+    return float(np.max(np.abs(deriv)))
 
 
 def phi(y):

@@ -27,9 +27,10 @@ import sympy
 
 from fresnet import network
 from fresnet.builder import BuildSpec, build_piecewise_net, component_views
-from fresnet.hermite import hermite_endpoint, trig_deriv_eval
+from fresnet.hermite import deriv_rows, hermite_endpoint
 from fresnet.jump import build_jump_H, chain_rule_matrix, q_derivs_at
 from fresnet.metrics import fit_rate, gibbs_support_width, lp_error, max_overshoot
+from fresnet.network import _branch_modes
 from fresnet.sign import build_sign_net, truncated_sign_series
 from fresnet.smooth import fourier_coeffs
 from fresnet.targets import target_lookup
@@ -40,6 +41,13 @@ ARTIFACT_DIR = pathlib.Path(__file__).resolve().parent.parent / "test_artifacts"
 SGN = target_lookup("sgn")
 PW = target_lookup("pw_smooth")
 HAT = target_lookup("hat")
+
+
+def derivs_at(poly, y, m):
+    """[poly(y), poly'(y), ..., poly^(m)(y)] by the rows helper."""
+    freqs, amps = _branch_modes(poly)
+    return (deriv_rows(freqs, y, m) @ amps).real
+
 
 #: float64 rounds the sign iterates to exactly +-1 well before ell = 25;
 #: at saturated points consecutive grid values may tie (or jitter by 1 ulp),
@@ -107,12 +115,11 @@ def test_criterion_04_hermite_interpolation():
             a, b = rng.normal(size=m + 1), rng.normal(size=m + 1)
             poly = hermite_endpoint(a, b)
             scale = max(1.0, float(np.max(np.abs(a))), float(np.max(np.abs(b))))
-            for s in range(m + 1):
-                worst_res = max(
-                    worst_res,
-                    abs(trig_deriv_eval(poly, -1.0, s) - a[s]) / scale,
-                    abs(trig_deriv_eval(poly, 1.0, s) - b[s]) / scale,
-                )
+            worst_res = max(
+                worst_res,
+                float(np.max(np.abs(derivs_at(poly, -1.0, m) - a))) / scale,
+                float(np.max(np.abs(derivs_at(poly, 1.0, m) - b))) / scale,
+            )
             # |c_k - conj(c_{-k-1})|: entry j holds mode k = j - (m+1) and
             # its mirror 2(m+1) - 1 - j mode -k-1, folded by conjugation
             sa, ca = np.asarray(poly.sin_amps), np.asarray(poly.cos_amps)
@@ -164,12 +171,12 @@ def test_criterion_06_residual_periodization_and_decay():
             hp = hermite_endpoint(h_minus, h_plus)
 
             def g(x):
-                return views.r(x) - trig_deriv_eval(hp, x)
+                return views.r(x) - hp(x)
 
             # endpoint mismatch of the periodized residual, s <= m
-            for s in range(m + 1):
-                gm = h_minus[s] - trig_deriv_eval(hp, -1.0, s)
-                gp = h_plus[s] - trig_deriv_eval(hp, 1.0, s)
+            gms = h_minus - derivs_at(hp, -1.0, m)
+            gps = h_plus - derivs_at(hp, 1.0, m)
+            for s, (gm, gp) in enumerate(zip(gms, gps)):
                 assert abs(gm) <= 1e-8 and abs(gp) <= 1e-8, (name, m, s)
             ghat = fourier_coeffs(g, 64)
             ks = np.arange(4, 65)

@@ -42,13 +42,14 @@ def test_builds_share_the_sin_neuron_and_its_plan(monkeypatch):
     neuron = builder._SIN_NEURON
     neuron.__dict__.pop("_plan", None)  # drop the plan a former call built
     plans = []
-    real_plan = network._branch_plan
+    real_modes = network._branch_modes
 
-    def counting_plan(branch, deriv):
+    def counting_modes(branch):
+        # a branch's plan is built from its modes
         plans.append(branch)
-        return real_plan(branch, deriv)
+        return real_modes(branch)
 
-    monkeypatch.setattr(network, "_branch_plan", counting_plan)
+    monkeypatch.setattr(network, "_branch_modes", counting_modes)
     xs = np.linspace(-1, 1, 101)
     nets = [build_piecewise_net(BuildSpec(target_lookup(name), 2, k, 8))
             for name, k in (("hat", 8), ("pw_smooth", 20))]

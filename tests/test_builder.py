@@ -5,14 +5,13 @@ import math
 import numpy as np
 import pytest
 
-from fresnet import hermite, network
+from fresnet import network
 from fresnet.builder import (
     BuildSpec,
     build_piecewise_net,
     component_views,
     suggested_architecture,
 )
-from fresnet.hermite import trig_deriv_eval
 from fresnet.jump import q_derivs_at, q_eval
 from fresnet.metrics import lp_error
 from fresnet.network import Branch
@@ -31,7 +30,7 @@ def test_network_realizes_component_sum():
     v = component_views(spec)
     xs = grid_no_zero()
     z = v.z_l(xs)
-    expect = z + trig_deriv_eval(v.jump_poly, z) + v.r_w(xs)
+    expect = z + v.jump_poly(z) + v.r_w(xs)
     assert network.eval_grid(v.net, xs) == pytest.approx(expect, abs=1e-12)
 
 
@@ -40,13 +39,11 @@ def test_jump_poly_is_the_h_branch_and_its_plans_are_reused():
     v = component_views(BuildSpec(target_lookup("hat"), m, 8, 6))
     assert v.jump_poly is v.net.layers[-1].h_branch
     assert v.r_w is v.net.layers[-1].g_branch
+    # the build evaluated H (in q) through the branch the net holds, so the
+    # net's h-branch already carries that evaluation plan
+    assert "_plan" in v.jump_poly.__dict__
     first = q_derivs_at(1.0, "left", v.jump_poly, m)
-    before = hermite._deriv_plan.cache_info()
     again = q_derivs_at(1.0, "left", v.jump_poly, m)
-    after = hermite._deriv_plan.cache_info()
-    # one plan per derivative order, built by the first call only
-    assert after.misses == before.misses
-    assert after.hits == before.hits + m + 1
     assert np.array_equal(again, first)
     smooth = component_views(BuildSpec(target_lookup("smooth_nonper"), m, 8, 6))
     assert smooth.jump_poly == Branch((), (), ())

@@ -218,6 +218,22 @@ def test_usage_error_on_bad_int_list(capsys):
 
 
 @pytest.mark.parametrize("argv", [
+    ["convergence", "--target", "hat", "--m", ",", "--modes-list", "8"],
+    ["convergence", "--target", "hat", "--m", "1", "--modes-list", ","],
+    ["gibbs", "--target", "hat", "--m", "1", "--modes", "4", "--depths", ",",
+     "--threshold", "0.02"],
+    ["sign-curves", "--depths", ""],
+])
+def test_usage_error_on_empty_int_list(argv, tmp_path, capsys):
+    out = tmp_path / "o.csv"
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--out", str(out)])
+    assert exc.value.code == EXIT_USAGE
+    assert "expected at least one integer" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
     ["build", "--target", "hat", "--m", "1", "--modes", "4", "--depth", "5"],
     ["gibbs", "--target", "hat", "--m", "1", "--modes", "4", "--depths", "3",
      "--threshold", "0.02"],

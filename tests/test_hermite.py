@@ -6,9 +6,15 @@ import numpy as np
 import pytest
 
 from fresnet import jets
-from fresnet.hermite import hermite_endpoint, trig_deriv_eval
+from fresnet.hermite import deriv_rows, hermite_endpoint
 from fresnet.network import Branch
 from oracles import branch_modes, max_abs_deriv, trig_eval_jet
+
+
+def derivs_at(p, y, m):
+    """[p(y), p'(y), ..., p^(m)(y)] by the rows helper."""
+    omegas, amps = branch_modes(p)
+    return (deriv_rows(omegas, y, m) @ np.array(amps, dtype=complex)).real
 
 
 def test_m0_all_ones_closed_form():
@@ -22,7 +28,7 @@ def test_m0_all_ones_closed_form():
         np.array([1 / math.sqrt(2), 1 / math.sqrt(2)]), abs=1e-14
     )
     xs = np.linspace(-1, 1, 33)
-    assert trig_deriv_eval(p, xs) == pytest.approx(
+    assert p(xs) == pytest.approx(
         math.sqrt(2) * np.cos(math.pi * xs / 4), abs=1e-14
     )
 
@@ -32,9 +38,8 @@ def test_interpolation_conditions_random_data():
     for m in range(7):
         a, b = rng.normal(size=m + 1), rng.normal(size=m + 1)
         p = hermite_endpoint(a, b)
-        for s in range(m + 1):
-            assert trig_deriv_eval(p, -1.0, s) == pytest.approx(a[s], abs=1e-9)
-            assert trig_deriv_eval(p, 1.0, s) == pytest.approx(b[s], abs=1e-9)
+        assert derivs_at(p, -1.0, m) == pytest.approx(a, abs=1e-9)
+        assert derivs_at(p, 1.0, m) == pytest.approx(b, abs=1e-9)
 
 
 def test_real_data_gives_real_polynomial():
@@ -63,8 +68,9 @@ def test_derivative_evaluation_consistent_with_jets():
     for x0 in (-0.8, 0.1, 0.9):
         u = jets.jet_var(x0, m)
         d = jets.derivatives(trig_eval_jet(p, u))
+        got = derivs_at(p, x0, m)
         for s in range(m + 1):
-            assert trig_deriv_eval(p, x0, s) == pytest.approx(d[s], rel=1e-11, abs=1e-11)
+            assert got[s] == pytest.approx(d[s], rel=1e-11, abs=1e-11)
 
 
 def test_mode_freqs_are_odd_quarter_multiples():
@@ -78,9 +84,10 @@ def test_mode_freqs_are_odd_quarter_multiples():
 
 def test_empty_branch_derivatives_are_zero():
     # a smooth target's jump polynomial
-    assert trig_deriv_eval(Branch((), (), ()), np.linspace(-1, 1, 9), 2) == pytest.approx(
-        np.zeros(9)
-    )
+    empty = Branch((), (), ())
+    assert empty(np.linspace(-1, 1, 9)) == pytest.approx(np.zeros(9))
+    for y in np.linspace(-1, 1, 9):
+        assert derivs_at(empty, y, 2) == pytest.approx(np.zeros(3))
 
 
 def test_max_abs_deriv():
@@ -94,4 +101,4 @@ def test_validation():
     with pytest.raises(ValueError):
         hermite_endpoint([], [])
     with pytest.raises(ValueError):
-        trig_deriv_eval(Branch((), (), ()), 0.0, -1)
+        hermite_endpoint(np.zeros(jets.MAX_ORDER + 2), np.zeros(jets.MAX_ORDER + 2))

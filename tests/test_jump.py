@@ -1,6 +1,7 @@
 """Jump matcher: chain-rule matrix vs symbolic Bell oracle, derivative matching."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -16,7 +17,7 @@ from fresnet.jump import (
     z_eval,
     z_profile,
 )
-from oracles import jet_z, trig_eval_jet
+from oracles import branch_modes, jet_z, trig_eval_jet
 
 
 def test_z_values_and_jump():
@@ -95,6 +96,28 @@ def test_q_derivs_match_jet_composition_oracle():
         oracle = jets.derivatives(zj + trig_eval_jet(poly, zj))
         got = q_derivs_at(point, side, poly, m)
         assert got == pytest.approx(oracle, rel=1e-9, abs=1e-9)
+
+
+@pytest.mark.parametrize("m", range(1, 13))
+def test_q_derivs_match_jet_oracle_where_the_build_reads_them(m):
+    # 0 from both sides (the jump data) and -1 from the right, +1 from the
+    # left (the residual's endpoint data), up to the largest order jets
+    # support; the solve warns about its condition from m = 9 on
+    rng = np.random.default_rng(100 + m)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        poly = build_jump_H(rng.normal(size=m + 1), rng.normal(size=m + 1))
+    omegas, amps = branch_modes(poly)
+    # |H^(j)| <= sum_k |c_k| |w_k|^j, and q^(s) = z^(s) + sum_j A[s, j] H^(j)(z)
+    h_scale = np.array([math.fsum(abs(c) * abs(w) ** j for w, c in zip(omegas, amps))
+                        for j in range(m + 1)])
+    for point, side in ((0.0, "left"), (0.0, "right"), (-1.0, "right"), (1.0, "left")):
+        zs = z_profile(point, side, m)
+        scale = np.abs(zs) + np.abs(chain_rule_matrix(zs[1:])) @ h_scale
+        zj = jet_z(point, side, m)
+        oracle = np.array(jets.derivatives(zj + trig_eval_jet(poly, zj)))
+        got = q_derivs_at(point, side, poly, m)
+        assert np.all(np.abs(got - oracle) <= 1e-13 * scale), (point, side)
 
 
 def test_q_eval_limits_at_breakpoint():

@@ -7,8 +7,8 @@ import numpy as np
 import pytest
 
 from fresnet.builder import BuildSpec, build_piecewise_net
-from fresnet.network import eval_grid
-from fresnet.hermite import trig_deriv_eval
+from fresnet.hermite import deriv_rows
+from fresnet.network import _branch_modes, eval_grid
 from fresnet.quadrature import build_rule, nodes_weights
 from fresnet.smooth import build_smooth_branch, fourier_coeffs, series_eval
 from fresnet.targets import target_lookup
@@ -71,9 +71,9 @@ def test_branch_matches_hermite_plus_series():
     from fresnet.hermite import hermite_endpoint
 
     hp = hermite_endpoint(minus, plus)
-    ghat = fourier_coeffs(lambda x: t.eval(x) - trig_deriv_eval(hp, x), half)
+    ghat = fourier_coeffs(lambda x: t.eval(x) - hp(x), half)
     xs = np.linspace(-1, 1, 101)
-    expect = trig_deriv_eval(hp, xs) + series_eval(ghat, xs)
+    expect = hp(xs) + series_eval(ghat, xs)
     assert br(xs) == pytest.approx(expect, abs=1e-12)
 
 
@@ -85,11 +85,11 @@ def test_periodized_residual_endpoint_mismatch_vanishes():
     from fresnet.hermite import hermite_endpoint
 
     hp = hermite_endpoint(minus, plus)
-    for s in range(m + 1):
-        gm = minus[s] - trig_deriv_eval(hp, -1.0, s)
-        gp = plus[s] - trig_deriv_eval(hp, 1.0, s)
-        assert gm == pytest.approx(0.0, abs=1e-9)
-        assert gp == pytest.approx(0.0, abs=1e-9)
+    freqs, amps = _branch_modes(hp)
+    gm = minus - (deriv_rows(freqs, -1.0, m) @ amps).real
+    gp = plus - (deriv_rows(freqs, 1.0, m) @ amps).real
+    assert gm == pytest.approx(np.zeros(m + 1), abs=1e-9)
+    assert gp == pytest.approx(np.zeros(m + 1), abs=1e-9)
 
 
 def test_smooth_target_spectral_accuracy():
@@ -165,11 +165,11 @@ def test_identity_with_no_modes_is_pure_hermite():
     b = build_smooth_branch(lambda x: np.asarray(x, dtype=float),
                             np.array([-1.0, 1.0]), np.array([1.0, 1.0]), 1, 0)
     assert b.width == 1 + 4  # constant residual mode + 2(m+1) Hermite modes
-    assert trig_deriv_eval_branch_check(b)
+    assert ends_interpolated(b)
     assert abs(b(np.array([0.0]))[0]) < 0.15
 
 
-def trig_deriv_eval_branch_check(b):
+def ends_interpolated(b):
     # endpoint interpolation transferred to the branch (values only)
     ends = b(np.array([-1.0, 1.0]))
     return abs(ends[0] + 1.0) < 1e-9 and abs(ends[1] - 1.0) < 1e-9

@@ -12,7 +12,8 @@ from hypothesis import strategies as st
 
 from fresnet import network
 from fresnet.builder import BuildSpec, build_piecewise_net
-from fresnet.hermite import hermite_endpoint, trig_deriv_eval
+from fresnet.hermite import deriv_rows, hermite_endpoint
+from fresnet.jump import z_profile
 from fresnet.network import Branch, eval_grid, eval_prefix, trig_sum
 from fresnet.targets import target_lookup
 from oracles import branch_modes, taylor_table_per_order
@@ -55,27 +56,26 @@ points = st.floats(-2.5, 2.5, **finite)
 
 
 @settings(max_examples=200, deadline=None)
-@given(modes, st.integers(0, 4), st.lists(points, min_size=1, max_size=8))
-def test_kernel_matches_fsum_oracle(mode_list, deriv, xs):
+@given(modes, st.lists(points, min_size=1, max_size=8))
+def test_kernel_matches_fsum_oracle(mode_list, xs):
     omegas = [w for w, _ in mode_list]
     amps = [c for _, c in mode_list]
-    tol = tolerance(omegas, amps, deriv)
-    got = trig_sum(omegas, amps, np.array(xs), deriv)
+    tol = tolerance(omegas, amps, 0)
+    got = trig_sum(omegas, amps, np.array(xs))
     assert got.shape == (len(xs),)
     for x, value in zip(xs, got):
-        assert abs(value - fsum_oracle(omegas, amps, x, deriv)) <= tol
-        scalar = trig_sum(omegas, amps, x, deriv)
+        assert abs(value - fsum_oracle(omegas, amps, x, 0)) <= tol
+        scalar = trig_sum(omegas, amps, x)
         assert np.ndim(scalar) == 0
-        assert abs(scalar - fsum_oracle(omegas, amps, x, deriv)) <= tol
+        assert abs(scalar - fsum_oracle(omegas, amps, x, 0)) <= tol
 
 
 def test_subnormal_amplitudes_keep_their_digits():
     # unscaled, every product rounds to the absolute 5e-324 grid and the
     # first sum comes out as -1e-323
     assert trig_sum([2 * math.pi], [5e-324j], 0.25) == -5e-324
-    for deriv in range(3):
-        want = fsum_oracle([math.pi, 0.75], [2.2250738585e-313j, 3e-320], 1.0625, deriv)
-        assert trig_sum([math.pi, 0.75], [2.2250738585e-313j, 3e-320], 1.0625, deriv) == want
+    want = fsum_oracle([math.pi, 0.75], [2.2250738585e-313j, 3e-320], 1.0625, 0)
+    assert trig_sum([math.pi, 0.75], [2.2250738585e-313j, 3e-320], 1.0625) == want
 
 
 def test_kernel_keeps_the_shape_of_x():
@@ -95,8 +95,6 @@ def test_lone_high_multiple_of_pi():
 
 
 def test_bad_arguments_rejected():
-    with pytest.raises(ValueError):
-        trig_sum([math.pi], [1.0], 0.0, -1)
     with pytest.raises(ValueError):
         trig_sum([math.pi, 0.0], [1.0], 0.0)
 
@@ -157,12 +155,28 @@ def test_quarter_pi_ladder_matches_fsum_oracle():
     xs = np.concatenate([np.linspace(-2.5, 2.5, 41), rng.uniform(-2.5, 2.5, 40)])
     for poly in polys:
         omegas, amps = branch_modes(poly)
-        m = poly.width // 2 - 1
-        for s in range(m + 1):
-            tol = tolerance(omegas, amps, s)
-            got = trig_deriv_eval(poly, xs, s)
-            for x, value in zip(xs, got):
-                assert abs(value - fsum_oracle(omegas, amps, x, s)) <= tol, (m, s, x)
+        tol = tolerance(omegas, amps, 0)
+        for x, value in zip(xs, poly(xs)):
+            assert abs(value - fsum_oracle(omegas, amps, x, 0)) <= tol, (poly.width, x)
+
+
+def test_deriv_rows_match_fsum_oracle():
+    # H's derivatives of orders 0..m at the Hermite endpoints, at z(+-1),
+    # where the build reads H's endpoint data, and inside
+    rng = np.random.default_rng(13)
+    zs = [z_profile(1.0, "left", 0)[0], z_profile(-1.0, "right", 0)[0]]
+    ys = [-1.0, 1.0] + zs + [0.0, 0.3, -0.71] + rng.uniform(-2.5, 2.5, 5).tolist()
+    for m in (1, 4, 8, 12):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            poly = hermite_endpoint(rng.normal(size=m + 1), rng.normal(size=m + 1))
+        omegas, amps = branch_modes(poly)
+        for y in ys:
+            got = (deriv_rows(omegas, y, m) @ np.array(amps)).real
+            assert got.shape == (m + 1,)
+            for s in range(m + 1):
+                tol = 1e-13 * math.fsum(abs(c) * abs(w) ** s for w, c in zip(omegas, amps))
+                assert abs(got[s] - fsum_oracle(omegas, amps, y, s)) <= tol, (m, s, y)
 
 
 @pytest.mark.parametrize("m", [1, 4, 8, 12])
@@ -204,16 +218,19 @@ def pi_ladder_branch(terms, seed):
 @pytest.mark.parametrize("terms", [12, 13, 80, 512])
 @pytest.mark.parametrize("deriv", [0, 2])
 def test_pi_ladder_matches_fsum_oracle_on_both_sides_of_the_table(terms, deriv):
-    # up to D + 1 = 12 terms by Horner, from 13 on by the Taylor table
+    # up to D + 1 = 12 terms by Horner, from 13 on by the Taylor table; the
+    # amplitudes (i omega)^deriv c, those of the sum's deriv-th derivative,
+    # weight the top modes up to (512 pi)^2 times the others
     rng = np.random.default_rng(terms)
     signs = rng.choice([-1, 1], terms)
     omegas = np.concatenate([[0.0], np.arange(1, terms + 1) * math.pi * signs])
     amps = rng.normal(size=terms + 1) + 1j * rng.normal(size=terms + 1)
-    plan = network._trig_plan(omegas, amps, deriv)
+    weighted = amps * (1j * omegas) ** deriv
+    plan = network._trig_plan(omegas, weighted)
     assert (plan[2] is not None) == (terms > 12)
     xs = np.concatenate([np.linspace(-2.5, 2.5, 41), rng.uniform(-2.5, 2.5, 40)])
     tol = tolerance(omegas, amps, deriv)
-    got = trig_sum(omegas, amps, xs, deriv)
+    got = trig_sum(omegas, weighted, xs)
     for x, value in zip(xs, got):
         assert abs(value - fsum_oracle(omegas, amps, x, deriv)) <= tol, (terms, x)
 
