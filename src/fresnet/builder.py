@@ -19,7 +19,7 @@ builder degenerates to the one-layer shallow network.
 
 from __future__ import annotations
 
-import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -54,12 +54,15 @@ class BuildSpec:
     quad: QuadratureConfig = field(default=DEFAULT_QUAD)
 
     def __post_init__(self):
-        if self.m < 1:
-            raise ValueError("m must be >= 1")
-        if self.half_modes < 0:
-            raise ValueError("half_modes must be >= 0")
-        if self.depth < 2:
-            raise ValueError("depth must be >= 2")
+        for name, low in (("m", 1), ("half_modes", 0), ("depth", 2)):
+            value = getattr(self, name)
+            # bool is an Integral, but True is no order, mode count or depth
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+            if value < low:
+                raise ValueError(f"{name} must be >= {low}")
+            # a fixed-width numpy integer would overflow in the build's sizes
+            object.__setattr__(self, name, int(value))
 
 
 @dataclass(frozen=True)
@@ -141,19 +144,3 @@ def component_views(spec: BuildSpec) -> ComponentViews:
 
 def build_piecewise_net(spec: BuildSpec) -> FourierResNet:
     return component_views(spec).net
-
-
-def suggested_architecture(eps: float, m: int, c: float = 1.0):
-    """(depth, width) sufficient for accuracy eps under the rate bound.
-
-    Inverts c (2^{-L/2} + W^{-m+1/2}) <= eps termwise: logarithmic depth,
-    algebraic width.  ``c`` is the (target-dependent) rate constant; this
-    is a documented formula, not an optimizer.
-    """
-    if eps <= 0:
-        raise ValueError("eps must be positive")
-    if m < 1:
-        raise ValueError("m must be >= 1")
-    depth = max(2, math.ceil(2 * math.log2(2 * c / eps)))
-    width = math.ceil((2 * c / eps) ** (1.0 / (m - 0.5)))
-    return depth, width

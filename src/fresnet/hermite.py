@@ -6,11 +6,14 @@ Builds the 2(m+1)-term trigonometric polynomial
 
 matching prescribed derivative values H^{(s)}(-1) and H^{(s)}(1) for
 0 <= s <= m.  The coefficients solve a dense complex linear system with
-one row per derivative constraint; the system is uniquely solvable, so a
-singular solve indicates a numerical problem and is reported with a
-condition estimate.  The matrix and its condition estimate depend on m
-alone, so a process builds them once per order; the warning for a badly
-conditioned system and the solve come with every call.
+one row per derivative constraint.  The matrix depends on m alone, so a
+process builds it once per order.  Each solve has one verdict: its
+coefficients c are returned only if every row meets the componentwise
+backward-error test |M c - rhs| <= RESIDUAL_BOUND (|M| |c| + |rhs|)
+(Oettli & Prager, 1964), and otherwise, or on a singular solve,
+:class:`HermiteSolveError` is raised.  A row of |M| |c| is
+sum_k |c_k| |omega_k|^s, the size of the terms that H^{(s)} sums, so each
+condition is held to what rounding can reach; non-finite data fails.
 
 H is returned as a :class:`fresnet.network.Branch`, the type every
 trigonometric polynomial of a network has: one real entry per complex
@@ -23,7 +26,6 @@ is those rows at y = -1 and y = +1.
 
 from __future__ import annotations
 
-import warnings
 from functools import lru_cache
 
 import numpy as np
@@ -31,12 +33,12 @@ import numpy as np
 from . import jets
 from .network import Branch, branch_from_modes
 
-#: Warn when the interpolation system is estimated worse-conditioned than this.
-CONDITION_WARN_THRESHOLD = 1e10
+#: Largest componentwise backward error a solve may leave in any row.
+RESIDUAL_BOUND = 1e-8
 
 
 class HermiteSolveError(RuntimeError):
-    """Raised when the interpolation system cannot be solved."""
+    """Raised when the interpolation system cannot be solved accurately."""
 
 
 def hermite_endpoint(alphas, betas) -> Branch:
@@ -48,37 +50,34 @@ def hermite_endpoint(alphas, betas) -> Branch:
     m = alphas.size - 1
     if m > jets.MAX_ORDER:
         raise ValueError(f"order {m} exceeds maximum supported order {jets.MAX_ORDER}")
-    matrix, omegas, cond = _hermite_system(m)
-    if cond > CONDITION_WARN_THRESHOLD:
-        warnings.warn(
-            f"Hermite interpolation system badly conditioned (cond ~ {cond:.2e}); "
-            "results may lose accuracy",
-            RuntimeWarning,
-            stacklevel=2,
-        )
+    matrix, omegas = _hermite_system(m)
     rhs = np.concatenate([alphas, betas])
     try:
         coeffs = np.linalg.solve(matrix, rhs)
     except np.linalg.LinAlgError as exc:
+        raise HermiteSolveError(f"singular order-{m} interpolation system") from exc
+    # a product, not a quotient: all-zero data passes (0 <= 0), NaN fails
+    residual = np.abs(matrix @ coeffs - rhs)
+    scale = np.abs(matrix) @ np.abs(coeffs) + np.abs(rhs)
+    if not np.all(residual <= RESIDUAL_BOUND * scale):
         raise HermiteSolveError(
-            f"singular interpolation system (cond ~ {cond:.2e})"
-        ) from exc
+            f"order-{m} interpolation solve leaves a scaled residual above {RESIDUAL_BOUND:g}"
+        )
     return branch_from_modes(coeffs, omegas)
 
 
 @lru_cache(maxsize=jets.MAX_ORDER + 1)
 def _hermite_system(m: int):
-    """(matrix, omegas, cond) of the order-m interpolation system, read-only.
+    """(matrix, omegas) of the order-m interpolation system, read-only.
 
-    They depend on m alone, so a process builds each order's system and
-    condition estimate once: rows s = 0..m are the derivative conditions
-    at -1, rows m+1..2m+1 those at +1.
+    They depend on m alone, so a process builds each order's system once:
+    rows s = 0..m are the derivative conditions at -1, rows m+1..2m+1
+    those at +1.
     """
     omegas = (2 * np.arange(-(m + 1), m + 1) + 1) * np.pi / 4.0
     matrix = np.concatenate([deriv_rows(omegas, -1.0, m), deriv_rows(omegas, 1.0, m)])
-    cond = np.linalg.cond(matrix)
     matrix.flags.writeable = omegas.flags.writeable = False
-    return matrix, omegas, cond
+    return matrix, omegas
 
 
 def deriv_rows(omegas, y, m: int) -> np.ndarray:

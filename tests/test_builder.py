@@ -1,4 +1,4 @@
-"""Full assembly: wiring identities, error split, architecture formula."""
+"""Full assembly: wiring identities, error split, spec validation."""
 
 import math
 
@@ -6,12 +6,7 @@ import numpy as np
 import pytest
 
 from fresnet import network
-from fresnet.builder import (
-    BuildSpec,
-    build_piecewise_net,
-    component_views,
-    suggested_architecture,
-)
+from fresnet.builder import BuildSpec, build_piecewise_net, component_views
 from fresnet.jump import q_derivs_at, q_eval
 from fresnet.metrics import lp_error
 from fresnet.network import Branch
@@ -118,28 +113,28 @@ def test_neuron_count_formula():
         assert network.neuron_count(net) == depth + 2 * k + 1 + 4 * (m + 1)
 
 
-def test_suggested_architecture():
-    depth, width = suggested_architecture(1e-3, 2)
-    assert depth >= 2 and width >= 1
-    # halving eps never shrinks the suggestion
-    d2, w2 = suggested_architecture(5e-4, 2)
-    assert d2 >= depth and w2 >= width
-    # frozen value: eps = 2^-8, c = 1, m = 2 -> depth = 2*log2(2^9) = 18
-    assert suggested_architecture(2.0**-8, 2)[0] == 18
-    with pytest.raises(ValueError):
-        suggested_architecture(0.0, 2)
-    with pytest.raises(ValueError):
-        suggested_architecture(1e-3, 0)
-
-
 def test_build_spec_validation():
     t = target_lookup("hat")
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="m must be >= 1"):
         BuildSpec(t, 0, 4, 5)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="half_modes must be >= 0"):
         BuildSpec(t, 1, -1, 5)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="depth must be >= 2"):
         BuildSpec(t, 1, 4, 1)
+    # a float or a bool is refused by name, not failed deep in the build or
+    # (True) built as m = 1
+    for args, field in (((2, 2.5, 20), "half_modes"), ((2.0, 4, 20), "m"),
+                        ((2, 4, 20.0), "depth"), ((True, 4, 20), "m"),
+                        ((2, False, 20), "half_modes"), ((2, 4, np.float64(20)), "depth"),
+                        ((2, "4", 20), "half_modes")):
+        with pytest.raises(ValueError, match=f"^{field} must be an integer"):
+            BuildSpec(t, *args)
+    # numpy integers are integers, stored as int, so a uint8 K = 200 does not
+    # overflow in the build's sizes and builds the same net
+    spec = BuildSpec(t, np.int64(2), np.uint8(200), np.int32(6))
+    assert [type(v) for v in (spec.m, spec.half_modes, spec.depth)] == [int] * 3
+    assert network.serialize(build_piecewise_net(spec)) == network.serialize(
+        build_piecewise_net(BuildSpec(t, 2, 200, 6)))
 
 
 def test_neuron_count_second_published_size():

@@ -297,6 +297,14 @@ def test_build_prints_published_neuron_count(tmp_path, capsys):
     assert "neurons: 20" in capsys.readouterr().out
 
 
+def test_build_at_the_largest_order_is_quiet(tmp_path, capsys):
+    # pytest turns a warning into an error, so the build must not warn either
+    rc = main(["build", "--target", "pw_smooth", "--m", "12", "--modes", "64",
+               "--depth", "30", "--out", str(tmp_path / "n.json")])
+    assert rc == 0
+    assert capsys.readouterr().err == ""
+
+
 def test_build_order_too_large_names_max_order(tmp_path, capsys):
     rc = main(["build", "--target", "hat", "--m", "13", "--modes", "4",
                "--depth", "5", "--out", str(tmp_path / "n.json")])
