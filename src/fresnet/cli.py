@@ -35,7 +35,7 @@ from .builder import BuildSpec, build_piecewise_net
 from .metrics import _gibbs_profile, lp_error
 from .quadrature import QuadratureConfig
 from .sign import build_sign_net, sign_error_bound, truncated_sign_series
-from .smooth import fourier_coeffs, series_eval
+from .smooth import fourier_coeffs
 from .targets import UnknownTargetError, target_lookup
 
 EXIT_USAGE = 2
@@ -204,10 +204,10 @@ def cmd_convergence(args) -> int:
         n_terms = 41 + w  # parameter count matched to the m = 4 deep network
         t0 = time.perf_counter()
         half = (n_terms - 1) // 2
-        coeffs = fourier_coeffs(target.eval, half)
-        err1, err2 = lp_error(
-            target.eval, lambda x: series_eval(coeffs, x), (1.0, 2.0), quad
+        series = network.branch_from_modes(
+            fourier_coeffs(target.eval, half), np.pi * np.arange(-half, half + 1)
         )
+        err1, err2 = lp_error(target.eval, series, (1.0, 2.0), quad)
         wall = (time.perf_counter() - t0) * 1e3
         lines.append(
             f"fourier_baseline,{target.name},0,{w},0,{n_terms},"

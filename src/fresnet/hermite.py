@@ -13,7 +13,8 @@ backward-error test |M c - rhs| <= RESIDUAL_BOUND (|M| |c| + |rhs|)
 (Oettli & Prager, 1964), and otherwise, or on a singular solve,
 :class:`HermiteSolveError` is raised.  A row of |M| |c| is
 sum_k |c_k| |omega_k|^s, the size of the terms that H^{(s)} sums, so each
-condition is held to what rounding can reach; non-finite data fails.
+condition is held to what rounding can reach; non-finite data, or data
+whose scale overflows, fails.
 
 H is returned as a :class:`fresnet.network.Branch`, the type every
 trigonometric polynomial of a network has: one real entry per complex
@@ -56,10 +57,12 @@ def hermite_endpoint(alphas, betas) -> Branch:
         coeffs = np.linalg.solve(matrix, rhs)
     except np.linalg.LinAlgError as exc:
         raise HermiteSolveError(f"singular order-{m} interpolation system") from exc
-    # a product, not a quotient: all-zero data passes (0 <= 0), NaN fails
-    residual = np.abs(matrix @ coeffs - rhs)
-    scale = np.abs(matrix) @ np.abs(coeffs) + np.abs(rhs)
-    if not np.all(residual <= RESIDUAL_BOUND * scale):
+    # a product, not a quotient: all-zero data passes (0 <= 0), NaN fails,
+    # and so does a scale that overflows, taken without a warning
+    with np.errstate(invalid="ignore", over="ignore"):
+        residual = np.abs(matrix @ coeffs - rhs)
+        scale = np.abs(matrix) @ np.abs(coeffs) + np.abs(rhs)
+    if not np.all((residual <= RESIDUAL_BOUND * scale) & (scale < np.inf)):
         raise HermiteSolveError(
             f"order-{m} interpolation solve leaves a scaled residual above {RESIDUAL_BOUND:g}"
         )

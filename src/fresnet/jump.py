@@ -107,13 +107,16 @@ def build_jump_H(alphas, betas) -> Branch:
         raise ValueError("alphas and betas must be equal-length nonempty vectors")
     m = alphas.size - 1
     endpoint_values = []
-    for side, data in (("left", alphas), ("right", betas)):
-        zs, a = _chain_rule_system(0.0, side, m)
-        rhs = data - zs
-        v = np.zeros(m + 1)
-        for s in range(m + 1):
-            v[s] = (rhs[s] - a[s, :s] @ v[:s]) / a[s, s]
-        endpoint_values.append(v)
+    # non-finite or overflowing data leaves the substitution as inf or NaN,
+    # without a warning, and the Hermite solve refuses it
+    with np.errstate(invalid="ignore", over="ignore"):
+        for side, data in (("left", alphas), ("right", betas)):
+            zs, a = _chain_rule_system(0.0, side, m)
+            rhs = data - zs
+            v = np.zeros(m + 1)
+            for s in range(m + 1):
+                v[s] = (rhs[s] - a[s, :s] @ v[:s]) / a[s, s]
+            endpoint_values.append(v)
     return hermite_endpoint(endpoint_values[0], endpoint_values[1])
 
 

@@ -32,8 +32,8 @@ def lp_error(f, g, p, quad: QuadratureConfig = DEFAULT_QUAD):
     of f and g.
     """
     ps = p if isinstance(p, tuple) else (p,)
-    if any(q <= 0 for q in ps):
-        raise ValueError("p must be positive")
+    if not all(0 < q < np.inf for q in ps):
+        raise ValueError("p must be a finite positive number")
     x, w = nodes_weights(quad)
     diff = np.abs(np.asarray(f(x), dtype=float) - np.asarray(g(x), dtype=float))
     norms = tuple(float(w @ diff**q) ** (1.0 / q) for q in ps)
@@ -62,7 +62,7 @@ def _diagnostic_grid() -> np.ndarray:
 
 
 def _support_width(grid, f_vals, approx_vals, threshold: float) -> float:
-    if threshold <= 0:
+    if not threshold > 0:
         raise ValueError("threshold must be positive")
     err = np.abs(np.asarray(f_vals, dtype=float) - np.asarray(approx_vals, dtype=float))
     exceed = np.abs(grid)[err > threshold]
@@ -70,7 +70,7 @@ def _support_width(grid, f_vals, approx_vals, threshold: float) -> float:
 
 
 def _overshoot(approx_vals, lo: float, hi: float) -> float:
-    if lo >= hi:
+    if not lo < hi:
         raise ValueError("lo must be < hi")
     vals = np.asarray(approx_vals, dtype=float)
     return float(max(0.0, vals.max() - hi, lo - vals.min()))

@@ -17,39 +17,37 @@ entry is a constant bias term; it is excluded from :func:`neuron_count` so
 that neuron totals match the L + W + 1 + 4(m+1) accounting of the deep
 piecewise construction.
 
-Every branch, and every other trigonometric sum in the package, is
-evaluated by one kernel, :func:`trig_sum`, which sums values only (H's
-derivatives at a point are one small product of its modes, see
-:func:`fresnet.hermite.deriv_rows`).  It folds each mode onto a
-nonnegative frequency and merges duplicates, then sums each part by the
-cheapest rule that keeps it exact to rounding:
+Every trigonometric sum in the package is a :class:`Branch`, evaluated by
+one kernel: the branch's plan, built on its first call and kept, and
+:func:`_trig_apply`.  The kernel sums values only (H's derivatives at a
+point are one small product of its modes, see
+:func:`fresnet.hermite.deriv_rows`).  The plan folds each mode onto a
+nonnegative frequency and merges duplicates, then sums each part by one
+rule that keeps it exact to rounding:
 
 * Modes at exact multiples k pi (the spectral modes) form the pi ladder
-  c_1..c_K; the constant c_0 is added as its real part.  A ladder of at
-  most D + 1 = 12 terms is summed as Re z sum_k c_k z^(k-1) by complex
-  Horner in z = e^{i pi x}.  A longer one is summed from a Taylor table
-  (after Anderson & Dahleh, SIAM J. Sci. Comput. 17(4), 1996): the sum has
-  period 2, so the plan tabulates it and its first D = 11 derivatives at
-  the M = 16K nodes x_j = 2j/M of one period by one batched inverse real
-  FFT of D + 1 half spectra, and a point takes D real Horner steps in its
-  offset from the nearest node.
+  c_1..c_K; the constant c_0 is added as its real part.  The ladder is
+  summed from a Taylor table (after Anderson & Dahleh, SIAM J. Sci.
+  Comput. 17(4), 1996): the sum has period 2, so the plan tabulates it and
+  its first D = 11 derivatives at the M = 16K nodes x_j = 2j/M of one
+  period by one batched inverse real FFT of D + 1 half spectra, and a
+  point takes D real Horner steps in its offset from the nearest node.
 * Modes at exact odd multiples (2j+1) pi/4 (the m+1 distinct Hermite
   frequencies of H and H_r) form the quarter-pi ladder c_0..c_m, summed
-  as Re u sum_j c_j w^j with u = e^{i pi x/4} and w = u^2.
+  as Re u sum_j c_j w^j by complex Horner in w = u^2, u = e^{i pi x/4}.
 * Every other mode is a dense term (pi/2 in the first sign layer, the
   sin(x) neuron), and so is each mode of a ladder with a single nonzero
   frequency (the sign stack's h, at pi).  Dense terms are summed one
   frequency at a time, in a fixed order, computing only the sine or cosine
   whose amplitude is nonzero.
 
-A Horner ladder costs one complex exp per point and one complex multiply
-per mode and point, instead of a sine and a cosine per point and mode; for
-a single frequency the dense term is no dearer.  The Taylor table costs
-O(K log K) once per plan, and then a gather and D real multiply-adds per
-point whatever K is: the Horner steps it replaces outnumber the Taylor
-steps.  So the spectral layer costs one table lookup and one complex exp
-per point, the jump layer one complex exp, and sin(pi v)/pi, sin(pi x/2)
-and sin(x) one real sine each.
+The Taylor table costs O(K log K) once per plan, and then a gather and D
+real multiply-adds per point whatever K is.  The Horner ladder costs one
+complex exp per point and one complex multiply per mode and point,
+instead of a sine and a cosine per point and mode; for a single frequency
+the dense term is no dearer.  So the spectral layer costs one table
+lookup and one complex exp per point, the jump layer one complex exp, and
+sin(pi v)/pi, sin(pi x/2) and sin(x) one real sine each.
 
 Horner steps multiply into a second buffer rather than in place: numpy's
 in-place complex multiply rounds a length-1 array differently from a
@@ -95,7 +93,7 @@ from typing import Optional
 
 import numpy as np
 
-#: Points per block in which :func:`trig_sum` evaluates its parts and the
+#: Points per block in which :func:`_trig_apply` evaluates its parts and the
 #: forward pass its layers, so the Horner state (16 B per point) stays
 #: cache-sized.  Every point is summed in the same order whatever its
 #: block, so chunking changes no bit.
@@ -181,15 +179,6 @@ class FourierResNet:
         return len(self.layers)
 
 
-def trig_sum(omegas, amps, x):
-    """Re sum_j amps_j e^{i omegas_j x} at scalar or array x.
-
-    ``omegas`` are real frequencies of any sign and ``amps`` complex
-    amplitudes; the result has the shape of ``x``.
-    """
-    return _trig_apply(_trig_plan(omegas, amps), x)
-
-
 def _branch_modes(branch: Branch):
     """(freqs, amps): one complex mode per entry, amplitude b - ia, since
     a sin(wt) + b cos(wt) == Re((b - ia) e^{iwt}).  Built without
@@ -201,15 +190,10 @@ def _branch_modes(branch: Branch):
 
 
 def _trig_plan(omegas, amps):
-    """Fold the modes onto nonnegative, distinct frequencies and split them
-    into the constant, the pi ladder (as Horner coefficients or as its
-    Taylor table), the quarter-pi ladder and the dense terms (see the
-    module docstring), with the power of two (see :data:`TINY_EXP`) by
-    which all are scaled."""
-    omegas = np.asarray(omegas, dtype=float).ravel()
-    amps = np.asarray(amps, dtype=complex).ravel()
-    if omegas.shape != amps.shape:
-        raise ValueError(f"{omegas.size} frequencies but {amps.size} amplitudes")
+    """Fold a branch's modes onto nonnegative, distinct frequencies and
+    split them into the constant, the pi ladder's Taylor table, the
+    quarter-pi ladder and the dense terms (see the module docstring), with
+    the power of two (see :data:`TINY_EXP`) by which all are scaled."""
     top = np.abs(amps).max(initial=0.0)
     shift = TINY_SHIFT if 0 < top < 2.0 ** -TINY_EXP else 0
     if shift:
@@ -217,12 +201,12 @@ def _trig_plan(omegas, amps):
     # Re(c e^{-iwx}) == Re(conj(c) e^{iwx})
     amps = np.where(omegas < 0, amps.conj(), amps)
     omegas = np.abs(omegas)
-    # grid[q] sums the modes at exactly q pi/4, up to 2n pi: Horner takes
-    # one step per multiple, and the Taylor table holds 16 nodes per
-    # multiple, so a ladder's time and memory grow with its top multiple.
-    # Capped at 2n pi, they stay O(n) per point and per plan; higher
-    # multiples (the builder makes none; a loaded file may) are cheaper as
-    # dense terms
+    # grid[q] sums the modes at exactly q pi/4, up to 2n pi: the Taylor
+    # table holds 16 nodes per multiple of pi, and Horner takes one step per
+    # odd multiple of pi/4, so a ladder's time and memory grow with its top
+    # multiple.  Capped at 2n pi, they stay O(n) per point and per plan;
+    # higher multiples (the builder makes none; a loaded file may) are
+    # cheaper as dense terms
     quarters = np.rint(omegas / (np.pi / 4))
     on = (quarters * (np.pi / 4) == omegas) & (quarters <= 8 * omegas.size)
     q = quarters[on].astype(int)
@@ -237,7 +221,7 @@ def _trig_plan(omegas, amps):
     for start, step in ((4, 4), (1, 2)):
         nonzero = grid[start::step].nonzero()[0]
         # a single frequency costs a sine and a cosine at most, no more
-        # than the ladder's complex exp
+        # than a table lookup or a complex exp
         if nonzero.size < 2:
             ladders.append([])
             continue
@@ -253,11 +237,9 @@ def _trig_plan(omegas, amps):
     # is dropped, and one with a or b zero computes only the other's trig
     terms = [(w, a, b) for w, a, b in zip(freqs.tolist(), (-merged.imag).tolist(),
                                           merged.real.tolist()) if a or b]
-    pi_ladder, pi_table = ladders[0], None
-    # the table pays off once Horner would take more steps than Taylor
-    if len(pi_ladder) > _TAYLOR_STEPS + 1:
-        pi_ladder, pi_table = [], _taylor_table(pi_ladder)
-    return bias, pi_ladder, pi_table, ladders[1], terms, shift
+    pi_ladder, quarter_ladder = ladders
+    pi_table = _taylor_table(pi_ladder) if pi_ladder else None
+    return bias, pi_table, quarter_ladder, terms, shift
 
 
 def _merge(index, amps, size: int):
@@ -328,21 +310,18 @@ def _horner(coeffs, z):
 
 
 def _trig_apply(plan, x):
-    bias, pi_ladder, pi_table, quarter_ladder, terms, shift = plan
+    bias, pi_table, quarter_ladder, terms, shift = plan
     x = np.asarray(x, dtype=float)
     flat = x.ravel()
     out = np.full(flat.size, bias)
     # an infinite x gives NaN, silently, in every part: fmod(+-inf, 2) in
-    # the table, exp in the ladders, sin and cos in the dense terms
+    # the table, exp in the quarter-pi ladder, sin and cos in the dense terms
     with np.errstate(invalid="ignore"):
         for lo in range(0, flat.size, TRIG_CHUNK):
             xc = flat[lo:lo + TRIG_CHUNK]
             oc = out[lo:lo + TRIG_CHUNK]
             if pi_table is not None:
                 oc += _taylor(pi_table, xc)
-            if pi_ladder:
-                z = np.exp(1j * np.pi * xc)
-                oc += (z * _horner(pi_ladder, z)).real
             if quarter_ladder:
                 u = np.exp(1j * (np.pi / 4) * xc)
                 oc += (u * _horner(quarter_ladder, u * u)).real

@@ -33,8 +33,8 @@ def build_sign_net(depth: int) -> FourierResNet:
 
 def sign_error_bound(ell: int, p: float) -> float:
     """L^p error bound (4/p)^{1/p} 2^{-ell/p} for the depth-``ell`` iterate."""
-    if p <= 0:
-        raise ValueError("p must be positive")
+    if not 0 < p < math.inf:
+        raise ValueError("p must be a finite positive number")
     if ell < 1:
         raise ValueError("ell must be >= 1")
     return (4.0 / p) ** (1.0 / p) * 2.0 ** (-ell / p)

@@ -29,7 +29,7 @@ from __future__ import annotations
 import numpy as np
 
 from .hermite import hermite_endpoint
-from .network import Branch, _branch_modes, branch_from_modes, trig_sum
+from .network import Branch, _branch_modes, branch_from_modes
 from .quadrature import build_rule, nodes_weights
 
 
@@ -56,12 +56,6 @@ def fourier_coeffs(g, half_modes: int) -> np.ndarray:
     c = np.einsum("kj,kj->k", phase, spectrum[ks % panels])
     c[0] = c[0].real
     return np.concatenate([c[:0:-1].conj(), c])
-
-
-def series_eval(coeffs: np.ndarray, x):
-    """Real part of the symmetric Fourier sum with the given k = -K..K coefficients."""
-    half = (len(coeffs) - 1) // 2
-    return trig_sum(np.pi * np.arange(-half, half + 1), coeffs, x)
 
 
 def build_smooth_branch(

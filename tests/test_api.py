@@ -1,5 +1,7 @@
 """Top-level API: exactly the documented names, and a README quick start that runs."""
 
+import importlib
+import pkgutil
 import re
 from pathlib import Path
 
@@ -50,3 +52,16 @@ def test_readme_quick_start_runs_from_the_top_level():
     namespace = {}
     exec(code, namespace)
     assert 0 < namespace["err"] < 2e-3
+
+
+def test_readme_cites_only_names_that_exist():
+    # `fresnet.<module>.<name>`, or `<module>.<name>` for a submodule of
+    # fresnet (not `math.fsum` or `json.loads`)
+    text = README.read_text(encoding="utf-8")
+    modules = {info.name for info in pkgutil.iter_modules(fresnet.__path__)}
+    cited = set(re.findall(r"fresnet\.([a-z_]+)\.([A-Za-z_]\w*)", text))
+    cited |= {(mod, name) for mod, name in re.findall(r"`([a-z_]+)\.([A-Za-z_]\w*)`", text)
+              if mod in modules}
+    assert len(cited) >= 10
+    for mod, name in sorted(cited):
+        assert hasattr(importlib.import_module(f"fresnet.{mod}"), name), f"{mod}.{name}"

@@ -1,6 +1,8 @@
 """Constants a build computes once: per-order systems, the sin(x) neuron, and
 the call budget of one ``convergence`` cell, counted rather than timed."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -29,6 +31,25 @@ def test_non_finite_data_is_refused(bad):
         alphas[-1] = bad
         with pytest.raises(HermiteSolveError, match="scaled residual"):
             hermite_endpoint(alphas, np.zeros(m + 1))
+
+
+@pytest.mark.parametrize("alphas", [[np.inf, 1.0, 2.0], [-np.inf, 1.0, 2.0],
+                                    [1.0, 1e308, 1e308]])
+def test_non_finite_or_overflowing_jump_data_is_refused_quietly(alphas):
+    # the Bell substitution turns such data into inf or NaN; the Hermite
+    # solve refuses it, and neither step warns
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(HermiteSolveError, match="scaled residual"):
+            jump.build_jump_H(alphas, np.zeros(3))
+
+
+def test_overflowing_scale_is_refused_quietly():
+    # the solve's coefficients are finite, but M c and |M| |c| overflow
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(HermiteSolveError, match="scaled residual"):
+            hermite_endpoint([1e308, 0.0, 0.0], [0.0, 0.0, 0.0])
 
 
 def test_singular_solve_is_refused(monkeypatch):

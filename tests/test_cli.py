@@ -187,6 +187,23 @@ def test_gibbs_unsorted_depths_rejected(tmp_path):
     assert rc == EXIT_ASSERTION
 
 
+@pytest.mark.parametrize("p", ["nan", "inf"])
+def test_sign_convergence_refuses_a_non_finite_p(p, tmp_path, capsys):
+    out = tmp_path / "conv.csv"
+    rc = main(["sign-convergence", "--max-depth", "3", "--p", p, "--out", str(out)])
+    assert rc == EXIT_USAGE
+    assert "finite positive" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_gibbs_refuses_a_nan_threshold(tmp_path):
+    out = tmp_path / "g.csv"
+    rc = main(["gibbs", "--target", "pw_smooth", "--m", "1", "--modes", "5",
+               "--depths", "3,4", "--threshold", "nan", "--out", str(out)])
+    assert rc == EXIT_USAGE
+    assert not out.exists()
+
+
 def test_float_formatting_round_trips(tmp_path):
     out = tmp_path / "vals.csv"
     net_path = tmp_path / "net.json"

@@ -2,8 +2,8 @@
 
 ``network._forward`` evaluates the flattened input in blocks, each in
 increasing order of x, and iterates a run of identical width-1 layers only
-on the points whose bits still change; ``trig_sum`` evaluates in chunks
-over the flattened input.  None of these may change a single output bit.
+on the points whose bits still change; a branch evaluates in chunks over
+the flattened input.  None of these may change a single output bit.
 """
 
 import math
@@ -14,7 +14,8 @@ import pytest
 
 from fresnet import network
 from fresnet.builder import BuildSpec, build_piecewise_net
-from fresnet.network import Branch, FourierResNet, Layer, eval_grid, eval_prefix, trig_sum
+from fresnet.network import (Branch, FourierResNet, Layer, branch_from_modes, eval_grid,
+                             eval_prefix)
 from fresnet.sign import build_sign_net
 from fresnet.targets import target_lookup
 from oracles import forward_plain
@@ -183,9 +184,8 @@ def test_nd_input_equals_flat_result_reshaped(built_net):
                          eval_prefix(built_net, flat, 7).reshape(shape))
     last = built_net.layers[-1].h_branch
     assert_same_bits(last(flat.reshape(200, 100)), last(flat).reshape(200, 100))
-    omegas, amps = [0.5, -1.3, 2.0 * math.pi, 0.25], [1.0, 0.5j, 0.3 - 0.1j, 2.0]
-    assert_same_bits(trig_sum(omegas, amps, flat.reshape(400, 50)),
-                     trig_sum(omegas, amps, flat).reshape(400, 50))
+    br = branch_from_modes([1.0, 0.5j, 0.3 - 0.1j, 2.0], [0.5, -1.3, 2.0 * math.pi, 0.25])
+    assert_same_bits(br(flat.reshape(400, 50)), br(flat).reshape(400, 50))
 
 
 def test_chunking_keeps_the_bits_of_one_block():
@@ -195,10 +195,10 @@ def test_chunking_keeps_the_bits_of_one_block():
     xs = np.random.default_rng(6).uniform(-1.0, 1.0, n)
     omegas = np.concatenate([np.arange(-40, 41) * math.pi, [0.5, 1.0, 2.25, -0.75]])
     amps = np.random.default_rng(7).normal(size=omegas.size) * (1 + 0.5j)
-    whole = trig_sum(omegas, amps, xs)
+    br = branch_from_modes(amps, omegas)
+    whole = br(xs)
     for lo in range(0, n, network.TRIG_CHUNK):
-        assert_same_bits(whole[lo:lo + network.TRIG_CHUNK],
-                         trig_sum(omegas, amps, xs[lo:lo + network.TRIG_CHUNK]))
+        assert_same_bits(whole[lo:lo + network.TRIG_CHUNK], br(xs[lo:lo + network.TRIG_CHUNK]))
 
 
 def test_million_point_eval_memory():

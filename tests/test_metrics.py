@@ -69,6 +69,9 @@ def test_gibbs_support_width():
     assert gibbs_support_width(f, f, 0.5) == 0.0
     with pytest.raises(ValueError):
         gibbs_support_width(f, f, 0.0)
+    # nan passes a test of threshold <= 0, and every width would read 0
+    with pytest.raises(ValueError):
+        gibbs_support_width(f, f, math.nan)
 
 
 def test_max_overshoot():
@@ -80,6 +83,9 @@ def test_max_overshoot():
     assert max_overshoot(low, -1.0, 1.0) == pytest.approx(0.5, rel=1e-12)
     with pytest.raises(ValueError):
         max_overshoot(inside, 1.0, -1.0)
+    for lo, hi in ((math.nan, 1.0), (-1.0, math.nan)):
+        with pytest.raises(ValueError):
+            max_overshoot(inside, lo, hi)
 
 
 def test_lp_error_validation():
@@ -87,6 +93,10 @@ def test_lp_error_validation():
         lp_error(lambda x: x, lambda x: x, 0.0)
     with pytest.raises(ValueError):
         lp_error(lambda x: x, lambda x: x, (1.0, 0.0))
+    # nan passes a test of p <= 0, and inf would give 1.0 for every error
+    for bad in (math.nan, math.inf, -math.inf, (1.0, math.nan), (math.inf, 2.0)):
+        with pytest.raises(ValueError, match="finite positive"):
+            lp_error(lambda x: x, lambda x: 0 * x, bad)
 
 
 def test_lp_error_tuple_of_exponents_evaluates_once():

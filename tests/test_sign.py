@@ -75,6 +75,9 @@ def test_error_bound_frozen_values():
         sign_error_bound(0, 1.0)
     with pytest.raises(ValueError):
         sign_error_bound(1, 0.0)
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="finite positive"):
+            sign_error_bound(1, bad)
 
 
 def test_truncated_series_frozen_partial_sum():

@@ -8,9 +8,9 @@ import pytest
 
 from fresnet.builder import BuildSpec, build_piecewise_net
 from fresnet.hermite import deriv_rows
-from fresnet.network import _branch_modes, eval_grid
+from fresnet.network import _branch_modes, branch_from_modes, eval_grid
 from fresnet.quadrature import build_rule, nodes_weights
-from fresnet.smooth import build_smooth_branch, fourier_coeffs, series_eval
+from fresnet.smooth import build_smooth_branch, fourier_coeffs
 from fresnet.targets import target_lookup
 
 from oracles import fourier_coeffs_dense
@@ -39,13 +39,19 @@ def test_coeffs_of_identity_closed_form():
     assert c == pytest.approx(expect, abs=1e-13)
 
 
-def test_series_eval_inverts_coefficients():
+def series(coeffs):
+    """The symmetric Fourier sum with the k = -K..K coefficients, as a branch."""
+    half = (len(coeffs) - 1) // 2
+    return branch_from_modes(coeffs, np.pi * np.arange(-half, half + 1))
+
+
+def test_series_branch_inverts_coefficients():
     rng = np.random.default_rng(2)
     half = 6
     coeffs = rng.normal(size=2 * half + 1) + 1j * rng.normal(size=2 * half + 1)
     # make the sum real: c_{-k} = conj(c_k)
     coeffs = coeffs + np.conj(coeffs[::-1])
-    got = fourier_coeffs(lambda x: series_eval(coeffs, x), half)
+    got = fourier_coeffs(series(coeffs), half)
     assert got == pytest.approx(coeffs, abs=1e-12)
 
 
@@ -56,7 +62,7 @@ def test_build_rule_recovers_trig_polynomials(half):
     rng = np.random.default_rng(half)
     coeffs = rng.normal(size=2 * half + 1) + 1j * rng.normal(size=2 * half + 1)
     coeffs = coeffs + np.conj(coeffs[::-1])
-    got = fourier_coeffs(lambda x: series_eval(coeffs, x), half)
+    got = fourier_coeffs(series(coeffs), half)
     assert np.max(np.abs(got - coeffs)) <= 1e-12
 
 
@@ -73,7 +79,7 @@ def test_branch_matches_hermite_plus_series():
     hp = hermite_endpoint(minus, plus)
     ghat = fourier_coeffs(lambda x: t.eval(x) - hp(x), half)
     xs = np.linspace(-1, 1, 101)
-    expect = hp(xs) + series_eval(ghat, xs)
+    expect = hp(xs) + series(ghat)(xs)
     assert br(xs) == pytest.approx(expect, abs=1e-12)
 
 

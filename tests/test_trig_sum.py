@@ -14,7 +14,7 @@ from fresnet import network
 from fresnet.builder import BuildSpec, build_piecewise_net
 from fresnet.hermite import deriv_rows, hermite_endpoint
 from fresnet.jump import z_profile
-from fresnet.network import Branch, eval_grid, eval_prefix, trig_sum
+from fresnet.network import Branch, branch_from_modes, eval_grid, eval_prefix
 from fresnet.targets import target_lookup
 from oracles import branch_modes, taylor_table_per_order
 
@@ -61,11 +61,12 @@ def test_kernel_matches_fsum_oracle(mode_list, xs):
     omegas = [w for w, _ in mode_list]
     amps = [c for _, c in mode_list]
     tol = tolerance(omegas, amps, 0)
-    got = trig_sum(omegas, amps, np.array(xs))
+    br = branch_from_modes(amps, omegas)
+    got = br(np.array(xs))
     assert got.shape == (len(xs),)
     for x, value in zip(xs, got):
         assert abs(value - fsum_oracle(omegas, amps, x, 0)) <= tol
-        scalar = trig_sum(omegas, amps, x)
+        scalar = br(x)
         assert np.ndim(scalar) == 0
         assert abs(scalar - fsum_oracle(omegas, amps, x, 0)) <= tol
 
@@ -73,16 +74,16 @@ def test_kernel_matches_fsum_oracle(mode_list, xs):
 def test_subnormal_amplitudes_keep_their_digits():
     # unscaled, every product rounds to the absolute 5e-324 grid and the
     # first sum comes out as -1e-323
-    assert trig_sum([2 * math.pi], [5e-324j], 0.25) == -5e-324
+    assert branch_from_modes([5e-324j], [2 * math.pi])(0.25) == -5e-324
     want = fsum_oracle([math.pi, 0.75], [2.2250738585e-313j, 3e-320], 1.0625, 0)
-    assert trig_sum([math.pi, 0.75], [2.2250738585e-313j, 3e-320], 1.0625) == want
+    assert branch_from_modes([2.2250738585e-313j, 3e-320], [math.pi, 0.75])(1.0625) == want
 
 
 def test_kernel_keeps_the_shape_of_x():
     xs = np.linspace(-2, 2, 12).reshape(3, 4)
-    got = trig_sum([0.0, math.pi, -2 * math.pi, 0.75], [1, 2j, 1 - 1j, 0.5], xs)
+    got = branch_from_modes([1, 2j, 1 - 1j, 0.5], [0.0, math.pi, -2 * math.pi, 0.75])(xs)
     assert got.shape == (3, 4)
-    assert trig_sum([], [], xs).shape == (3, 4)
+    assert branch_from_modes([], [])(xs).shape == (3, 4)
 
 
 def test_lone_high_multiple_of_pi():
@@ -90,13 +91,13 @@ def test_lone_high_multiple_of_pi():
     # summed correctly (as one dense term).
     w = 1e6 * math.pi
     for x in (0.3, -1.7):
-        assert trig_sum([w], [0.5 - 2j], x) == pytest.approx(
+        assert branch_from_modes([0.5 - 2j], [w])(x) == pytest.approx(
             fsum_oracle([w], [0.5 - 2j], x, 0), abs=1e-9)
 
 
 def test_bad_arguments_rejected():
     with pytest.raises(ValueError):
-        trig_sum([math.pi, 0.0], [1.0], 0.0)
+        branch_from_modes([1.0], [math.pi, 0.0])
 
 
 def test_branch_matches_its_sin_cos_form():
@@ -208,22 +209,23 @@ def pi_ladder_branch(terms, seed):
                   tuple(rng.uniform(-1, 1, terms + 1)))
 
 
-@pytest.mark.parametrize("terms", [12, 13, 80, 512])
+@pytest.mark.parametrize("terms", [2, 5, 12, 13, 80, 512])
 @pytest.mark.parametrize("deriv", [0, 2])
 def test_pi_ladder_matches_fsum_oracle_on_both_sides_of_the_table(terms, deriv):
-    # up to D + 1 = 12 terms by Horner, from 13 on by the Taylor table; the
-    # amplitudes (i omega)^deriv c, those of the sum's deriv-th derivative,
-    # weight the top modes up to (512 pi)^2 times the others
+    # every ladder of two or more nonzero terms by the Taylor table, on both
+    # sides of its D + 1 = 12 rows; the amplitudes (i omega)^deriv c, those
+    # of the sum's deriv-th derivative, weight the top modes up to
+    # (512 pi)^2 times the others
     rng = np.random.default_rng(terms)
     signs = rng.choice([-1, 1], terms)
     omegas = np.concatenate([[0.0], np.arange(1, terms + 1) * math.pi * signs])
     amps = rng.normal(size=terms + 1) + 1j * rng.normal(size=terms + 1)
     weighted = amps * (1j * omegas) ** deriv
-    plan = network._trig_plan(omegas, weighted)
-    assert (plan[2] is not None) == (terms > 12)
+    br = branch_from_modes(weighted, omegas)
+    assert br._plan[1] is not None
     xs = np.concatenate([np.linspace(-2.5, 2.5, 41), rng.uniform(-2.5, 2.5, 40)])
     tol = tolerance(omegas, amps, deriv)
-    got = trig_sum(omegas, weighted, xs)
+    got = br(xs)
     for x, value in zip(xs, got):
         assert abs(value - fsum_oracle(omegas, amps, x, deriv)) <= tol, (terms, x)
 
@@ -258,8 +260,8 @@ def test_pi_ladder_table_is_periodic_to_the_bit():
 def test_pi_ladder_table_bits_do_not_depend_on_position_far_out():
     rng = np.random.default_rng(23)
     x = rng.uniform(-1e3, 1e3, 3001)
-    for br in (pi_ladder_branch(13, 24), pi_ladder_branch(300, 25)):
-        assert br._plan[2] is not None
+    for br in (pi_ladder_branch(5, 26), pi_ladder_branch(13, 24), pi_ladder_branch(300, 25)):
+        assert br._plan[1] is not None
         full = br(x)
         singles = np.array([br(x[i:i + 1])[0] for i in range(x.size)])
         assert np.array_equal(singles.view(np.int64), full.view(np.int64))
