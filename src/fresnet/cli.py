@@ -138,7 +138,7 @@ def cmd_sign_curves(args) -> int:
 
 def cmd_sign_convergence(args) -> int:
     if args.max_depth < 2:
-        raise _AssertionFailure("max depth must be >= 2")
+        raise ValueError("max depth must be >= 2")
     quad = _quad_from_args(args)
     sgn = target_lookup("sgn")
     lines = ["ell,resnet_error,series_error,bound"]

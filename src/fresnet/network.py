@@ -34,7 +34,9 @@ rule that keeps it exact to rounding:
   point takes D real Horner steps in its offset from the nearest node.
 * Modes at exact odd multiples (2j+1) pi/4 (the m+1 distinct Hermite
   frequencies of H and H_r) form the quarter-pi ladder c_0..c_m, summed
-  as Re u sum_j c_j w^j by complex Horner in w = u^2, u = e^{i pi x/4}.
+  as Re u sum_j c_j w^j by complex Horner in w = u^2, u = e^{i pi x/4};
+  cos(pi x/4) and sin(pi x/4) are written straight into u's real and
+  imaginary halves.
 * Every other mode is a dense term (pi/2 in the first sign layer, the
   sin(x) neuron), and so is each mode of a ladder with a single nonzero
   frequency (the sign stack's h, at pi).  Dense terms are summed one
@@ -43,21 +45,32 @@ rule that keeps it exact to rounding:
 
 The Taylor table costs O(K log K) once per plan, and then a gather and D
 real multiply-adds per point whatever K is.  The Horner ladder costs one
-complex exp per point and one complex multiply per mode and point,
-instead of a sine and a cosine per point and mode; for a single frequency
-the dense term is no dearer.  So the spectral layer costs one table
-lookup and one complex exp per point, the jump layer one complex exp, and
-sin(pi v)/pi, sin(pi x/2) and sin(x) one real sine each.
+cosine and one sine per point and one complex multiply per mode and
+point, instead of a sine and a cosine per point and mode; for a single
+frequency the dense term is no dearer.  So the spectral layer costs one
+table lookup and one cosine-sine pair per point, the jump layer one
+cosine-sine pair, and sin(pi v)/pi, sin(pi x/2) and sin(x) one real sine
+each.
+
+A call computes only the parts its plan has, in a fixed order: table,
+quarter-pi ladder, then each dense term.  The first part's own array
+becomes the sum, the constant is added to it once, and each later part is
+added in place, so every point gets (((c_0 + p_1) + p_2) + ...); a plan
+with no part gives the constant.  A dense term is computed in place on its
+own x w.  Most calls of the forward pass are sign steps on a few hundred
+points or fewer, where these fixed per-call passes cost more than the
+sine itself.
 
 Horner steps multiply into a second buffer rather than in place: numpy's
 in-place complex multiply rounds a length-1 array differently from a
 longer one, and a point's bits must not depend on the call.  The table
-lookup is real arithmetic, rounded the same whatever the array.  All parts
-run over the flattened input in chunks of :data:`TRIG_CHUNK` points, so
-memory is O(chunk) besides the output, and a point's bits do not depend on
-where it sits in the input or on the input's shape: a point evaluated
-alone, in any subset or in the full input gets the same bits.  An
-infinite or NaN x gives NaN in every part, without a floating-point
+lookup is real arithmetic, rounded the same whatever the array.  An input
+of at most :data:`TRIG_CHUNK` points is summed in one pass over the
+flattened input; a longer one chunk by chunk into a preallocated output,
+so working memory is O(chunk) besides the output.  A point's bits do not
+depend on where it sits in the input or on the input's shape: a point
+evaluated alone, in any subset or in the full input gets the same bits.
+An infinite or NaN x gives NaN in every part, without a floating-point
 warning.
 
 The forward pass evaluates only what still changes.  A run of consecutive
@@ -76,7 +89,7 @@ every layer on a block in increasing order of x: one argsort per block
 quadrature nodes), one take, and one scatter of the result back into the
 output.  A point's bits do not depend on its position, so the order
 changes no bit, but neighbouring points then take the same branches of
-sin and exp, touch nearby rows of the Taylor table, and leave the sign
+sin and cos, touch nearby rows of the Taylor table, and leave the sign
 stack's run in contiguous stretches.
 
 Networks are immutable after construction and evaluation is pure, so all
@@ -93,9 +106,9 @@ from typing import Optional
 
 import numpy as np
 
-#: Points per block in which :func:`_trig_apply` evaluates its parts and the
-#: forward pass its layers, so the Horner state (16 B per point) stays
-#: cache-sized.  Every point is summed in the same order whatever its
+#: Points per block in which :func:`_trig_apply` sums its parts and the
+#: forward pass evaluates its layers, so the Horner state (16 B per point)
+#: stays cache-sized.  Every point is summed in the same order whatever its
 #: block, so chunking changes no bit.
 TRIG_CHUNK = 16384
 
@@ -310,34 +323,70 @@ def _horner(coeffs, z):
 
 
 def _trig_apply(plan, x):
-    bias, pi_table, quarter_ladder, terms, shift = plan
     x = np.asarray(x, dtype=float)
     flat = x.ravel()
-    out = np.full(flat.size, bias)
     # an infinite x gives NaN, silently, in every part: fmod(+-inf, 2) in
-    # the table, exp in the quarter-pi ladder, sin and cos in the dense terms
+    # the table, cos and sin in the quarter-pi ladder and the dense terms
     with np.errstate(invalid="ignore"):
-        for lo in range(0, flat.size, TRIG_CHUNK):
-            xc = flat[lo:lo + TRIG_CHUNK]
-            oc = out[lo:lo + TRIG_CHUNK]
-            if pi_table is not None:
-                oc += _taylor(pi_table, xc)
-            if quarter_ladder:
-                u = np.exp(1j * (np.pi / 4) * xc)
-                oc += (u * _horner(quarter_ladder, u * u)).real
-            # one frequency at a time, so a point's sum has a fixed order
-            # (a matrix-vector product's order depends on the row's position)
-            for w, a, b in terms:
-                wx = xc * w
-                if not b:
-                    oc += a * np.sin(wx)
-                elif not a:
-                    oc += b * np.cos(wx)
-                else:
-                    oc += a * np.sin(wx) + b * np.cos(wx)
-            if shift:
-                np.ldexp(oc, -shift, out=oc)
+        if flat.size <= TRIG_CHUNK:
+            out = _trig_sum(plan, flat)
+        else:
+            out = np.empty(flat.size)
+            for lo in range(0, flat.size, TRIG_CHUNK):
+                out[lo:lo + TRIG_CHUNK] = _trig_sum(plan, flat[lo:lo + TRIG_CHUNK])
     return out[0] if x.ndim == 0 else out.reshape(x.shape)
+
+
+def _trig_sum(plan, x):
+    """The plan's sum at the 1-D array x of at most :data:`TRIG_CHUNK`
+    points, as a new array.  Only the parts the plan has are computed, and
+    they are added in a fixed order: table, quarter-pi ladder, then each
+    dense term.  The first part's own array is the sum, and the constant is
+    added to it once, so every point gets (((c_0 + p_1) + p_2) + ...),
+    scaled back by the plan's power of two last; a plan with no part gives
+    the constant."""
+    bias, pi_table, quarter_ladder, terms, shift = plan
+    out = None
+    if pi_table is not None:
+        out = _taylor(pi_table, x)
+        out += bias
+    if quarter_ladder:
+        # u = e^{i pi x/4}, its halves written in place; each phase is a
+        # temporary, so no real buffer is held through Horner
+        u = np.empty(x.size, dtype=complex)
+        np.cos(x * (np.pi / 4), out=u.real)
+        np.sin(x * (np.pi / 4), out=u.imag)
+        part = (u * _horner(quarter_ladder, u * u)).real
+        if out is None:
+            out = part + bias
+        else:
+            out += part
+    # one frequency at a time, so a point's sum has a fixed order
+    # (a matrix-vector product's order depends on the row's position)
+    for w, a, b in terms:
+        part = x * w
+        if not b:
+            np.sin(part, out=part)
+            part *= a
+        elif not a:
+            np.cos(part, out=part)
+            part *= b
+        else:
+            cos = np.cos(part)
+            cos *= b
+            np.sin(part, out=part)
+            part *= a
+            part += cos
+        if out is None:
+            out = part
+            out += bias
+        else:
+            out += part
+    if out is None:
+        out = np.full(x.size, bias)
+    if shift:
+        np.ldexp(out, -shift, out=out)
+    return out
 
 
 def branch_from_modes(coeffs, omegas) -> Branch:

@@ -20,6 +20,7 @@ their error.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -42,6 +43,15 @@ class QuadratureConfig:
     grading_ratio: float = 0.7
 
     def __post_init__(self):
+        for name in ("panels_per_side", "nodes_per_panel"):
+            value = getattr(self, name)
+            # bool is an Integral, but True is no count
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+            # a numpy integer is kept as int, so equal rules are equal keys
+            object.__setattr__(self, name, int(value))
+        if isinstance(self.grading_ratio, bool):
+            raise ValueError(f"grading_ratio must be a number, got {self.grading_ratio!r}")
         if self.panels_per_side < 1:
             raise ValueError("panels_per_side must be >= 1")
         if not 2 <= self.nodes_per_panel <= 64:

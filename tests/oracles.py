@@ -6,8 +6,10 @@ sign map iterated directly instead of the network's layers, one
 complex exponential per mode and node instead of an FFT over panels, every
 layer applied to every point instead of only to the points still moving,
 one mode at a time instead of a vectorised fold, every number of a
-network formatted in turn instead of each distinct bit pattern once, or a
-Taylor table's rows one inverse FFT at a time instead of one batched FFT.
+network formatted in turn instead of each distinct bit pattern once, a
+Taylor table's rows one inverse FFT at a time instead of one batched FFT,
+or a branch's parts added one by one to an array filled with its constant,
+the quarter-pi phase taken as a complex exp.
 """
 
 import math
@@ -17,6 +19,7 @@ import numpy as np
 from fresnet import jets
 from fresnet.jets import Jet
 from fresnet.jump import z_profile
+from fresnet import network
 from fresnet.network import _NODES_PER_TERM, _TAYLOR_STEPS, Branch, FourierResNet
 from fresnet.quadrature import build_rule, nodes_weights
 
@@ -88,6 +91,32 @@ def taylor_table_per_order(ladder) -> np.ndarray:
         row[:] = np.fft.irfft(spectrum, nodes)
     table *= nodes / 2
     return table
+
+
+def trig_sum_filled(br: Branch, x) -> np.ndarray:
+    """The branch at the 1-D array x from its plan: an array filled with the
+    constant, then the table, the quarter-pi ladder with u = exp(i pi x/4)
+    and each dense term added in turn, then the 2^-shift rescale."""
+    bias, pi_table, quarter_ladder, terms, shift = br._plan
+    x = np.asarray(x, dtype=float)
+    out = np.full(x.size, bias)
+    with np.errstate(invalid="ignore"):
+        if pi_table is not None:
+            out += network._taylor(pi_table, x)
+        if quarter_ladder:
+            u = np.exp(1j * (np.pi / 4) * x)
+            out += (u * network._horner(quarter_ladder, u * u)).real
+        for w, a, b in terms:
+            wx = x * w
+            if not b:
+                out += a * np.sin(wx)
+            elif not a:
+                out += b * np.cos(wx)
+            else:
+                out += a * np.sin(wx) + b * np.cos(wx)
+    if shift:
+        np.ldexp(out, -shift, out=out)
+    return out
 
 
 def forward_plain(net: FourierResNet, xs, upto: int = None) -> np.ndarray:

@@ -196,6 +196,15 @@ def test_sign_convergence_refuses_a_non_finite_p(p, tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("depth", ["1", "0"])
+def test_sign_convergence_refuses_a_max_depth_below_2(depth, tmp_path, capsys):
+    out = tmp_path / "conv.csv"
+    rc = main(["sign-convergence", "--max-depth", depth, "--out", str(out)])
+    assert rc == EXIT_USAGE
+    assert "max depth must be >= 2" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_gibbs_refuses_a_nan_threshold(tmp_path):
     out = tmp_path / "g.csv"
     rc = main(["gibbs", "--target", "pw_smooth", "--m", "1", "--modes", "5",

@@ -201,6 +201,30 @@ def test_chunking_keeps_the_bits_of_one_block():
         assert_same_bits(whole[lo:lo + network.TRIG_CHUNK], br(xs[lo:lo + network.TRIG_CHUNK]))
 
 
+def test_every_layer_is_a_call_of_its_own_branch(built_net, monkeypatch):
+    """The forward pass evaluates each layer as ``Branch.__call__(branch,
+    t)`` on the net's own branch objects, so a hook on that one method sees
+    every layer and tells the last layer's branches apart by identity; the
+    last layer's branches are called once per block."""
+    assert "__call__" in network.Branch.__dict__
+    called = []
+    call = network.Branch.__call__
+
+    def spy(branch, t):
+        called.append(branch)
+        return call(branch, t)
+
+    monkeypatch.setattr(network.Branch, "__call__", spy)
+    first, sign, last = built_net.layers[0], built_net.layers[1], built_net.layers[-1]
+    for n, blocks in ((5000, 1), (network.TRIG_CHUNK + 1, 2)):
+        called.clear()
+        eval_grid(built_net, np.random.default_rng(n).uniform(-1.0, 1.0, n))
+        assert any(b is first.g_branch for b in called)
+        assert any(b is sign.h_branch for b in called)
+        assert sum(b is last.g_branch for b in called) == blocks
+        assert sum(b is last.h_branch for b in called) == blocks
+
+
 def test_million_point_eval_memory():
     net = build_piecewise_net(BuildSpec(target_lookup("pw_smooth"), 4, 512, 60))
     xs = np.linspace(-1.0, 1.0, 1_000_000)

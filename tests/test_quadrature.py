@@ -86,3 +86,19 @@ def test_config_validation():
         QuadratureConfig(8, 12, 0.0)
     with pytest.raises(ValueError):
         QuadratureConfig(8, 12, 1.5)
+
+
+@pytest.mark.parametrize("args", [
+    (2.5, 12, 0.7), (64, 12.5, 0.7), (64.0, 12, 0.7), ("64", 12, 0.7),
+    (True, 12, 0.7), (64, True, 0.7), (64, 12, True), (64, 12, False),
+])
+def test_config_refuses_non_integer_counts_by_name(args):
+    with pytest.raises(ValueError, match="panels_per_side|nodes_per_panel|grading_ratio"):
+        QuadratureConfig(*args)
+
+
+def test_config_keeps_numpy_integers_as_int():
+    cfg = QuadratureConfig(np.int64(16), np.int32(8), 0.5)
+    assert type(cfg.panels_per_side) is int and type(cfg.nodes_per_panel) is int
+    assert cfg == QuadratureConfig(16, 8, 0.5)
+    assert nodes_weights(cfg) is nodes_weights(QuadratureConfig(16, 8, 0.5))

@@ -16,7 +16,7 @@ from fresnet.hermite import deriv_rows, hermite_endpoint
 from fresnet.jump import z_profile
 from fresnet.network import Branch, branch_from_modes, eval_grid, eval_prefix
 from fresnet.targets import target_lookup
-from oracles import branch_modes, taylor_table_per_order
+from oracles import branch_modes, taylor_table_per_order, trig_sum_filled
 
 
 def fsum_oracle(omegas, amps, x, deriv):
@@ -143,6 +143,28 @@ def test_ladder_bits_do_not_depend_on_position():
     full = eval_grid(net, x)
     scalars = np.array([eval_prefix(net, v, net.depth) for v in x])
     assert np.array_equal(scalars.view(np.int64), full.view(np.int64))
+
+
+def test_parts_add_as_to_a_filled_constant():
+    """Each part a plan has is added in a fixed order after the constant,
+    with the bits of adding every part to an array filled with the
+    constant, signed zeros included, whichever parts the plan has."""
+    net = build_piecewise_net(BuildSpec(target_lookup("pw_smooth"), 4, 64, 60))
+    rng = np.random.default_rng(15)
+    branches = [net.layers[0].g_branch, net.layers[1].h_branch,
+                net.layers[-1].g_branch, net.layers[-1].h_branch,
+                branch_from_modes([0.5, -0.0, 0.25j], [0.0, math.pi / 2, 1.0]),
+                branch_from_modes([1e-300, 3e-301j, -2e-302], [0.0, 2.0, 0.75]),
+                branch_from_modes([0.0, -0.0j], [math.pi, 0.0]),
+                branch_from_modes([-1.5], [0.0]), branch_from_modes([4e-320], [0.0]),
+                branch_from_modes([], [])]
+    powers = 2.0 ** -np.arange(1, 70)
+    xs = np.concatenate([rng.uniform(-2.0, 2.0, 3000), powers, -powers,
+                         [0.0, -0.0, 5e-324, -5e-324, 1e6, -1e300]])
+    for br in branches:
+        want = trig_sum_filled(br, xs)
+        assert np.array_equal(br(xs).view(np.int64), want.view(np.int64)), br.freqs[:4]
+        assert np.array_equal(br(xs[:1]).view(np.int64), want[:1].view(np.int64))
 
 
 def test_quarter_pi_ladder_matches_fsum_oracle():
