@@ -16,10 +16,9 @@ import math
 
 import numpy as np
 
-from fresnet import jets
+from fresnet import jets, network
 from fresnet.jets import Jet
 from fresnet.jump import z_profile
-from fresnet import network
 from fresnet.network import _NODES_PER_TERM, _TAYLOR_STEPS, Branch, FourierResNet
 from fresnet.quadrature import build_rule, nodes_weights
 
