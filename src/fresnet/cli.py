@@ -115,8 +115,14 @@ def _write_svg(path: str, xs, series: dict) -> None:
 
 # -- commands -------------------------------------------------------------
 
+def _grid(n: int) -> np.ndarray:
+    if n < 1:
+        raise ValueError("grid must be >= 1")
+    return np.linspace(-1.0, 1.0, n)
+
+
 def cmd_sign_curves(args) -> int:
-    grid = np.linspace(-1.0, 1.0, args.grid)
+    grid = _grid(args.grid)
     sgn = target_lookup("sgn")
     columns = {"x": grid, "sgn": sgn.eval(grid)}
     for d in args.depths:
@@ -173,8 +179,8 @@ def cmd_build(args) -> int:
 
 
 def cmd_eval(args) -> int:
+    grid = _grid(args.grid)
     net = network.load(args.net)
-    grid = np.linspace(-1.0, 1.0, args.grid)
     vals = network.eval_grid(net, grid)
     lines = ["x,value"] + [f"{_fmt(x)},{_fmt(v)}" for x, v in zip(grid, vals)]
     _write_lines(args.out, lines)

@@ -77,10 +77,14 @@ The forward pass evaluates only what still changes.  A run of consecutive
 layers with an empty g-branch and equal h-branches (the width-1 sign
 stack) applies the same map v -> (v + 0.0) + h(v) again and again.  That
 map is a pure function of the value, so a point whose float64 bits did
-not change in one step is fixed for the rest of the run: the run is
-iterated only on the points that still move, which is bit-identical to
-applying every layer to every point.  Under phi(y) = y + sin(pi y)/pi most
-points reach their floating-point fixed point within about 20 layers.
+not change in one step is fixed for the rest of the run, and recomputing
+it changes no bit.  The run works in place on one stretch of the block,
+from the first to the last point that moved in the previous step, and
+shrinks it after every step; no point is gathered or scattered.  Under
+phi(y) = y + sin(pi y)/pi most points reach their floating-point fixed
+point within about 20 layers.  The run adds 0.0 to the block once, so it
+holds no -0.0; then v + 0.0 is v bit for bit, and each step is h(v) with
+v added into it, one add per step.
 
 The forward pass takes the flattened input in blocks of :data:`TRIG_CHUNK`
 points, so it holds one block at a time besides the output, and runs
@@ -89,8 +93,9 @@ every layer on a block in increasing order of x: one argsort per block
 quadrature nodes), one take, and one scatter of the result back into the
 output.  A point's bits do not depend on its position, so the order
 changes no bit, but neighbouring points then take the same branches of
-sin and cos, touch nearby rows of the Taylor table, and leave the sign
-stack's run in contiguous stretches.
+sin and cos and touch nearby rows of the Taylor table, and, phi being
+monotone, the points of the sign stack that still move form one stretch
+that holds few fixed points.
 
 Networks are immutable after construction and evaluation is pure, so all
 operations are safe for concurrent use.
@@ -435,8 +440,9 @@ def _forward(net: FourierResNet, xs: np.ndarray, upto: int) -> np.ndarray:
             g, h = layers[i].g_branch, layers[i].h_branch
             end = i + 1
             if g.width == 0:
+                # built nets share one h object; a loaded one has equal copies
                 while (end < len(layers) and layers[end].g_branch.width == 0
-                       and layers[end].h_branch == h):
+                       and (layers[end].h_branch is h or layers[end].h_branch == h)):
                     end += 1
                 f = _iterate(h, f, end - i)
             else:
@@ -451,19 +457,33 @@ def _forward(net: FourierResNet, xs: np.ndarray, upto: int) -> np.ndarray:
 
 def _iterate(h: Optional[Branch], f: np.ndarray, steps: int) -> np.ndarray:
     """Apply v -> (v + 0.0) + h(v) ``steps`` times to the 1-D array f, in
-    place, each time only to the points whose bits the previous step changed."""
-    live, v = np.arange(f.size), f
+    place, each step on the stretch f[lo:hi] from the first to the last
+    point whose bits the previous step changed.
+
+    f += 0.0 once leaves no -0.0 in f, so v + 0.0 is v bit for bit and a
+    step is h(v), then v added into it: one add per step.  h(-0.0) has the
+    bits of h(+0.0), so the first step is unchanged too.  A point that did
+    not move is a fixed point of the step, so recomputing one inside the
+    stretch changes no bit; on a sorted f the stretch holds little more
+    than the moved points, since phi is monotone."""
+    f += 0.0
+    if h is None:
+        # each step is v + 0.0, which the line above has done
+        return f
+    lo, hi = 0, f.size
     for _ in range(steps):
-        new = v + 0.0
-        if h is not None:
-            new += h(v)
-        # bit patterns, not values: NaN != NaN would keep a NaN point moving.
-        # Taken before f is written, since v is f in the first step.
+        v = f[lo:hi]
+        new = h(v)
+        # v first: a NaN point keeps its own payload
+        np.add(v, new, out=new)
+        # bit patterns, not values: NaN != NaN would keep a NaN point moving
         moved = new.view(np.int64) != v.view(np.int64)
-        live, v = live[moved], new[moved]
-        f[live] = v
-        if not live.size:
+        first = moved.argmax()
+        if not moved[first]:
             break
+        last = moved.size - moved[::-1].argmax()
+        lo, hi = lo + first, lo + last
+        f[lo:hi] = new[first:last]
     return f
 
 

@@ -205,6 +205,24 @@ def test_sign_convergence_refuses_a_max_depth_below_2(depth, tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("grid", ["0", "-3"])
+@pytest.mark.parametrize("command", ["sign-curves", "eval"])
+def test_a_grid_below_1_is_refused_before_any_write(command, grid, tmp_path, capsys):
+    out, svg = tmp_path / "vals.csv", tmp_path / "vals.svg"
+    if command == "eval":
+        net_path = tmp_path / "net.fnet.json"
+        assert main(["build", "--target", "hat", "--m", "1", "--modes", "4", "--depth", "5",
+                     "--out", str(net_path)]) == 0
+        argv = ["eval", "--net", str(net_path)]
+    else:
+        argv = ["sign-curves", "--depths", "2", "--svg", str(svg)]
+    capsys.readouterr()
+    rc = main(argv + ["--grid", grid, "--out", str(out)])
+    assert rc == EXIT_USAGE
+    assert capsys.readouterr().err == "error: grid must be >= 1\n"
+    assert not out.exists() and not svg.exists()
+
+
 def test_gibbs_refuses_a_nan_threshold(tmp_path):
     out = tmp_path / "g.csv"
     rc = main(["gibbs", "--target", "pw_smooth", "--m", "1", "--modes", "5",

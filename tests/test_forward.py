@@ -174,6 +174,63 @@ def test_runs_broken_by_a_g_branch_or_another_h():
                              f"{name}, depth {ell}")
 
 
+def test_equal_h_branches_form_one_run(built_net, monkeypatch):
+    """Built nets share one sign h object; loaded nets and hand-built ones
+    hold equal copies, which must still form one run per block."""
+    copies = FourierResNet((FIRST, *[Layer(EMPTY, Branch(SIGN_H.freqs, SIGN_H.sin_amps,
+                                                        SIGN_H.cos_amps)) for _ in range(20)]))
+    loaded = network.deserialize(network.serialize(built_net))
+    assert loaded.layers[1].h_branch is not loaded.layers[2].h_branch
+    assert copies.layers[1].h_branch is not copies.layers[2].h_branch
+    runs = []
+    iterate = network._iterate
+
+    def spy(h, f, steps):
+        runs.append(steps)
+        return iterate(h, f, steps)
+
+    monkeypatch.setattr(network, "_iterate", spy)
+    for net, steps in ((copies, 20), (loaded, 58), (built_net, 58)):
+        for n, blocks in ((3000, 1), (network.TRIG_CHUNK + 1, 2)):
+            runs.clear()
+            eval_grid(net, np.random.default_rng(n).uniform(-1.0, 1.0, n))
+            assert runs == [steps] * blocks
+
+
+def test_iterate_on_an_unordered_input_gives_the_per_layer_bits():
+    """Called directly, a run need not see sorted points: the stretch then
+    spans more fixed points, and no bit changes."""
+    h = SIGN_H
+    rng = np.random.default_rng(14)
+    for f0 in (rng.permutation(tricky_points(3000, seed=15)),
+               rng.uniform(-1.0, 1.0, 500), np.array([-0.0, 0.3, -0.0, 5e-324])):
+        for steps in (1, 2, 7, 60):
+            want = f0.copy()
+            for _ in range(steps):
+                want = (want + 0.0) + h(want)
+            got = network._iterate(h, f0.copy(), steps)
+            assert_same_bits(got, want, f"{f0.size} points, {steps} steps")
+        assert_same_bits(network._iterate(None, f0.copy(), 3), f0 + 0.0)
+
+
+def test_rescaled_stacks_match_plain_recursion():
+    """A first g-branch and a sign h whose amplitudes lie below 2**-TINY_EXP
+    are summed scaled up and scaled back by ldexp, which can give -0.0;
+    such stacks keep the plain recursion's bits at every depth, signed zeros
+    and subnormals included."""
+    powers = 2.0 ** -np.arange(1, 1075)
+    xs = np.concatenate([[0.0, -0.0, 5e-324, -5e-324], powers, -powers,
+                         tricky_points(300, seed=16)])
+    for scale in (2.0 ** -950, 2.0 ** -1000, 2.0 ** -1070):
+        first = Layer(Branch((math.pi / 2,), (scale,), (0.0,)))
+        h = Branch((math.pi,), (scale / math.pi,), (0.0,))
+        assert h._plan[-1] == first.g_branch._plan[-1] == network.TINY_SHIFT
+        net = FourierResNet((first, *[Layer(EMPTY, h)] * 30))
+        for ell in range(1, net.depth + 1):
+            assert_same_bits(eval_prefix(net, xs, ell), forward_plain(net, xs, ell),
+                             f"scale {scale}, depth {ell}")
+
+
 def test_nd_input_equals_flat_result_reshaped(built_net):
     flat = np.random.default_rng(5).uniform(-1.0, 1.0, 20000)
     want = eval_grid(built_net, flat)

@@ -167,6 +167,34 @@ def test_parts_add_as_to_a_filled_constant():
         assert np.array_equal(br(xs[:1]).view(np.int64), want[:1].view(np.int64))
 
 
+def test_signed_zeros_give_one_bit_pattern():
+    """h(-0.0) and h(+0.0) differ only in the signs of zero parts, and
+    adding the constant makes those +0.0: the sign stack normalises -0.0
+    once per run and relies on this."""
+    net = build_piecewise_net(BuildSpec(target_lookup("pw_smooth"), 4, 64, 20))
+    branches = {
+        "table": pi_ladder_branch(40, 27),
+        "sines-only table": Branch(tuple(np.arange(20) * math.pi),
+                                   tuple(np.linspace(-1.0, 1.0, 20)), (0.0,) * 20),
+        "quarter-pi ladder": net.layers[-1].h_branch,
+        "spectral layer": net.layers[-1].g_branch,
+        "dense terms": Branch((1.0, math.pi / 2, 2.5), (-1.0, 0.5, -0.25), (0.0, 0.0, 0.0)),
+        "sign step": net.layers[1].h_branch,
+        "constant only": branch_from_modes([-1.5], [0.0]),
+        "empty": Branch((), (), ()),
+        "rescaled": branch_from_modes([1e-300, 3e-301j, -2e-302], [0.0, 2.0, 0.75]),
+        "rescaled sines": Branch((math.pi, 1.0), (2.0 ** -950, -(2.0 ** -1000)), (0.0, 0.0)),
+    }
+    def bits(value):
+        return np.asarray(value, dtype=float).view(np.int64)
+
+    for name, br in branches.items():
+        got = br(np.array([-0.0, 0.0]))
+        assert bits(got[0]) == bits(got[1]), name
+        assert bits(br(-0.0)) == bits(br(0.0)) == bits(got[0]), name
+    assert branches["rescaled"]._plan[-1] == branches["rescaled sines"]._plan[-1] > 0
+
+
 def test_quarter_pi_ladder_matches_fsum_oracle():
     # up to the largest order jets support
     rng = np.random.default_rng(12)
