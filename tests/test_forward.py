@@ -1,9 +1,10 @@
 """The forward pass against the plain recursion, bit for bit.
 
 ``network._forward`` evaluates the flattened input in blocks, each in
-increasing order of x, and iterates a run of identical width-1 layers only
-on the points whose bits still change; a branch evaluates in chunks over
-the flattened input.  None of these may change a single output bit.
+increasing order of x, and iterates a run of identical width-1 layers in
+place on the stretch from the first to the last point whose bits still
+change; a branch evaluates in chunks over the flattened input.  None of
+these may change a single output bit.
 """
 
 import math
