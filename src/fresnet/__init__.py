@@ -8,7 +8,7 @@ The top level exports the documented surface; every submodule keeps its
 own names (``fresnet.network.Branch``, ``fresnet.metrics.fit_rate``, ...).
 """
 
-from .builder import BuildSpec, build_piecewise_net, component_views
+from .builder import BuildSpec, build_piecewise_net
 from .metrics import lp_error
 from .network import (
     FourierResNet,
@@ -28,7 +28,6 @@ __all__ = [
     "NetworkFormatError",
     "PiecewiseTarget",
     "build_piecewise_net",
-    "component_views",
     "deserialize",
     "eval_grid",
     "load",

@@ -21,12 +21,9 @@ from __future__ import annotations
 
 import numbers
 from dataclasses import dataclass, field
-from typing import Callable
-
-import numpy as np
 
 from .jump import build_jump_H, q_derivs_at, q_eval
-from .network import Branch, FourierResNet, Layer, eval_grid
+from .network import Branch, FourierResNet, Layer
 from .quadrature import DEFAULT_QUAD, QuadratureConfig
 from .sign import build_sign_net
 from .smooth import build_smooth_branch
@@ -65,82 +62,36 @@ class BuildSpec:
             object.__setattr__(self, name, int(value))
 
 
-@dataclass(frozen=True)
-class ComponentViews:
-    """Separately evaluable construction stages, for testing and plotting.
+def build_piecewise_net(spec: BuildSpec) -> FourierResNet:
+    """The net F = Z_L + H(Z_L) + R_W of ``spec``.
 
-    ``jump_poly`` is H, the last layer's h-branch itself (an empty branch
-    for a smooth target); ``r_w`` is the last layer's g-branch.
+    Each stage is read from the net: H is ``net.layers[-1].h_branch``, R_W
+    is ``net.layers[-1].g_branch`` and Z_L is
+    :func:`fresnet.network.eval_prefix` of the first L layers.
     """
-
-    net: FourierResNet
-    jump_poly: Branch
-    s_l: Callable
-    z_l: Callable
-    q: Callable
-    r: Callable
-    r_w: Callable
-
-
-def component_views(spec: BuildSpec) -> ComponentViews:
     target, m = spec.target, spec.m
     f_minus = target.one_sided_derivs(-1.0, "right", m)
     f_plus = target.one_sided_derivs(1.0, "left", m)
-    sign_net = build_sign_net(spec.depth)
 
     if target.is_smooth:
         # No jump: H = 0, q = z cancels out of the final sum; emit the
         # shallow single-layer network directly.
-        smooth_branch = build_smooth_branch(
-            target.eval, f_minus, f_plus, m, spec.half_modes
-        )
-        net = FourierResNet((Layer(smooth_branch),))
-        h_poly = Branch((), (), ())
-        r_fn = target.eval
+        smooth_branch = build_smooth_branch(target.eval, f_minus, f_plus, m, spec.half_modes)
+        return FourierResNet((Layer(smooth_branch),))
 
-        def q_fn(x):
-            # Degenerate decomposition f = q + r with q = 0, r = f.
-            return np.zeros(np.shape(np.asarray(x, dtype=float)))
+    alphas = target.one_sided_derivs(0.0, "left", m)
+    betas = target.one_sided_derivs(0.0, "right", m)
+    h_poly = build_jump_H(alphas, betas)
 
-    else:
-        alphas = target.one_sided_derivs(0.0, "left", m)
-        betas = target.one_sided_derivs(0.0, "right", m)
-        h_poly = build_jump_H(alphas, betas)
+    def r(x):
+        # the smooth residual r = f - q, with q = z + H(z)
+        return target.eval(x) - q_eval(h_poly, x)
 
-        def q_fn(x):
-            return q_eval(h_poly, x)
+    r_minus = f_minus - q_derivs_at(-1.0, "right", h_poly, m)
+    r_plus = f_plus - q_derivs_at(1.0, "left", h_poly, m)
+    smooth_branch = build_smooth_branch(r, r_minus, r_plus, m, spec.half_modes)
 
-        def r_fn(x):
-            return target.eval(x) - q_fn(x)
-
-        r_minus = f_minus - q_derivs_at(-1.0, "right", h_poly, m)
-        r_plus = f_plus - q_derivs_at(1.0, "left", h_poly, m)
-        smooth_branch = build_smooth_branch(
-            r_fn, r_minus, r_plus, m, spec.half_modes
-        )
-
-        layers = list(sign_net.layers)
-        last = layers[-1]
-        layers[-1] = Layer(_SIN_NEURON, last.h_branch)
-        layers.append(Layer(smooth_branch, h_poly))
-        net = FourierResNet(tuple(layers))
-
-    def s_l(x):
-        return eval_grid(sign_net, x)
-
-    def z_l(x):
-        return s_l(x) + np.sin(np.asarray(x, dtype=float))
-
-    return ComponentViews(
-        net=net,
-        jump_poly=h_poly,
-        s_l=s_l,
-        z_l=z_l,
-        q=q_fn,
-        r=r_fn,
-        r_w=smooth_branch,
-    )
-
-
-def build_piecewise_net(spec: BuildSpec) -> FourierResNet:
-    return component_views(spec).net
+    layers = list(build_sign_net(spec.depth).layers)
+    layers[-1] = Layer(_SIN_NEURON, layers[-1].h_branch)
+    layers.append(Layer(smooth_branch, h_poly))
+    return FourierResNet(tuple(layers))

@@ -92,6 +92,8 @@ def nodes_weights(cfg: QuadratureConfig = DEFAULT_QUAD):
 
     Nodes ascend: panel by panel from -1, each panel's nodes in the order
     of the reference rule (``fourier_coeffs`` relies on this layout).
+    Both arrays are cached and shared by every caller, so they are
+    read-only.
     """
     ref_x, ref_w = np.polynomial.legendre.leggauss(cfg.nodes_per_panel)
     bps = _positive_breakpoints(cfg)
@@ -102,5 +104,6 @@ def nodes_weights(cfg: QuadratureConfig = DEFAULT_QUAD):
     w_pos = np.multiply.outer(half, ref_w).ravel()
     x = np.concatenate([-x_pos[::-1], x_pos])
     w = np.concatenate([w_pos[::-1], w_pos])
+    x.flags.writeable = w.flags.writeable = False
     return x, w
 

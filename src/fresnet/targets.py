@@ -48,7 +48,8 @@ class PiecewiseTarget:
     def eval(self, x):
         """Pointwise value; left piece for x < 0, right for x > 0."""
         x = np.asarray(x, dtype=float)
-        if np.any(x < -1.0) or np.any(x > 1.0):
+        # NaN fails both comparisons, so the test is for points inside
+        if not np.all((x >= -1.0) & (x <= 1.0)):
             raise ValueError("evaluation point outside [-1, 1]")
         scalar = x.ndim == 0
         xs = np.atleast_1d(x)

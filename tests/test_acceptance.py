@@ -26,9 +26,9 @@ import pytest
 import sympy
 
 from fresnet import network
-from fresnet.builder import BuildSpec, build_piecewise_net, component_views
+from fresnet.builder import BuildSpec, build_piecewise_net
 from fresnet.hermite import deriv_rows, hermite_endpoint
-from fresnet.jump import build_jump_H, chain_rule_matrix, q_derivs_at
+from fresnet.jump import build_jump_H, chain_rule_matrix, q_derivs_at, q_eval
 from fresnet.metrics import fit_rate, gibbs_support_width, lp_error, max_overshoot
 from fresnet.network import _branch_modes
 from fresnet.sign import build_sign_net, truncated_sign_series
@@ -161,17 +161,17 @@ def test_criterion_06_residual_periodization_and_decay():
     for name in ("pw_smooth", "hat"):
         t = target_lookup(name)
         for m in (2, 3, 4):
-            views = component_views(BuildSpec(t, m, 64, 20))
+            h_poly = build_piecewise_net(BuildSpec(t, m, 64, 20)).layers[-1].h_branch
             h_minus = t.one_sided_derivs(-1.0, "right", m) - q_derivs_at(
-                -1.0, "right", views.jump_poly, m
+                -1.0, "right", h_poly, m
             )
             h_plus = t.one_sided_derivs(1.0, "left", m) - q_derivs_at(
-                1.0, "left", views.jump_poly, m
+                1.0, "left", h_poly, m
             )
             hp = hermite_endpoint(h_minus, h_plus)
 
             def g(x):
-                return views.r(x) - hp(x)
+                return t.eval(x) - q_eval(h_poly, x) - hp(x)
 
             # endpoint mismatch of the periodized residual, s <= m
             gms = h_minus - derivs_at(hp, -1.0, m)

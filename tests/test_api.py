@@ -12,7 +12,6 @@ README = Path(__file__).resolve().parents[1] / "README.md"
 DOCUMENTED = {
     "BuildSpec",
     "build_piecewise_net",
-    "component_views",
     "PiecewiseTarget",
     "target_lookup",
     "register_target",

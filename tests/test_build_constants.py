@@ -6,7 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
-from fresnet import builder, cli, hermite, jump, network
+from fresnet import builder, cli, hermite, jump, network, quadrature
 from fresnet.builder import BuildSpec, build_piecewise_net
 from fresnet.hermite import HermiteSolveError, hermite_endpoint
 from fresnet.targets import target_lookup
@@ -71,7 +71,9 @@ def test_zero_data_gives_the_zero_polynomial():
 def test_cached_constants_refuse_writes():
     matrix, omegas = hermite._hermite_system(2)
     zs, bell = jump._chain_rule_system(0.0, "left", 2)
-    for array in (matrix, omegas, zs, bell):
+    # every build and every lp_error reads the same cached nodes and weights
+    x, w = quadrature.nodes_weights()
+    for array in (matrix, omegas, zs, bell, x, w):
         with pytest.raises(ValueError, match="read-only"):
             array[0] = 0.0
 

@@ -1,17 +1,17 @@
 """Full assembly: wiring identities, error split, spec validation."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
 
-from fresnet import network
-from fresnet.builder import BuildSpec, build_piecewise_net, component_views
+from fresnet import hermite, jump, network, quadrature, sign, smooth
+from fresnet.builder import BuildSpec, build_piecewise_net
 from fresnet.jump import q_derivs_at, q_eval
 from fresnet.metrics import lp_error
-from fresnet.network import Branch
 from fresnet.sign import build_sign_net
-from fresnet.targets import target_lookup
+from fresnet.targets import PiecewiseTarget, target_lookup
 
 
 def grid_no_zero(n=1001):
@@ -22,36 +22,38 @@ def grid_no_zero(n=1001):
 def test_network_realizes_component_sum():
     # f_net(x) == Z_L(x) + H(Z_L(x)) + R_W(x) exactly, by wiring
     spec = BuildSpec(target_lookup("pw_smooth"), 2, 8, 8)
-    v = component_views(spec)
+    net = build_piecewise_net(spec)
+    last = net.layers[-1]
     xs = grid_no_zero()
-    z = v.z_l(xs)
-    expect = z + v.jump_poly(z) + v.r_w(xs)
-    assert network.eval_grid(v.net, xs) == pytest.approx(expect, abs=1e-12)
+    z = network.eval_prefix(net, xs, spec.depth)
+    expect = z + last.h_branch(z) + last.g_branch(xs)
+    assert network.eval_grid(net, xs) == pytest.approx(expect, abs=1e-12)
 
 
 def test_jump_poly_is_the_h_branch_and_its_plans_are_reused():
     m = 3
-    v = component_views(BuildSpec(target_lookup("hat"), m, 8, 6))
-    assert v.jump_poly is v.net.layers[-1].h_branch
-    assert v.r_w is v.net.layers[-1].g_branch
+    h_poly = build_piecewise_net(BuildSpec(target_lookup("hat"), m, 8, 6)).layers[-1].h_branch
     # the build evaluated H (in q) through the branch the net holds, so the
     # net's h-branch already carries that evaluation plan
-    assert "_plan" in v.jump_poly.__dict__
-    first = q_derivs_at(1.0, "left", v.jump_poly, m)
-    again = q_derivs_at(1.0, "left", v.jump_poly, m)
+    assert "_plan" in h_poly.__dict__
+    first = q_derivs_at(1.0, "left", h_poly, m)
+    again = q_derivs_at(1.0, "left", h_poly, m)
     assert np.array_equal(again, first)
-    smooth = component_views(BuildSpec(target_lookup("smooth_nonper"), m, 8, 6))
-    assert smooth.jump_poly == Branch((), (), ())
-    assert smooth.net.layers[-1].h_branch is None
+    smooth = build_piecewise_net(BuildSpec(target_lookup("smooth_nonper"), m, 8, 6))
+    assert smooth.layers[-1].h_branch is None
 
 
 def test_decomposition_f_equals_q_plus_r():
     for name in ("pw_smooth", "hat"):
         t = target_lookup(name)
-        v = component_views(BuildSpec(t, 2, 8, 6))
+        last = build_piecewise_net(BuildSpec(t, 2, 8, 6)).layers[-1]
         xs = grid_no_zero()
-        assert v.q(xs) + v.r(xs) == pytest.approx(t.eval(xs), abs=1e-12)
-        assert v.q(xs) == pytest.approx(q_eval(v.jump_poly, xs), abs=1e-14)
+        q = q_eval(last.h_branch, xs)
+        r = t.eval(xs) - q
+        assert q + r == pytest.approx(t.eval(xs), abs=1e-12)
+        # the net's g-branch R_W stands for r: q + R_W is f to within the
+        # width error, about 1e-4 at K = 8
+        assert q + last.g_branch(xs) == pytest.approx(t.eval(xs), abs=1e-3)
 
 
 def test_sign_layers_preserved_with_sin_neuron():
@@ -73,18 +75,56 @@ def test_sign_layers_preserved_with_sin_neuron():
 
 def test_z_l_matches_sign_prefix_plus_sin():
     spec = BuildSpec(target_lookup("pw_smooth"), 1, 4, 6)
-    v = component_views(spec)
+    net = build_piecewise_net(spec)
     xs = grid_no_zero(301)
     s = network.eval_grid(build_sign_net(6), xs)
-    assert v.z_l(xs) == pytest.approx(s + np.sin(xs), abs=1e-14)
+    assert network.eval_prefix(net, xs, 6) == pytest.approx(s + np.sin(xs), abs=1e-14)
 
 
 def test_residual_is_smooth_across_breakpoint():
     # r = f - q must have matching one-sided values at 0 (the jump cancels)
     t = target_lookup("pw_smooth")
-    v = component_views(BuildSpec(t, 3, 8, 6))
+    h_poly = build_piecewise_net(BuildSpec(t, 3, 8, 6)).layers[-1].h_branch
+
+    def r(x):
+        return t.eval(x) - q_eval(h_poly, x)
+
     eps = 1e-7
-    assert v.r(-eps) == pytest.approx(v.r(eps), abs=1e-5)
+    assert r(-eps) == pytest.approx(r(eps), abs=1e-5)
+
+
+def test_a_build_calls_each_stage_by_a_name_a_tracer_can_rebind(monkeypatch):
+    """A tracer records a build stage by rebinding the stage's function in
+    every fresnet module that holds it, and a method on its class (as
+    ``bench/spans.py`` does); a traced run fails when a stage records no
+    calls.  So one build must reach every stage through such a name."""
+    calls = {}
+
+    def counting(name, fn):
+        calls[name] = 0
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    for module, name in ((sign, "build_sign_net"), (jump, "build_jump_H"),
+                         (jump, "q_derivs_at"), (jump, "q_eval"),
+                         (smooth, "build_smooth_branch"), (smooth, "fourier_coeffs"),
+                         (hermite, "hermite_endpoint"), (quadrature, "nodes_weights")):
+        orig = getattr(module, name)
+        wrapper = counting(name, orig)
+        for mod_name, mod in list(sys.modules.items()):
+            if mod is not None and (mod_name == "fresnet" or mod_name.startswith("fresnet.")):
+                for attr, value in list(vars(mod).items()):
+                    if value is orig:
+                        monkeypatch.setattr(mod, attr, wrapper)
+    for name in ("one_sided_derivs", "eval"):
+        method = PiecewiseTarget.__dict__[name]
+        monkeypatch.setattr(PiecewiseTarget, name, counting(f"PiecewiseTarget.{name}", method))
+    build_piecewise_net(BuildSpec(target_lookup("pw_smooth"), 2, 8, 6))
+    assert len(calls) == 10 and all(calls.values()), calls
 
 
 def test_end_to_end_accuracy_moderate_budget():
@@ -99,10 +139,7 @@ def test_smooth_target_degenerates_to_single_layer():
     spec = BuildSpec(t, 3, 24, 5)
     net = build_piecewise_net(spec)
     assert net.depth == 1
-    v = component_views(spec)
     xs = grid_no_zero(501)
-    assert v.q(xs) == pytest.approx(np.zeros_like(xs))
-    assert v.r(xs) == pytest.approx(t.eval(xs))
     err = np.max(np.abs(network.eval_grid(net, xs) - t.eval(xs)))
     assert err < 1e-4
 
@@ -171,10 +208,11 @@ def test_z_minus_zl_equals_sgn_minus_sl():
     from fresnet.jump import z_eval
     from fresnet.targets import target_lookup as lookup
 
-    v = component_views(BuildSpec(target_lookup("pw_smooth"), 1, 4, 8))
+    net = build_piecewise_net(BuildSpec(target_lookup("pw_smooth"), 1, 4, 8))
+    sign_net = build_sign_net(8)
     sgn = lookup("sgn")
-    e_z = lp_error(z_eval, v.z_l, 2.0)
-    e_s = lp_error(sgn.eval, v.s_l, 2.0)
+    e_z = lp_error(z_eval, lambda x: network.eval_prefix(net, x, 8), 2.0)
+    e_s = lp_error(sgn.eval, lambda x: network.eval_grid(sign_net, x), 2.0)
     assert e_z == e_s  # the sin(x) term cancels identically
 
 
@@ -187,12 +225,14 @@ def test_error_split_bound():
     for name in ("pw_smooth", "hat"):
         t = target_lookup(name)
         for m, half, depth in ((1, 5, 12), (2, 16, 16), (3, 32, 20)):
-            v = component_views(BuildSpec(t, m, half, depth))
-            lhs = lp_error(t.eval, lambda x: network.eval_grid(v.net, x), 2.0)
+            net = build_piecewise_net(BuildSpec(t, m, half, depth))
+            sign_net = build_sign_net(depth)
+            h_poly, r_w = net.layers[-1].h_branch, net.layers[-1].g_branch
+            lhs = lp_error(t.eval, lambda x: network.eval_grid(net, x), 2.0)
             rhs = (
-                lp_error(sgn.eval, v.s_l, 2.0)
-                * (1 + max_abs_deriv(v.jump_poly, -1.01, 1.01))
-                + lp_error(v.r, v.r_w, 2.0)
+                lp_error(sgn.eval, lambda x: network.eval_grid(sign_net, x), 2.0)
+                * (1 + max_abs_deriv(h_poly, -1.01, 1.01))
+                + lp_error(lambda x: t.eval(x) - q_eval(h_poly, x), r_w, 2.0)
             )
             assert lhs <= rhs, (name, m, half, depth, lhs, rhs)
 

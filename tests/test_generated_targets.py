@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fresnet import jets
-from fresnet.builder import BuildSpec, component_views
+from fresnet.builder import BuildSpec, build_piecewise_net
 from fresnet.hermite import deriv_rows
 from fresnet.jump import _chain_rule_system
 from fresnet.network import deserialize, eval_grid, serialize
@@ -54,17 +54,17 @@ def test_generated_target_builds_right(m, left, right):
     scale = max(1.0, np.max(np.abs(values)))
     errors = []
     for k in HALF_MODES:
-        views = component_views(BuildSpec(target, m, k, DEPTH))
+        net = build_piecewise_net(BuildSpec(target, m, k, DEPTH))
         if k == HALF_MODES[0]:
-            freqs, amps = branch_modes(views.jump_poly)
+            freqs, amps = branch_modes(net.layers[-1].h_branch)
             amps = np.array(amps)
             for y, wanted in zip((-1.0, 1.0), hermite_data(target, m)):
                 rows = deriv_rows(freqs, y, m)
                 residual = np.abs((rows @ amps).real - wanted)
                 assert np.all(residual <= 1e-9 * (np.abs(rows) @ np.abs(amps) + np.abs(wanted)))
-        errors.append(np.max(np.abs(eval_grid(views.net, GRID) - values)) / scale)
+        errors.append(np.max(np.abs(eval_grid(net, GRID) - values)) / scale)
     for coarse, fine in zip(errors, errors[1:]):
         assert fine <= max(coarse / 2, FLOOR), errors
-    text = serialize(views.net)
+    text = serialize(net)
     loaded = deserialize(text)
-    assert loaded == views.net and serialize(loaded) == text
+    assert loaded == net and serialize(loaded) == text

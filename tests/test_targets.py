@@ -98,6 +98,16 @@ def test_domain_and_argument_errors():
         t.one_sided_derivs(0.0, "up", 1)
     with pytest.raises(UnsupportedOrderError):
         t.one_sided_derivs(0.0, "left", MAX_ORDER + 1)
+    # NaN is no point of [-1, 1], for eval as for one_sided_derivs; an empty
+    # array still evaluates
+    for name in registered_names():
+        t = target_lookup(name)
+        for x in (math.nan, np.array([0.5, math.nan]), np.array([[math.nan]])):
+            with pytest.raises(ValueError, match=r"^evaluation point outside \[-1, 1\]$"):
+                t.eval(x)
+        with pytest.raises(ValueError, match="point outside"):
+            t.one_sided_derivs(math.nan, "left", 1)
+        assert t.eval(np.array([])).shape == (0,)
 
 
 def test_unknown_target_lists_registry():
