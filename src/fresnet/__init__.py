@@ -5,7 +5,7 @@ with a jump at x = 0, with exponential-in-depth and spectral-in-width
 error decay and no Gibbs overshoot.
 
 The top level exports the documented surface; every submodule keeps its
-own names (``fresnet.network.Branch``, ``fresnet.metrics.fit_rate``, ...).
+own names (``fresnet.network.Branch``, ``fresnet.metrics.gibbs_profile``, ...).
 """
 
 from .builder import BuildSpec, build_piecewise_net

@@ -32,7 +32,7 @@ import numpy as np
 
 from . import network
 from .builder import BuildSpec, build_piecewise_net
-from .metrics import _gibbs_profile, lp_error
+from .metrics import gibbs_profile, lp_error
 from .quadrature import QuadratureConfig
 from .sign import build_sign_net, sign_error_bound, truncated_sign_series
 from .smooth import fourier_coeffs
@@ -233,7 +233,7 @@ def cmd_gibbs(args) -> int:
     # each net is built only when the profile asks for it
     approxes = (partial(network.eval_grid, build_piecewise_net(
         BuildSpec(target, args.m, args.modes, depth))) for depth in args.depths)
-    profile = _gibbs_profile(target.eval, approxes, args.threshold, lo, hi)
+    profile = gibbs_profile(target.eval, approxes, args.threshold, lo, hi)
     widths = []
     for depth, (width, over) in zip(args.depths, profile):
         widths.append(width)

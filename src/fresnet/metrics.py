@@ -1,25 +1,13 @@
-"""Error norms, rate fits and Gibbs-oscillation diagnostics."""
+"""Error norms and the Gibbs-oscillation profile."""
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
 from .quadrature import DEFAULT_QUAD, QuadratureConfig, nodes_weights
 
-#: Uniform grid size for the overshoot / support diagnostics.
+#: Uniform grid size for the Gibbs profile.
 DEFAULT_GRID_N = 20001
-
-
-@dataclass(frozen=True)
-class RateFit:
-    """Least-squares power-law fit log(err) = slope * log(x) + intercept."""
-
-    slope: float
-    intercept: float
-    r_squared: float
-    points_used: int
 
 
 def lp_error(f, g, p, quad: QuadratureConfig = DEFAULT_QUAD):
@@ -40,59 +28,30 @@ def lp_error(f, g, p, quad: QuadratureConfig = DEFAULT_QUAD):
     return norms if isinstance(p, tuple) else norms[0]
 
 
-def fit_rate(xs, errs) -> RateFit:
-    """Fit log(err) vs log(x); the slope is the algebraic rate exponent."""
-    xs = np.asarray(xs, dtype=float)
-    errs = np.asarray(errs, dtype=float)
-    if xs.shape != errs.shape or xs.ndim != 1 or xs.size < 2:
-        raise ValueError("need equal-length vectors with at least 2 points")
-    if np.any(xs <= 0) or np.any(errs <= 0):
-        raise ValueError("all xs and errs must be positive")
-    lx, ly = np.log(xs), np.log(errs)
-    slope, intercept = np.polyfit(lx, ly, 1)
-    resid = ly - (slope * lx + intercept)
-    total = np.sum((ly - ly.mean()) ** 2)
-    r2 = 1.0 if total == 0 else 1.0 - float(np.sum(resid**2)) / float(total)
-    return RateFit(float(slope), float(intercept), r2, xs.size)
+def gibbs_profile(f, approxes, threshold: float, lo: float, hi: float):
+    """Yield (support width, overshoot) of each approximation in ``approxes``
+    in turn, on ``DEFAULT_GRID_N`` uniform points of [-1, 1] without 0 (the
+    sgn convention there is measure-zero).
 
-
-def _diagnostic_grid() -> np.ndarray:
-    grid = np.linspace(-1.0, 1.0, DEFAULT_GRID_N)
-    return grid[grid != 0.0]  # sgn convention at 0 is measure-zero; skip it
-
-
-def _support_width(grid, f_vals, approx_vals, threshold: float) -> float:
-    if not threshold > 0:
-        raise ValueError("threshold must be positive")
-    err = np.abs(np.asarray(f_vals, dtype=float) - np.asarray(approx_vals, dtype=float))
-    exceed = np.abs(grid)[err > threshold]
-    return float(exceed.max()) if exceed.size else 0.0
-
-
-def _overshoot(approx_vals, lo: float, hi: float) -> float:
+    The support width is the largest |x| where |f - approx| exceeds the
+    threshold (0 if nowhere); the overshoot is how far the approximation
+    leaves the band [lo, hi].  f is evaluated once for all approximations,
+    each approximation once for both.  A non-finite value of f or of an
+    approximation is refused: NaN would read as no support and no overshoot.
+    """
+    if not 0 < threshold < np.inf:
+        raise ValueError("threshold must be a finite positive number")
     if not lo < hi:
         raise ValueError("lo must be < hi")
-    vals = np.asarray(approx_vals, dtype=float)
-    return float(max(0.0, vals.max() - hi, lo - vals.min()))
-
-
-def gibbs_support_width(f, approx, threshold: float) -> float:
-    """Largest |x| where |f - approx| exceeds the threshold (0 if nowhere)."""
-    grid = _diagnostic_grid()
-    return _support_width(grid, f(grid), approx(grid), threshold)
-
-
-def max_overshoot(approx, lo: float, hi: float) -> float:
-    """How far the approximation leaves the band [lo, hi] on [-1, 1]."""
-    return _overshoot(approx(_diagnostic_grid()), lo, hi)
-
-
-def _gibbs_profile(f, approxes, threshold: float, lo: float, hi: float):
-    """Yield (:func:`gibbs_support_width`, :func:`max_overshoot`) of each
-    approximation in ``approxes`` in turn, evaluating f once for all of them
-    and each approximation once for both."""
-    grid = _diagnostic_grid()
-    f_vals = f(grid)
-    for approx in approxes:
-        vals = approx(grid)
-        yield _support_width(grid, f_vals, vals, threshold), _overshoot(vals, lo, hi)
+    grid = np.linspace(-1.0, 1.0, DEFAULT_GRID_N)
+    grid = grid[grid != 0.0]
+    f_vals = np.asarray(f(grid), dtype=float)
+    if not np.isfinite(f_vals).all():
+        raise ValueError("f has a non-finite value on the Gibbs grid")
+    for i, approx in enumerate(approxes):
+        vals = np.asarray(approx(grid), dtype=float)
+        if not np.isfinite(vals).all():
+            raise ValueError(f"approximation {i} has a non-finite value on the Gibbs grid")
+        exceed = np.abs(grid)[np.abs(f_vals - vals) > threshold]
+        width = float(exceed.max()) if exceed.size else 0.0
+        yield width, float(max(0.0, vals.max() - hi, lo - vals.min()))

@@ -439,7 +439,7 @@ def _forward(net: FourierResNet, xs: np.ndarray, upto: int) -> np.ndarray:
         while i < len(layers):
             g, h = layers[i].g_branch, layers[i].h_branch
             end = i + 1
-            if g.width == 0:
+            if g.width == 0 and h is not None:
                 # built nets share one h object; a loaded one has equal copies
                 while (end < len(layers) and layers[end].g_branch.width == 0
                        and (layers[end].h_branch is h or layers[end].h_branch == h)):
@@ -455,7 +455,7 @@ def _forward(net: FourierResNet, xs: np.ndarray, upto: int) -> np.ndarray:
     return out.reshape(xs.shape)
 
 
-def _iterate(h: Optional[Branch], f: np.ndarray, steps: int) -> np.ndarray:
+def _iterate(h: Branch, f: np.ndarray, steps: int) -> np.ndarray:
     """Apply v -> (v + 0.0) + h(v) ``steps`` times to the 1-D array f, in
     place, each step on the stretch f[lo:hi] from the first to the last
     point whose bits the previous step changed.
@@ -467,9 +467,6 @@ def _iterate(h: Optional[Branch], f: np.ndarray, steps: int) -> np.ndarray:
     stretch changes no bit; on a sorted f the stretch holds little more
     than the moved points, since phi is monotone."""
     f += 0.0
-    if h is None:
-        # each step is v + 0.0, which the line above has done
-        return f
     lo, hi = 0, f.size
     for _ in range(steps):
         v = f[lo:hi]

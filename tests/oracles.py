@@ -9,16 +9,21 @@ one mode at a time instead of a vectorised fold, every number of a
 network formatted in turn instead of each distinct bit pattern once, a
 Taylor table's rows one inverse FFT at a time instead of one batched FFT,
 or a branch's parts added one by one to an array filled with its constant,
-the quarter-pi phase taken as a complex exp.
+the quarter-pi phase taken as a complex exp.  The Gibbs measurements take
+one approximation at a time, the support width from the outermost points
+over the threshold instead of the largest |x| of all of them.  The rate
+fit, which only the tests read, lives here too.
 """
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
 from fresnet import jets, network
 from fresnet.jets import Jet
 from fresnet.jump import z_profile
+from fresnet.metrics import DEFAULT_GRID_N
 from fresnet.network import _NODES_PER_TERM, _TAYLOR_STEPS, Branch, FourierResNet
 from fresnet.quadrature import build_rule, nodes_weights
 
@@ -180,3 +185,67 @@ def serialize_plain(net: FourierResNet) -> str:
     lines.append("  ]")
     lines.append("}")
     return "\n".join(lines) + "\n"
+
+
+@dataclass(frozen=True)
+class RateFit:
+    """Least-squares power-law fit log(err) = slope * log(x) + intercept."""
+
+    slope: float
+    intercept: float
+    r_squared: float
+    points_used: int
+
+
+def fit_rate(xs, errs) -> RateFit:
+    """Fit log(err) vs log(x); the slope is the algebraic rate exponent."""
+    xs = np.asarray(xs, dtype=float)
+    errs = np.asarray(errs, dtype=float)
+    if xs.shape != errs.shape or xs.ndim != 1 or xs.size < 2:
+        raise ValueError("need equal-length vectors with at least 2 points")
+    both = np.concatenate([xs, errs])
+    if not ((both > 0) & (both < np.inf)).all():
+        raise ValueError("all xs and errs must be finite and positive")
+    lx, ly = np.log(xs), np.log(errs)
+    slope, intercept = np.polyfit(lx, ly, 1)
+    resid = ly - (slope * lx + intercept)
+    total = np.sum((ly - ly.mean()) ** 2)
+    r2 = 1.0 if total == 0 else 1.0 - float(np.sum(resid**2)) / float(total)
+    return RateFit(float(slope), float(intercept), r2, xs.size)
+
+
+def _gibbs_values(fn, grid, what):
+    vals = np.asarray(fn(grid), dtype=float)
+    if not np.isfinite(vals).all():
+        raise ValueError(f"{what} has a non-finite value")
+    return vals
+
+
+def gibbs_grid() -> np.ndarray:
+    """The Gibbs profile's grid: DEFAULT_GRID_N uniform points of [-1, 1]
+    with the point 0 left out."""
+    grid = np.linspace(-1.0, 1.0, DEFAULT_GRID_N)
+    return np.delete(grid, DEFAULT_GRID_N // 2)
+
+
+def gibbs_support_width(f, approx, threshold: float) -> float:
+    """Largest |x| of the grid where |f - approx| exceeds the threshold (0 if
+    nowhere): the grid is sorted, so that is the first or the last such
+    point."""
+    if not (threshold > 0 and math.isfinite(threshold)):
+        raise ValueError("threshold must be finite and positive")
+    grid = gibbs_grid()
+    err = np.abs(_gibbs_values(f, grid, "f") - _gibbs_values(approx, grid, "approx"))
+    over = np.flatnonzero(err > threshold)
+    if over.size == 0:
+        return 0.0
+    return float(max(abs(grid[over[0]]), abs(grid[over[-1]])))
+
+
+def max_overshoot(approx, lo: float, hi: float) -> float:
+    """How far the approximation leaves the band [lo, hi] on the grid: the
+    largest distance of a value above hi or below lo, 0 inside the band."""
+    if not lo < hi:
+        raise ValueError("lo must be < hi")
+    vals = _gibbs_values(approx, gibbs_grid(), "approx")
+    return float(max(0.0, np.max(vals - hi), np.max(lo - vals)))

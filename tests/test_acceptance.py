@@ -29,12 +29,12 @@ from fresnet import network
 from fresnet.builder import BuildSpec, build_piecewise_net
 from fresnet.hermite import deriv_rows, hermite_endpoint
 from fresnet.jump import build_jump_H, chain_rule_matrix, q_derivs_at, q_eval
-from fresnet.metrics import fit_rate, gibbs_support_width, lp_error, max_overshoot
+from fresnet.metrics import lp_error
 from fresnet.network import _branch_modes
 from fresnet.sign import build_sign_net, truncated_sign_series
 from fresnet.smooth import fourier_coeffs
 from fresnet.targets import target_lookup
-from oracles import frequency_multiset
+from oracles import fit_rate, frequency_multiset, gibbs_support_width, max_overshoot
 
 ARTIFACT_DIR = pathlib.Path(__file__).resolve().parent.parent / "test_artifacts"
 

@@ -7,7 +7,7 @@ from fresnet.builder import BuildSpec, build_piecewise_net
 from fresnet import cli
 from fresnet.cli import EXIT_ASSERTION, EXIT_IO, EXIT_USAGE, main
 from fresnet.targets import target_lookup
-from oracles import serialize_plain
+from oracles import fit_rate, gibbs_support_width, max_overshoot, serialize_plain
 
 
 def read_csv(path):
@@ -144,11 +144,11 @@ def test_gibbs_command(tmp_path):
 
 def test_gibbs_evaluates_each_net_and_the_target_once(tmp_path, monkeypatch):
     from fresnet import network
-    from fresnet.metrics import DEFAULT_GRID_N, gibbs_support_width, max_overshoot
+    from fresnet.metrics import DEFAULT_GRID_N
     from fresnet.targets import PiecewiseTarget
 
     target = target_lookup("pw_smooth")
-    # the CSV, from the one-quantity diagnostics on the same nets
+    # the CSV, from the oracles' one-approximation measurements on the same nets
     lo, hi = (f(target.eval(np.linspace(-1, 1, 4001))) for f in (np.min, np.max))
     want = ["L,support_width,max_overshoot"]
     for depth in (4, 8):
@@ -224,10 +224,26 @@ def test_a_grid_below_1_is_refused_before_any_write(command, grid, tmp_path, cap
 
 
 def test_gibbs_refuses_a_nan_threshold(tmp_path):
+    # inf would give a support width of 0 at every depth
+    out = tmp_path / "g.csv"
+    for threshold in ("nan", "inf"):
+        rc = main(["gibbs", "--target", "pw_smooth", "--m", "1", "--modes", "5",
+                   "--depths", "3,4", "--threshold", threshold, "--out", str(out)])
+        assert rc == EXIT_USAGE, threshold
+        assert not out.exists(), threshold
+
+
+def test_gibbs_refuses_a_non_finite_net_value(tmp_path, monkeypatch, capsys):
+    from fresnet import network
+
+    eval_grid = network.eval_grid
+    monkeypatch.setattr(network, "eval_grid",
+                        lambda net, xs: np.where(xs > 0.5, np.nan, eval_grid(net, xs)))
     out = tmp_path / "g.csv"
     rc = main(["gibbs", "--target", "pw_smooth", "--m", "1", "--modes", "5",
-               "--depths", "3,4", "--threshold", "nan", "--out", str(out)])
+               "--depths", "3,4", "--threshold", "0.02", "--out", str(out)])
     assert rc == EXIT_USAGE
+    assert "approximation 0 has a non-finite value" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -321,8 +337,6 @@ def test_sign_curves_gibbs_contrast(tmp_path):
 
 
 def test_sign_convergence_rates_from_emitted_csv(tmp_path):
-    from fresnet.metrics import fit_rate
-
     out = tmp_path / "sc.csv"
     assert main(["sign-convergence", "--max-depth", "20", "--out", str(out)]) == 0
     _, rows = read_csv(out)
@@ -357,8 +371,6 @@ def test_build_order_too_large_names_max_order(tmp_path, capsys):
 
 
 def test_convergence_baseline_rate(tmp_path):
-    from fresnet.metrics import fit_rate
-
     out = tmp_path / "conv.csv"
     assert main(["convergence", "--target", "pw_smooth", "--m", "1",
                  "--modes-list", "5,10,20,40", "--depth", "6", "--out", str(out)]) == 0

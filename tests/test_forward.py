@@ -200,7 +200,8 @@ def test_equal_h_branches_form_one_run(built_net, monkeypatch):
 
 def test_iterate_on_an_unordered_input_gives_the_per_layer_bits():
     """Called directly, a run need not see sorted points: the stretch then
-    spans more fixed points, and no bit changes."""
+    spans more fixed points, and no bit changes.  Layers with neither a
+    g-branch nor an h-branch form no run: each adds the empty branch's 0.0."""
     h = SIGN_H
     rng = np.random.default_rng(14)
     for f0 in (rng.permutation(tricky_points(3000, seed=15)),
@@ -211,7 +212,16 @@ def test_iterate_on_an_unordered_input_gives_the_per_layer_bits():
                 want = (want + 0.0) + h(want)
             got = network._iterate(h, f0.copy(), steps)
             assert_same_bits(got, want, f"{f0.size} points, {steps} steps")
-        assert_same_bits(network._iterate(None, f0.copy(), 3), f0 + 0.0)
+    edges = [0.0, -0.0, 5e-324, -5e-324, np.inf, -np.inf, np.nan, -np.nan, 1.0, -1.0]
+    xs = rng.permutation(np.concatenate([edges, tricky_points(500, seed=17)]))
+    net = FourierResNet((FIRST, *[Layer(EMPTY)] * 3, *[Layer(EMPTY, SIGN_H)] * 4,
+                         *[Layer(EMPTY)] * 2))
+    first = FIRST.g_branch(xs)
+    for ell in range(1, net.depth + 1):
+        got = eval_prefix(net, xs, ell)
+        assert_same_bits(got, forward_plain(net, xs, ell), f"depth {ell}")
+        if 2 <= ell <= 4:
+            assert_same_bits(got, first + 0.0, f"depth {ell}")
 
 
 def test_rescaled_stacks_match_plain_recursion():

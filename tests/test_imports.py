@@ -1,6 +1,9 @@
-"""Every library module uses each name it imports (``__init__`` re-exports),
-and every module-level private function is referenced outside its own
-definition: in its module, by another module or by the tests."""
+"""Every library module uses each name it imports (``__init__`` re-exports);
+every module-level private function is referenced outside its own
+definition: in its module, by another module or by the tests; and every
+module-level public function and class is referenced outside its own
+definition by library code: in its module, by another module or by
+``__init__``, so code only the tests call lives with the tests."""
 
 import ast
 import pathlib
@@ -48,6 +51,14 @@ def private_functions(tree):
             and node.name.startswith("_") and not node.name.startswith("__")]
 
 
+def public_definitions(tree):
+    """(name, node) of every module-level function and class whose name
+    does not start with an underscore."""
+    return [(node.name, node) for node in tree.body
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+            and not node.name.startswith("_")]
+
+
 def names_outside(tree, skip):
     """Every name the tree uses outside the subtree ``skip``."""
     found, stack = set(), [tree]
@@ -74,25 +85,34 @@ def references_into(tree, module):
     return found
 
 
-def unreferenced_private_functions(modules, tests):
-    """{module: [name, ...]} of the private functions in ``modules`` (module
-    name -> tree) that nothing references, matched per module: a function
-    another module defines under the same name does not count."""
+def unreferenced(modules, definitions, tests=()):
+    """{module: [name, ...]} of the ``definitions(tree)`` in ``modules``
+    (module name -> tree) that neither the modules nor ``tests`` reference,
+    matched per module: a name another module defines too does not count."""
     dead = {}
     for module, tree in modules.items():
-        outside = [t for other, t in modules.items() if other != module] + tests
+        outside = [t for other, t in modules.items() if other != module] + list(tests)
         foreign = set().union(*(references_into(t, module) for t in outside))
-        names = [name for name, node in private_functions(tree)
+        names = [name for name, node in definitions(tree)
                  if name not in foreign and name not in names_outside(tree, node)]
         if names:
             dead[module] = names
     return dead
 
 
+def library_modules():
+    return {p.stem: ast.parse(p.read_text(encoding="utf-8")) for p in SRC.glob("*.py")}
+
+
 def test_every_private_function_is_referenced():
-    modules = {p.stem: ast.parse(p.read_text(encoding="utf-8")) for p in SRC.glob("*.py")}
     tests = [ast.parse(p.read_text(encoding="utf-8")) for p in TESTS.glob("*.py")]
-    assert unreferenced_private_functions(modules, tests) == {}
+    assert unreferenced(library_modules(), private_functions, tests) == {}
+
+
+def test_every_public_name_is_used_by_the_library():
+    # jets.sin is the custom-target API (README), beside the cos and exp
+    # the registered targets use
+    assert unreferenced(library_modules(), public_definitions) == {"jets": ["sin"]}
 
 
 def test_scan_sees_an_unreferenced_private_function():
@@ -111,4 +131,25 @@ def test_scan_sees_an_unreferenced_private_function():
     }
     tests = [ast.parse("import fresnet.a\nfrom fresnet import a\n"
                        "a._by_test()\nfresnet.a._by_dotted_test()\n")]
-    assert unreferenced_private_functions(modules, tests) == {"a": ["_dead", "_recursive", "_fmt"]}
+    assert unreferenced(modules, private_functions, tests) == {
+        "a": ["_dead", "_recursive", "_fmt"]}
+
+
+def test_scan_sees_a_public_name_only_the_tests_use():
+    modules = {
+        "a": ast.parse(
+            "class Used: pass\n"
+            "class ByTest: pass\n"
+            "def helper(): return Used()\n"
+            "def by_b(): pass\n"
+            "def by_init(): pass\n"
+            "def recursive(): return recursive()\n"
+            "def _private(): pass\n"
+        ),
+        "b": ast.parse("from . import a\nz = a.by_b\n"),
+        "__init__": ast.parse("from .a import by_init\n"),
+    }
+    tests = [ast.parse("from fresnet.a import ByTest, helper, recursive\n")]
+    # references from the tests count only where they are asked to
+    assert unreferenced(modules, public_definitions, tests) == {}
+    assert unreferenced(modules, public_definitions) == {"a": ["ByTest", "helper", "recursive"]}

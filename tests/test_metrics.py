@@ -1,16 +1,19 @@
-"""Error metrics: closed-form norms, exact rate recovery, diagnostics."""
+"""Error metrics: closed-form norms, the Gibbs profile against the oracles'
+one-approximation measurements, and the oracles' exact rate recovery."""
 
 import math
 
 import numpy as np
 import pytest
 
-from fresnet.metrics import (
-    fit_rate,
-    gibbs_support_width,
-    lp_error,
-    max_overshoot,
-)
+from fresnet.metrics import DEFAULT_GRID_N, gibbs_profile, lp_error
+from oracles import fit_rate, gibbs_support_width, max_overshoot
+
+
+def profile(f, approx, threshold=0.5, lo=-1.0, hi=1.0):
+    """The library's (support width, overshoot) of one approximation."""
+    [pair] = gibbs_profile(f, [approx], threshold, lo, hi)
+    return pair
 
 
 def brute_force_lp(f, g, p, n=200001):
@@ -59,6 +62,11 @@ def test_fit_rate_validation():
         fit_rate([0.0, 2.0], [1.0, 1.0])
     with pytest.raises(ValueError):
         fit_rate([1.0, 2.0], [1.0, 2.0, 3.0])
+    # NaN passes a test of err <= 0 and gave an all-NaN fit
+    for xs, errs in (([1.0, 2.0], [1.0, math.nan]), ([1.0, 2.0], [1.0, math.inf]),
+                     ([1.0, math.inf], [1.0, 0.5]), ([math.nan, 2.0], [1.0, 0.5])):
+        with pytest.raises(ValueError, match="finite"):
+            fit_rate(xs, errs)
 
 
 def test_gibbs_support_width():
@@ -66,26 +74,67 @@ def test_gibbs_support_width():
     bump = lambda x: np.where(np.abs(x) < 0.25, 1.0, 0.0)  # noqa: E731
     w = gibbs_support_width(f, bump, 0.5)
     assert w == pytest.approx(0.25, abs=1e-3)
-    assert gibbs_support_width(f, f, 0.5) == 0.0
-    with pytest.raises(ValueError):
-        gibbs_support_width(f, f, 0.0)
-    # nan passes a test of threshold <= 0, and every width would read 0
-    with pytest.raises(ValueError):
-        gibbs_support_width(f, f, math.nan)
+    assert profile(f, bump)[0] == w
+    assert gibbs_support_width(f, f, 0.5) == profile(f, f)[0] == 0.0
+    # one-sided support: the largest |x| is at the left end
+    left = lambda x: np.where(x < -0.6, 1.0, 0.0)  # noqa: E731
+    assert gibbs_support_width(f, left, 0.5) == profile(f, left)[0] == 1.0
+    # nan passes a test of threshold <= 0, and inf would give every width 0
+    for bad in (0.0, -1.0, math.nan, math.inf):
+        with pytest.raises(ValueError):
+            gibbs_support_width(f, f, bad)
+        with pytest.raises(ValueError, match="threshold"):
+            profile(f, f, bad)
 
 
 def test_max_overshoot():
     inside = lambda x: 0.9 * np.sin(x)  # noqa: E731
-    assert max_overshoot(inside, -1.0, 1.0) == 0.0
+    assert max_overshoot(inside, -1.0, 1.0) == profile(inside, inside)[1] == 0.0
     spike = lambda x: 1.2 * np.ones_like(x)  # noqa: E731
     assert max_overshoot(spike, -1.0, 1.0) == pytest.approx(0.2, rel=1e-12)
     low = lambda x: -1.5 * np.ones_like(x)  # noqa: E731
     assert max_overshoot(low, -1.0, 1.0) == pytest.approx(0.5, rel=1e-12)
-    with pytest.raises(ValueError):
-        max_overshoot(inside, 1.0, -1.0)
-    for lo, hi in ((math.nan, 1.0), (-1.0, math.nan)):
+    for approx in (spike, low):
+        assert profile(inside, approx)[1] == max_overshoot(approx, -1.0, 1.0)
+    for lo, hi in ((math.nan, 1.0), (-1.0, math.nan), (1.0, -1.0)):
         with pytest.raises(ValueError):
             max_overshoot(inside, lo, hi)
+        with pytest.raises(ValueError, match="lo must be"):
+            profile(inside, inside, lo=lo, hi=hi)
+
+
+def test_non_finite_values_are_refused():
+    # NaN compares false with every threshold and band edge, so it would
+    # read as no Gibbs support and no overshoot
+    nan = lambda x: np.full_like(x, np.nan)  # noqa: E731
+    with pytest.raises(ValueError, match="non-finite"):
+        max_overshoot(nan, -1.0, 1.0)
+    with pytest.raises(ValueError, match="non-finite"):
+        gibbs_support_width(np.sin, nan, 0.1)
+    with pytest.raises(ValueError, match="non-finite"):
+        gibbs_support_width(nan, np.sin, 0.1)
+    with pytest.raises(ValueError, match="^f has a non-finite"):
+        profile(nan, np.sin)
+    one_inf = lambda x: np.where(x == x[-1], np.inf, np.sin(x))  # noqa: E731
+    pairs = gibbs_profile(np.sin, [np.sin, one_inf], 0.1, -1.0, 1.0)
+    assert next(pairs) == (0.0, 0.0)
+    with pytest.raises(ValueError, match="^approximation 1 has a non-finite"):
+        next(pairs)
+
+
+def test_gibbs_profile_checks_its_arguments_before_evaluating_f():
+    calls = []
+
+    def f(x):
+        calls.append(x.size)
+        return np.sin(x)
+
+    for threshold, lo, hi in ((math.inf, -1.0, 1.0), (0.1, 1.0, 1.0)):
+        with pytest.raises(ValueError):
+            next(gibbs_profile(f, [np.sin], threshold, lo, hi))
+    assert calls == []
+    assert list(gibbs_profile(f, [np.sin, np.cos], 0.1, -1.0, 1.0))[0] == (0.0, 0.0)
+    assert calls == [DEFAULT_GRID_N - 1]
 
 
 def test_lp_error_validation():

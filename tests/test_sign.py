@@ -116,6 +116,6 @@ def test_series_l1_error_matches_brute_force_oracle():
 
 
 def test_series_gibbs_overshoot_at_20_terms():
-    from fresnet.metrics import max_overshoot
+    from oracles import max_overshoot
 
     assert max_overshoot(truncated_sign_series(20), -1.0, 1.0) > 0.08

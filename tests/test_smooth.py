@@ -183,7 +183,8 @@ def ends_interpolated(b):
 
 def test_smooth_target_width_rate():
     # spectral rate in W for the single-piece target, each smoothness order
-    from fresnet.metrics import fit_rate, lp_error
+    from fresnet.metrics import lp_error
+    from oracles import fit_rate
 
     t = target_lookup("smooth_nonper")
     for m in (1, 2, 3, 4):
