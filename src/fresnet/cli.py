@@ -230,9 +230,10 @@ def cmd_gibbs(args) -> int:
     lines = ["L,support_width,max_overshoot"]
     target_vals = target.eval(np.linspace(-1, 1, 4001))
     lo, hi = float(np.min(target_vals)), float(np.max(target_vals))
-    # each net is built only when the profile asks for it
-    approxes = (partial(network.eval_grid, build_piecewise_net(
-        BuildSpec(target, args.m, args.modes, depth))) for depth in args.depths)
+    # each net is built only when the profile asks for it, and named by its
+    # depth in an error
+    approxes = ((f"L={depth}", partial(network.eval_grid, build_piecewise_net(
+        BuildSpec(target, args.m, args.modes, depth)))) for depth in args.depths)
     profile = gibbs_profile(target.eval, approxes, args.threshold, lo, hi)
     widths = []
     for depth, (width, over) in zip(args.depths, profile):

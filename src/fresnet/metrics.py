@@ -29,9 +29,10 @@ def lp_error(f, g, p, quad: QuadratureConfig = DEFAULT_QUAD):
 
 
 def gibbs_profile(f, approxes, threshold: float, lo: float, hi: float):
-    """Yield (support width, overshoot) of each approximation in ``approxes``
-    in turn, on ``DEFAULT_GRID_N`` uniform points of [-1, 1] without 0 (the
-    sgn convention there is measure-zero).
+    """Yield (support width, overshoot) of each approximation in turn, on
+    ``DEFAULT_GRID_N`` uniform points of [-1, 1] without 0 (the sgn
+    convention there is measure-zero).  ``approxes`` holds (label,
+    approximation) pairs; the label names the approximation in an error.
 
     The support width is the largest |x| where |f - approx| exceeds the
     threshold (0 if nowhere); the overshoot is how far the approximation
@@ -48,10 +49,10 @@ def gibbs_profile(f, approxes, threshold: float, lo: float, hi: float):
     f_vals = np.asarray(f(grid), dtype=float)
     if not np.isfinite(f_vals).all():
         raise ValueError("f has a non-finite value on the Gibbs grid")
-    for i, approx in enumerate(approxes):
+    for label, approx in approxes:
         vals = np.asarray(approx(grid), dtype=float)
         if not np.isfinite(vals).all():
-            raise ValueError(f"approximation {i} has a non-finite value on the Gibbs grid")
+            raise ValueError(f"approximation {label} has a non-finite value on the Gibbs grid")
         exceed = np.abs(grid)[np.abs(f_vals - vals) > threshold]
         width = float(exceed.max()) if exceed.size else 0.0
         yield width, float(max(0.0, vals.max() - hi, lo - vals.min()))

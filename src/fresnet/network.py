@@ -32,6 +32,9 @@ rule that keeps it exact to rounding:
   its first D = 11 derivatives at the M = 16K nodes x_j = 2j/M of one
   period by one batched inverse real FFT of D + 1 half spectra, and a
   point takes D real Horner steps in its offset from the nearest node.
+  The point is reduced into the period exactly, as x - 2 trunc(x/2), and
+  its node wrapped onto a column in float arithmetic: vector passes, with
+  no fmod or integer modulo, which numpy runs as scalar loops.
 * Modes at exact odd multiples (2j+1) pi/4 (the m+1 distinct Hermite
   frequencies of H and H_r) form the quarter-pi ladder c_0..c_m, summed
   as Re u sum_j c_j w^j by complex Horner in w = u^2, u = e^{i pi x/4};
@@ -71,7 +74,7 @@ so working memory is O(chunk) besides the output.  A point's bits do not
 depend on where it sits in the input or on the input's shape: a point
 evaluated alone, in any subset or in the full input gets the same bits.
 An infinite or NaN x gives NaN in every part, without a floating-point
-warning.
+warning: each call sets its own error state, so it is thread-safe.
 
 The forward pass evaluates only what still changes.  A run of consecutive
 layers with an empty g-branch and equal h-branches (the width-1 sign
@@ -88,14 +91,15 @@ v added into it, one add per step.
 
 The forward pass takes the flattened input in blocks of :data:`TRIG_CHUNK`
 points, so it holds one block at a time besides the output, and runs
-every layer on a block in increasing order of x: one argsort per block
-(none for a block that is already non-decreasing, such as a grid or
-quadrature nodes), one take, and one scatter of the result back into the
-output.  A point's bits do not depend on its position, so the order
-changes no bit, but neighbouring points then take the same branches of
-sin and cos and touch nearby rows of the Taylor table, and, phi being
-monotone, the points of the sign stack that still move form one stretch
-that holds few fixed points.
+every layer on a block in increasing order of x: one in-place sort of
+int64 keys per block, each key the point's float bits made monotone with
+its index packed into the low bits (none for a block that is already
+non-decreasing, such as a grid or quadrature nodes), one take, and one
+scatter of the result back into the output.  A point's bits do not depend
+on its position, so the order changes no bit, but neighbouring points
+then take the same branches of sin and cos and touch nearby rows of the
+Taylor table, and, phi being monotone, the points of the sign stack that
+still move form one stretch that holds few fixed points.
 
 Networks are immutable after construction and evaluation is pure, so all
 operations are safe for concurrent use.
@@ -114,7 +118,8 @@ import numpy as np
 #: Points per block in which :func:`_trig_apply` sums its parts and the
 #: forward pass evaluates its layers, so the Horner state (16 B per point)
 #: stays cache-sized.  Every point is summed in the same order whatever its
-#: block, so chunking changes no bit.
+#: block, so chunking changes no bit.  A power of two: the forward pass
+#: packs a point's index into the low log2(TRIG_CHUNK) bits of its sort key.
 TRIG_CHUNK = 16384
 
 #: Amplitude sets whose largest entry is below 2**-TINY_EXP are summed
@@ -294,24 +299,42 @@ def _taylor_table(ladder):
 
 
 def _taylor(table, x):
-    """S(x) from its Taylor table (see :func:`_taylor_table`): x is reduced
-    exactly into the period, and the value is the Taylor sum at the nearest
-    node in the offset t, in node spacings, |t| <= 1/2.  Runs under
-    :func:`_trig_apply`'s errstate, as fmod(+-inf, 2) is NaN."""
-    nodes = table.shape[1]
-    u = np.fmod(x, 2.0) * (nodes / 2)
-    j = np.rint(u)
-    t = u - j
-    # a non-finite x gives a NaN t, so a NaN value whatever its node; its
-    # index is set before the cast, whose result on NaN is undefined
-    j[np.isnan(j)] = 0.0
-    # j is in [-M, M]: the period wraps it onto a column
-    j = j.astype(np.intp) % nodes
+    """S(x) from its Taylor table (see :func:`_taylor_table`): the Taylor
+    sum at the nearest node in the offset t (see :func:`_nearest_node`).
+    Runs under :func:`_trig_apply`'s errstate, as inf - inf is NaN."""
+    j, t = _nearest_node(x, table.shape[1])
     p = table[-1].take(j)
     for row in table[-2::-1]:
         p *= t
         p += row.take(j)
     return p
+
+
+def _nearest_node(x, nodes: int):
+    """(j, t): the column j of x's nearest node x_j = 2j/M, M = ``nodes``,
+    on S's period 2, and the offset t from it in node spacings, |t| <= 1/2.
+
+    x is reduced exactly: x/2 and its trunc are exact, so r = x - 2 trunc(x/2)
+    is fmod(x, 2), which is representable, but for the sign of a zero r.
+    t = u - rint(u), u = r M/2, loses that sign: it is +0 at a node either
+    way.  rint(u) lies in [-M, M] and is wrapped onto a column by
+    k - M floor(k/M), exact there.  A non-finite x gives a NaN t (inf - inf
+    or NaN) and column 0; no step is a scalar loop."""
+    u = x * 0.5
+    np.trunc(u, out=u)
+    u *= -2.0
+    u += x
+    u *= nodes / 2
+    k = np.rint(u)
+    t = u
+    t -= k
+    # set before the cast, whose result on NaN is undefined
+    k[np.isnan(k)] = 0.0
+    wraps = k / nodes
+    np.floor(wraps, out=wraps)
+    wraps *= nodes
+    k -= wraps
+    return k.astype(np.intp), t
 
 
 def _horner(coeffs, z):
@@ -327,18 +350,20 @@ def _horner(coeffs, z):
     return p
 
 
+@np.errstate(invalid="ignore")
 def _trig_apply(plan, x):
+    # an infinite x gives NaN, silently, in every part: inf - inf in the
+    # table's reduction, cos and sin in the quarter-pi ladder and the dense
+    # terms.  The decorator sets the error state per call, so a call is
+    # thread-safe and the caller's state is back when it returns
     x = np.asarray(x, dtype=float)
     flat = x.ravel()
-    # an infinite x gives NaN, silently, in every part: fmod(+-inf, 2) in
-    # the table, cos and sin in the quarter-pi ladder and the dense terms
-    with np.errstate(invalid="ignore"):
-        if flat.size <= TRIG_CHUNK:
-            out = _trig_sum(plan, flat)
-        else:
-            out = np.empty(flat.size)
-            for lo in range(0, flat.size, TRIG_CHUNK):
-                out[lo:lo + TRIG_CHUNK] = _trig_sum(plan, flat[lo:lo + TRIG_CHUNK])
+    if flat.size <= TRIG_CHUNK:
+        out = _trig_sum(plan, flat)
+    else:
+        out = np.empty(flat.size)
+        for lo in range(0, flat.size, TRIG_CHUNK):
+            out[lo:lo + TRIG_CHUNK] = _trig_sum(plan, flat[lo:lo + TRIG_CHUNK])
     return out[0] if x.ndim == 0 else out.reshape(x.shape)
 
 
@@ -356,11 +381,13 @@ def _trig_sum(plan, x):
         out = _taylor(pi_table, x)
         out += bias
     if quarter_ladder:
-        # u = e^{i pi x/4}, its halves written in place; each phase is a
-        # temporary, so no real buffer is held through Horner
+        # u = e^{i pi x/4}, its halves written in place from one phase,
+        # which is freed before Horner so no real buffer is held through it
         u = np.empty(x.size, dtype=complex)
-        np.cos(x * (np.pi / 4), out=u.real)
-        np.sin(x * (np.pi / 4), out=u.imag)
+        phase = x * (np.pi / 4)
+        np.cos(phase, out=u.real)
+        np.sin(phase, out=u.imag)
+        del phase
         part = (u * _horner(quarter_ladder, u * u)).real
         if out is None:
             out = part + bias
@@ -432,7 +459,7 @@ def _forward(net: FourierResNet, xs: np.ndarray, upto: int) -> np.ndarray:
         x = flat[lo:lo + TRIG_CHUNK]
         # each block in increasing order of x; a non-decreasing one (a grid,
         # quadrature nodes) is taken as it is
-        order = slice(None) if (x[1:] >= x[:-1]).all() else x.argsort()
+        order = slice(None) if (x[1:] >= x[:-1]).all() else _ascending(x)
         x = x[order]
         f = layers[0].g_branch(x)
         i = 1
@@ -453,6 +480,32 @@ def _forward(net: FourierResNet, xs: np.ndarray, upto: int) -> np.ndarray:
             i = end
         out[lo:lo + TRIG_CHUNK][order] = f
     return out.reshape(xs.shape)
+
+
+def _ascending(x: np.ndarray) -> np.ndarray:
+    """The permutation that takes the block x, of at most
+    :data:`TRIG_CHUNK` points, into increasing order, by one in-place sort
+    of int64 keys.
+
+    A key is x's float64 bits made monotone (a negative x has every bit
+    but its sign flipped, so -0.0 sorts just below +0.0, -NaN first and
+    +NaN last) with its low log2(TRIG_CHUNK) bits replaced by the point's
+    index, which the sort carries along: after it, the low bits are the
+    permutation.  Points fewer than TRIG_CHUNK ulps apart may come out in
+    either order, which changes no bit: the order only sets the speed."""
+    mask = TRIG_CHUNK - 1
+    if TRIG_CHUNK & mask:
+        raise ValueError(f"TRIG_CHUNK must be a power of two, not {TRIG_CHUNK}")
+    bits = x.view(np.int64)
+    # -1 where the sign bit is set, else 0; flips the bits below the sign
+    # and above the index of a negative x
+    key = bits >> 63
+    key &= 0x7FFF_FFFF_FFFF_FFFF & ~mask
+    key ^= bits & ~mask
+    key |= np.arange(x.size)
+    key.sort()
+    key &= mask
+    return key
 
 
 def _iterate(h: Branch, f: np.ndarray, steps: int) -> np.ndarray:

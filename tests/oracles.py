@@ -8,8 +8,10 @@ layer applied to every point instead of only to the points still moving,
 one mode at a time instead of a vectorised fold, every number of a
 network formatted in turn instead of each distinct bit pattern once, a
 Taylor table's rows one inverse FFT at a time instead of one batched FFT,
-or a branch's parts added one by one to an array filled with its constant,
-the quarter-pi phase taken as a complex exp.  The Gibbs measurements take
+a point reduced into the table's period by fmod and its node wrapped by an
+integer modulo instead of by float arithmetic, or a branch's parts added
+one by one to an array filled with its constant, the quarter-pi phase
+taken as a complex exp.  The Gibbs measurements take
 one approximation at a time, the support width from the outermost points
 over the threshold instead of the largest |x| of all of them.  The rate
 fit, which only the tests read, lives here too.
@@ -97,16 +99,39 @@ def taylor_table_per_order(ladder) -> np.ndarray:
     return table
 
 
+def nearest_node_fmod(x, nodes: int):
+    """(j, t) of ``network._nearest_node`` by fmod(x, 2), exact, for the
+    reduction and an integer modulo for the column: u = fmod(x, 2) M/2,
+    j = rint(u) mod M, t = u - rint(u)."""
+    x = np.asarray(x, dtype=float)
+    with np.errstate(invalid="ignore"):
+        u = np.fmod(x, 2.0) * (nodes / 2)
+    j = np.rint(u)
+    t = u - j
+    j[np.isnan(j)] = 0.0
+    return j.astype(np.intp) % nodes, t
+
+
+def taylor_fmod(table, x) -> np.ndarray:
+    """The Taylor sum of ``network._taylor`` at the nodes and offsets of
+    :func:`nearest_node_fmod`."""
+    j, t = nearest_node_fmod(x, table.shape[1])
+    p = table[-1][j]
+    for row in table[-2::-1]:
+        p = p * t + row[j]
+    return p
+
+
 def trig_sum_filled(br: Branch, x) -> np.ndarray:
     """The branch at the 1-D array x from its plan: an array filled with the
-    constant, then the table, the quarter-pi ladder with u = exp(i pi x/4)
+    constant, then the table (by :func:`taylor_fmod`), the quarter-pi ladder with u = exp(i pi x/4)
     and each dense term added in turn, then the 2^-shift rescale."""
     bias, pi_table, quarter_ladder, terms, shift = br._plan
     x = np.asarray(x, dtype=float)
     out = np.full(x.size, bias)
     with np.errstate(invalid="ignore"):
         if pi_table is not None:
-            out += network._taylor(pi_table, x)
+            out += taylor_fmod(pi_table, x)
         if quarter_ladder:
             u = np.exp(1j * (np.pi / 4) * x)
             out += (u * network._horner(quarter_ladder, u * u)).real

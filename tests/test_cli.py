@@ -243,7 +243,8 @@ def test_gibbs_refuses_a_non_finite_net_value(tmp_path, monkeypatch, capsys):
     rc = main(["gibbs", "--target", "pw_smooth", "--m", "1", "--modes", "5",
                "--depths", "3,4", "--threshold", "0.02", "--out", str(out)])
     assert rc == EXIT_USAGE
-    assert "approximation 0 has a non-finite value" in capsys.readouterr().err
+    # named by its depth, not by its position in --depths
+    assert "approximation L=3 has a non-finite value" in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -1,7 +1,7 @@
 """The forward pass against the plain recursion, bit for bit.
 
 ``network._forward`` evaluates the flattened input in blocks, each in
-increasing order of x, and iterates a run of identical width-1 layers in
+increasing order of x (by one sort of packed int64 keys), and iterates a run of identical width-1 layers in
 place on the stretch from the first to the last point whose bits still
 change; a branch evaluates in chunks over the flattened input.  None of
 these may change a single output bit.
@@ -267,6 +267,87 @@ def test_chunking_keeps_the_bits_of_one_block():
     whole = br(xs)
     for lo in range(0, n, network.TRIG_CHUNK):
         assert_same_bits(whole[lo:lo + network.TRIG_CHUNK], br(xs[lo:lo + network.TRIG_CHUNK]))
+
+
+def adversarial_block(n, seed):
+    """n points drawn from a few hundred distinct values, with NaN of both
+    signs, +-inf, +-0.0 and subnormals among them, so most repeat; sorted
+    descending, then a few swapped, so the block is out of order."""
+    rng = np.random.default_rng(seed)
+    values = np.concatenate([tricky_points(150, seed=seed),
+                             [np.nan, -np.nan, np.inf, -np.inf, 0.0, -0.0, 0.5, 0.5]])
+    xs = np.sort(rng.choice(values, n))[::-1].copy()
+    swap = rng.choice(n, 40, replace=False)
+    xs[swap] = xs[swap[::-1]]
+    # NaN sorts last in np.sort: move some of both signs to the front
+    xs[:3] = [np.nan, -np.nan, np.nan]
+    return xs
+
+
+@pytest.mark.parametrize("extra", [0, 1])
+def test_adversarial_blocks_match_point_by_point(built_net, extra):
+    """A block of exactly TRIG_CHUNK points, and one more (a second block of
+    one point), each point against the same point evaluated alone and
+    against the plain recursion.  NaN sign bits are not compared (see
+    test_non_finite_inputs)."""
+    xs = adversarial_block(network.TRIG_CHUNK + extra, seed=20 + extra)
+    with np.errstate(invalid="ignore"):
+        plain = forward_plain(built_net, xs)
+    got = eval_grid(built_net, xs)
+    nan = np.isnan(got)
+    assert np.array_equal(nan, np.isnan(plain)) and nan.sum() > 3
+    assert np.array_equal(nan, ~np.isfinite(xs))
+    assert_same_bits(got[~nan], plain[~nan])
+    # each distinct bit pattern once, evaluated alone
+    patterns, first = np.unique(bits(xs), return_index=True)
+    assert patterns.size < 600
+    for i in first:
+        alone = eval_prefix(built_net, xs[i], built_net.depth)
+        same = bits(xs) == bits(xs[i])
+        if np.isnan(alone):
+            assert nan[same].all()
+        else:
+            assert (bits(got[same]) == bits(alone)).all(), xs[i]
+
+
+def test_ascending_orders_a_block_by_its_packed_keys():
+    """The permutation sorts a block (NaN of both signs, +-inf, +-0.0,
+    duplicates, a descending run); -NaN comes first, +NaN last and -0.0
+    before +0.0.  Points within TRIG_CHUNK ulps of each other may swap."""
+    rng = np.random.default_rng(21)
+    n = network.TRIG_CHUNK
+    xs = rng.uniform(-1.0, 1.0, n)
+    xs[:2000] = np.sort(xs[:2000])[::-1]
+    xs[2000:2200] = 0.25
+    xs[rng.choice(n, 10, replace=False)] = [np.nan, -np.nan, np.inf, -np.inf, 0.0, -0.0,
+                                            np.nan, -np.nan, 0.0, -0.0]
+    order = network._ascending(xs)
+    assert np.array_equal(np.sort(order), np.arange(n))
+    ys = xs[order]
+    assert np.isnan(ys[:2]).all() and np.signbit(ys[:2]).all()
+    assert np.isnan(ys[-2:]).all() and not np.signbit(ys[-2:]).any()
+    finite = ys[2:-2]
+    assert np.array_equal(finite, np.sort(xs[~np.isnan(xs)]))
+    zeros = bits(finite[finite == 0.0])
+    assert zeros.tolist() == bits([-0.0, -0.0, 0.0, 0.0]).tolist()
+    # neighbours closer than the index bits may come out in either order,
+    # among them the subnormals next to a zero of their own sign
+    for near in (0.5 + np.arange(200) * np.spacing(0.5), np.arange(-100, 100) * 5e-324):
+        order = network._ascending(near[::-1].copy())
+        assert np.array_equal(np.sort(order), np.arange(200))
+        assert np.abs(near[::-1][order] - near).max() <= network.TRIG_CHUNK * np.spacing(near).max()
+
+
+def test_block_order_follows_the_chunk_size(built_net, monkeypatch):
+    """The index bits of a key come from TRIG_CHUNK: blocks of 2^15 points
+    need 15 of them.  A chunk size that is not a power of two is refused."""
+    xs = np.random.default_rng(22).uniform(-1.0, 1.0, 2 ** 15 + 5)
+    want = forward_plain(built_net, xs)
+    monkeypatch.setattr(network, "TRIG_CHUNK", 2 ** 15)
+    assert_same_bits(eval_grid(built_net, xs), want)
+    monkeypatch.setattr(network, "TRIG_CHUNK", 1000)
+    with pytest.raises(ValueError, match="power of two"):
+        eval_grid(built_net, xs)
 
 
 def test_every_layer_is_a_call_of_its_own_branch(built_net, monkeypatch):

@@ -12,7 +12,7 @@ from oracles import fit_rate, gibbs_support_width, max_overshoot
 
 def profile(f, approx, threshold=0.5, lo=-1.0, hi=1.0):
     """The library's (support width, overshoot) of one approximation."""
-    [pair] = gibbs_profile(f, [approx], threshold, lo, hi)
+    [pair] = gibbs_profile(f, [("approx", approx)], threshold, lo, hi)
     return pair
 
 
@@ -116,7 +116,7 @@ def test_non_finite_values_are_refused():
     with pytest.raises(ValueError, match="^f has a non-finite"):
         profile(nan, np.sin)
     one_inf = lambda x: np.where(x == x[-1], np.inf, np.sin(x))  # noqa: E731
-    pairs = gibbs_profile(np.sin, [np.sin, one_inf], 0.1, -1.0, 1.0)
+    pairs = gibbs_profile(np.sin, enumerate([np.sin, one_inf]), 0.1, -1.0, 1.0)
     assert next(pairs) == (0.0, 0.0)
     with pytest.raises(ValueError, match="^approximation 1 has a non-finite"):
         next(pairs)
@@ -131,9 +131,9 @@ def test_gibbs_profile_checks_its_arguments_before_evaluating_f():
 
     for threshold, lo, hi in ((math.inf, -1.0, 1.0), (0.1, 1.0, 1.0)):
         with pytest.raises(ValueError):
-            next(gibbs_profile(f, [np.sin], threshold, lo, hi))
+            next(gibbs_profile(f, [("sin", np.sin)], threshold, lo, hi))
     assert calls == []
-    assert list(gibbs_profile(f, [np.sin, np.cos], 0.1, -1.0, 1.0))[0] == (0.0, 0.0)
+    assert list(gibbs_profile(f, enumerate([np.sin, np.cos]), 0.1, -1.0, 1.0))[0] == (0.0, 0.0)
     assert calls == [DEFAULT_GRID_N - 1]
 
 

@@ -2,8 +2,10 @@
 
 import cmath
 import math
+import threading
 import tracemalloc
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -16,7 +18,8 @@ from fresnet.hermite import deriv_rows, hermite_endpoint
 from fresnet.jump import z_profile
 from fresnet.network import Branch, branch_from_modes, eval_grid, eval_prefix
 from fresnet.targets import target_lookup
-from oracles import branch_modes, taylor_table_per_order, trig_sum_filled
+from oracles import (branch_modes, nearest_node_fmod, taylor_fmod, taylor_table_per_order,
+                     trig_sum_filled)
 
 
 def fsum_oracle(omegas, amps, x, deriv):
@@ -330,3 +333,89 @@ def test_taylor_table_matches_the_per_order_oracle_bit_for_bit(terms, scale):
     got = network._taylor_table(ladder)
     assert got.shape == (12, 16 * terms)
     assert np.array_equal(got.view(np.int64), taylor_table_per_order(ladder).view(np.int64))
+
+
+def reduction_points(nodes):
+    """Points where a reduction into the period 2 can go wrong: +-2k and
+    their neighbours, +-(2 - ulp), every power of two from 2^53 (all even
+    integers) up, the largest float, both signs of every power 2^-1..2^-1074
+    (subnormals included), signed zeros, non-finite points, the nodes
+    2j/M and the points halfway between them, where rint ties."""
+    evens = 2.0 * np.arange(-60, 61)
+    big = 2.0 ** np.arange(53, 1024)
+    tiny = 2.0 ** -np.arange(1, 1075)
+    steps = np.arange(-nodes - 2, nodes + 3) * (2.0 / nodes)
+    rng = np.random.default_rng(nodes)
+    return np.concatenate([
+        evens, np.nextafter(evens, np.inf), np.nextafter(evens, -np.inf),
+        [np.nextafter(2.0, 0.0), -np.nextafter(2.0, 0.0), np.nextafter(-2.0, -4.0)],
+        big, -big, big + 2.0 ** 53, [np.finfo(float).max, -np.finfo(float).max],
+        tiny, -tiny, [0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan],
+        steps, steps + 1.0 / nodes, steps - 1.0 / nodes,
+        rng.uniform(-4.0, 4.0, 3000), rng.uniform(-1e6, 1e6, 1000),
+    ])
+
+
+@pytest.mark.parametrize("terms", [2, 13, 80, 512])
+def test_nearest_node_matches_the_fmod_oracle_bit_for_bit(terms):
+    """x - 2 trunc(x/2) and a float wrap of the column give the node and
+    offset bits of fmod(x, 2) and an integer modulo at every point, +0 for
+    the offset at a node whatever the sign of x, and NaN for a non-finite
+    x.  M = 16K is a power of two only for some K."""
+    nodes = 16 * terms
+    x = reduction_points(nodes)
+    with np.errstate(invalid="ignore"):  # as under the kernel's errstate
+        j, t = network._nearest_node(x, nodes)
+    want_j, want_t = nearest_node_fmod(x, nodes)
+    assert j.dtype == np.intp and ((0 <= j) & (j < nodes)).all()
+    assert np.array_equal(j, want_j)
+    nan = np.isnan(want_t)
+    assert np.array_equal(np.isnan(t), nan) and nan.sum() == 4
+    assert np.array_equal(t[~nan].view(np.int64), want_t[~nan].view(np.int64))
+    # +0 at every node: even integers, +-0 and the far points all land on one
+    at_node = (t == 0) & ~nan
+    assert not np.signbit(t[at_node]).any()
+    assert at_node[np.isin(x, [0.0, 2.0, -2.0, 2.0 ** 60, -(2.0 ** 60)])].all()
+
+
+@pytest.mark.parametrize("terms", [13, 512])
+def test_taylor_sum_matches_the_fmod_route_bit_for_bit(terms):
+    br = pi_ladder_branch(terms, 40 + terms)
+    table = br._plan[1]
+    x = reduction_points(table.shape[1])
+    with np.errstate(invalid="ignore"):
+        got, want = network._taylor(table, x), taylor_fmod(table, x)
+    nan = np.isnan(want)
+    assert np.array_equal(np.isnan(got), nan)
+    assert np.array_equal(got[~nan].view(np.int64), want[~nan].view(np.int64))
+
+
+def test_non_finite_points_give_nan_in_threads_and_under_raise():
+    """Four threads call every kind of branch on +-inf and NaN at once, each
+    inside ``np.errstate(invalid="raise")``: every branch gives NaN with no
+    warning and no FloatingPointError, the finite points keep their bits,
+    and each thread's own error state is unchanged after the calls."""
+    net = build_piecewise_net(BuildSpec(target_lookup("pw_smooth"), 4, 32, 20))
+    branches = [net.layers[0].g_branch, net.layers[1].h_branch,
+                net.layers[-1].g_branch, net.layers[-1].h_branch,
+                pi_ladder_branch(13, 5), branch_from_modes([0.5j, 1.0], [1.0, 2.5])]
+    x = np.tile([np.inf, -np.inf, np.nan, 0.5, -0.0], 400)
+    want = [br(x[3:5]).view(np.int64) for br in branches]
+    start = threading.Barrier(4)
+
+    def work():
+        start.wait()
+        with np.errstate(invalid="raise"):
+            for _ in range(30):
+                for br, finite in zip(branches, want):
+                    got = br(x).reshape(-1, 5)
+                    assert np.isnan(got[:, :3]).all()
+                    assert (got[:, 3:].view(np.int64) == finite).all()
+                    assert np.isnan(br(np.inf))
+            return np.geterr()["invalid"]
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with ThreadPoolExecutor(4) as pool:
+            states = [job.result() for job in [pool.submit(work) for _ in range(4)]]
+    assert states == ["raise"] * 4
