@@ -452,6 +452,11 @@ def eval_prefix(net: FourierResNet, x, ell: int):
 
 
 def _forward(net: FourierResNet, xs: np.ndarray, upto: int) -> np.ndarray:
+    """f_upto at every point of xs, in blocks of :data:`TRIG_CHUNK` points
+    of the flattened input: each block is taken into increasing order (by
+    :func:`_ascending`, unless it is already non-decreasing), run through
+    the layers, a run of sign layers by :func:`_iterate`, and scattered
+    back into the output."""
     layers = net.layers[:upto]
     flat = xs.ravel()
     out = np.empty(flat.size)

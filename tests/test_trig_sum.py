@@ -2,6 +2,7 @@
 
 import cmath
 import math
+import sys
 import threading
 import tracemalloc
 import warnings
@@ -401,7 +402,7 @@ def test_non_finite_points_give_nan_in_threads_and_under_raise():
                 pi_ladder_branch(13, 5), branch_from_modes([0.5j, 1.0], [1.0, 2.5])]
     x = np.tile([np.inf, -np.inf, np.nan, 0.5, -0.0], 400)
     want = [br(x[3:5]).view(np.int64) for br in branches]
-    start = threading.Barrier(4)
+    start = threading.Barrier(4, timeout=30)
 
     def work():
         start.wait()
@@ -414,8 +415,14 @@ def test_non_finite_points_give_nan_in_threads_and_under_raise():
                     assert np.isnan(br(np.inf))
             return np.geterr()["invalid"]
 
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        with ThreadPoolExecutor(4) as pool:
-            states = [job.result() for job in [pool.submit(work) for _ in range(4)]]
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)  # interleave the threads' calls finely
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with ThreadPoolExecutor(4) as pool:
+                jobs = [pool.submit(work) for _ in range(4)]
+                states = [job.result(timeout=120) for job in jobs]
+    finally:
+        sys.setswitchinterval(switch)
     assert states == ["raise"] * 4
