@@ -76,7 +76,7 @@ def build_piecewise_net(spec: BuildSpec) -> FourierResNet:
     if target.is_smooth:
         # No jump: H = 0, q = z cancels out of the final sum; emit the
         # shallow single-layer network directly.
-        smooth_branch = build_smooth_branch(target.eval, f_minus, f_plus, m, spec.half_modes)
+        smooth_branch = build_smooth_branch(target.eval, f_minus, f_plus, spec.half_modes)
         return FourierResNet((Layer(smooth_branch),))
 
     alphas = target.one_sided_derivs(0.0, "left", m)
@@ -89,7 +89,7 @@ def build_piecewise_net(spec: BuildSpec) -> FourierResNet:
 
     r_minus = f_minus - q_derivs_at(-1.0, "right", h_poly, m)
     r_plus = f_plus - q_derivs_at(1.0, "left", h_poly, m)
-    smooth_branch = build_smooth_branch(r, r_minus, r_plus, m, spec.half_modes)
+    smooth_branch = build_smooth_branch(r, r_minus, r_plus, spec.half_modes)
 
     layers = list(build_sign_net(spec.depth).layers)
     layers[-1] = Layer(_SIN_NEURON, layers[-1].h_branch)

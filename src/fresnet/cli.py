@@ -33,7 +33,7 @@ import numpy as np
 from . import network
 from .builder import BuildSpec, build_piecewise_net
 from .metrics import gibbs_profile, lp_error
-from .quadrature import QuadratureConfig
+from .quadrature import DEFAULT_QUAD, QuadratureConfig
 from .sign import build_sign_net, sign_error_bound, truncated_sign_series
 from .smooth import fourier_coeffs
 from .targets import UnknownTargetError, target_lookup
@@ -77,11 +77,11 @@ def _quad_from_args(args) -> QuadratureConfig:
 
 def _add_quad_flags(parser) -> None:
     """Flags of the measurement rule (the build rule follows from K)."""
-    parser.add_argument("--panels", type=int, default=64,
+    parser.add_argument("--panels", type=int, default=DEFAULT_QUAD.panels_per_side,
                         help="measurement quadrature panels per side")
-    parser.add_argument("--nodes", type=int, default=12,
+    parser.add_argument("--nodes", type=int, default=DEFAULT_QUAD.nodes_per_panel,
                         help="measurement Gauss nodes per panel")
-    parser.add_argument("--grading", type=float, default=0.7,
+    parser.add_argument("--grading", type=float, default=DEFAULT_QUAD.grading_ratio,
                         help="measurement geometric grading ratio")
 
 

@@ -19,7 +19,7 @@ piecewise construction.
 
 Every trigonometric sum in the package is a :class:`Branch`, evaluated by
 one kernel: the branch's plan, built on its first call and kept, and
-:func:`_trig_apply`.  The kernel sums values only (H's derivatives at a
+:meth:`Branch.__call__`.  The kernel sums values only (H's derivatives at a
 point are one small product of its modes, see
 :func:`fresnet.hermite.deriv_rows`).  The plan folds each mode onto a
 nonnegative frequency and merges duplicates, then sums each part by one
@@ -93,13 +93,14 @@ The forward pass takes the flattened input in blocks of :data:`TRIG_CHUNK`
 points, so it holds one block at a time besides the output, and runs
 every layer on a block in increasing order of x: one in-place sort of
 int64 keys per block, each key the point's float bits made monotone with
-its index packed into the low bits (none for a block that is already
-non-decreasing, such as a grid or quadrature nodes), one take, and one
-scatter of the result back into the output.  A point's bits do not depend
-on its position, so the order changes no bit, but neighbouring points
-then take the same branches of sin and cos and touch nearby rows of the
-Taylor table, and, phi being monotone, the points of the sign stack that
-still move form one stretch that holds few fixed points.
+its index packed into as many low bits as the block's indices take (none
+for a block that is already non-decreasing, such as a grid or quadrature
+nodes), one take, and one scatter of the result back into the output.
+A point's bits do not depend on its position, so the order changes no
+bit, but neighbouring points then take the same branches of sin and cos
+and touch nearby rows of the Taylor table, and, phi being monotone, the
+points of the sign stack that still move form one stretch that holds few
+fixed points.
 
 Networks are immutable after construction and evaluation is pure, so all
 operations are safe for concurrent use.
@@ -115,11 +116,10 @@ from typing import Optional
 
 import numpy as np
 
-#: Points per block in which :func:`_trig_apply` sums its parts and the
-#: forward pass evaluates its layers, so the Horner state (16 B per point)
-#: stays cache-sized.  Every point is summed in the same order whatever its
-#: block, so chunking changes no bit.  A power of two: the forward pass
-#: packs a point's index into the low log2(TRIG_CHUNK) bits of its sort key.
+#: Points per block in which :meth:`Branch.__call__` sums its parts and
+#: the forward pass evaluates its layers, so the Horner state (16 B per
+#: point) stays cache-sized.  Every point is summed in the same order
+#: whatever its block, so chunking changes no bit.
 TRIG_CHUNK = 16384
 
 #: Amplitude sets whose largest entry is below 2**-TINY_EXP are summed
@@ -176,9 +176,22 @@ class Branch:
     def _plan(self):
         return _trig_plan(*_branch_modes(self))
 
+    @np.errstate(invalid="ignore")
     def __call__(self, t):
         """Evaluate the branch at scalar or array input."""
-        return _trig_apply(self._plan, t)
+        # an infinite t gives NaN, silently, in every part: inf - inf in the
+        # table's reduction, cos and sin in the quarter-pi ladder and the dense
+        # terms.  The decorator sets the error state per call, so a call is
+        # thread-safe and the caller's state is back when it returns
+        t = np.asarray(t, dtype=float)
+        flat = t.ravel()
+        if flat.size <= TRIG_CHUNK:
+            out = _trig_sum(self._plan, flat)
+        else:
+            out = np.empty(flat.size)
+            for lo in range(0, flat.size, TRIG_CHUNK):
+                out[lo:lo + TRIG_CHUNK] = _trig_sum(self._plan, flat[lo:lo + TRIG_CHUNK])
+        return out[0] if t.ndim == 0 else out.reshape(t.shape)
 
 
 @dataclass(frozen=True)
@@ -301,7 +314,7 @@ def _taylor_table(ladder):
 def _taylor(table, x):
     """S(x) from its Taylor table (see :func:`_taylor_table`): the Taylor
     sum at the nearest node in the offset t (see :func:`_nearest_node`).
-    Runs under :func:`_trig_apply`'s errstate, as inf - inf is NaN."""
+    Runs under :meth:`Branch.__call__`'s errstate, as inf - inf is NaN."""
     j, t = _nearest_node(x, table.shape[1])
     p = table[-1].take(j)
     for row in table[-2::-1]:
@@ -348,23 +361,6 @@ def _horner(coeffs, z):
         q += c
         p, q = q, p
     return p
-
-
-@np.errstate(invalid="ignore")
-def _trig_apply(plan, x):
-    # an infinite x gives NaN, silently, in every part: inf - inf in the
-    # table's reduction, cos and sin in the quarter-pi ladder and the dense
-    # terms.  The decorator sets the error state per call, so a call is
-    # thread-safe and the caller's state is back when it returns
-    x = np.asarray(x, dtype=float)
-    flat = x.ravel()
-    if flat.size <= TRIG_CHUNK:
-        out = _trig_sum(plan, flat)
-    else:
-        out = np.empty(flat.size)
-        for lo in range(0, flat.size, TRIG_CHUNK):
-            out[lo:lo + TRIG_CHUNK] = _trig_sum(plan, flat[lo:lo + TRIG_CHUNK])
-    return out[0] if x.ndim == 0 else out.reshape(x.shape)
 
 
 def _trig_sum(plan, x):
@@ -488,19 +484,17 @@ def _forward(net: FourierResNet, xs: np.ndarray, upto: int) -> np.ndarray:
 
 
 def _ascending(x: np.ndarray) -> np.ndarray:
-    """The permutation that takes the block x, of at most
-    :data:`TRIG_CHUNK` points, into increasing order, by one in-place sort
-    of int64 keys.
+    """The permutation that takes the block x into increasing order, by
+    one in-place sort of int64 keys.
 
     A key is x's float64 bits made monotone (a negative x has every bit
     but its sign flipped, so -0.0 sorts just below +0.0, -NaN first and
-    +NaN last) with its low log2(TRIG_CHUNK) bits replaced by the point's
-    index, which the sort carries along: after it, the low bits are the
-    permutation.  Points fewer than TRIG_CHUNK ulps apart may come out in
-    either order, which changes no bit: the order only sets the speed."""
-    mask = TRIG_CHUNK - 1
-    if TRIG_CHUNK & mask:
-        raise ValueError(f"TRIG_CHUNK must be a power of two, not {TRIG_CHUNK}")
+    +NaN last) with its low bits, as many as an index into x takes,
+    replaced by the point's index, which the sort carries along: after it,
+    the low bits are the permutation.  Points fewer than 2^b ulps apart,
+    b those index bits, may come out in either order, which changes no
+    bit: the order only sets the speed."""
+    mask = (1 << (x.size - 1).bit_length()) - 1
     bits = x.view(np.int64)
     # -1 where the sign bit is set, else 0; flips the bits below the sign
     # and above the index of a negative x

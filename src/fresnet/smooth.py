@@ -58,25 +58,18 @@ def fourier_coeffs(g, half_modes: int) -> np.ndarray:
     return np.concatenate([c[:0:-1].conj(), c])
 
 
-def build_smooth_branch(
-    f,
-    endpoint_derivs_minus,
-    endpoint_derivs_plus,
-    m: int,
-    half_modes: int,
-) -> Branch:
+def build_smooth_branch(f, endpoint_derivs_minus, endpoint_derivs_plus, half_modes: int) -> Branch:
     """Single branch realizing H_r + G for the target ``f``.
 
     ``endpoint_derivs_minus`` / ``..._plus`` are f's derivatives of orders
-    0..m at -1 and +1.  The branch holds one entry per complex mode: the
-    2K+1 integer-frequency modes of the residual series followed by the
-    2(m+1) quarter-pi modes of H_r, total width 2K + 1 + 2(m+1).
+    0..m at -1 and +1, which set H_r's order m (:func:`hermite_endpoint`
+    refuses lists of unequal length, empty ones and orders above
+    :data:`fresnet.jets.MAX_ORDER`).  The branch holds one entry per
+    complex mode: the 2K+1 integer-frequency modes of the residual series
+    followed by the 2(m+1) quarter-pi modes of H_r, total width
+    2K + 1 + 2(m+1).
     """
-    minus = np.asarray(endpoint_derivs_minus, dtype=float)
-    plus = np.asarray(endpoint_derivs_plus, dtype=float)
-    if minus.shape != plus.shape or minus.size != m + 1:
-        raise ValueError("endpoint derivative lists must both have length m + 1")
-    h_r = hermite_endpoint(minus, plus)
+    h_r = hermite_endpoint(endpoint_derivs_minus, endpoint_derivs_plus)
 
     def residual(x):
         return np.asarray(f(x), dtype=float) - h_r(x)

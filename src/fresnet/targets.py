@@ -20,15 +20,11 @@ from typing import Callable
 import numpy as np
 
 from . import jets
-from .jets import MAX_ORDER, jet_var
+from .jets import jet_var
 
 
 class UnknownTargetError(KeyError):
     """Raised for a target name not present in the registry."""
-
-
-class UnsupportedOrderError(ValueError):
-    """Raised when a derivative order beyond the target's maximum is requested."""
 
 
 @dataclass(frozen=True)
@@ -59,17 +55,10 @@ class PiecewiseTarget:
         vals = np.where(xs == 0, self.value_at_breakpoint, vals)
         return float(vals[0]) if scalar else vals
 
-    def __call__(self, x):
-        return self.eval(x)
-
     def one_sided_derivs(self, point: float, side: str, m: int) -> np.ndarray:
         """[f(point^s), f'(point^s), ..., f^(m)(point^s)] for side s."""
         if side not in ("left", "right"):
             raise ValueError(f"side must be 'left' or 'right', got {side!r}")
-        if m > MAX_ORDER:
-            raise UnsupportedOrderError(
-                f"order {m} exceeds max_order {MAX_ORDER} of target {self.name!r}"
-            )
         if not -1.0 <= point <= 1.0:
             raise ValueError("point outside [-1, 1]")
         use_left = point < 0 or (point == 0 and side == "left")

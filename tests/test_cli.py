@@ -1,11 +1,14 @@
 """CLI: in-process invocation, CSV shape, exit codes, determinism."""
 
+import math
+
 import numpy as np
 import pytest
 
 from fresnet.builder import BuildSpec, build_piecewise_net
 from fresnet import cli
 from fresnet.cli import EXIT_ASSERTION, EXIT_IO, EXIT_USAGE, main
+from fresnet.quadrature import DEFAULT_QUAD
 from fresnet.targets import target_lookup
 from oracles import fit_rate, gibbs_support_width, max_overshoot, serialize_plain
 
@@ -177,6 +180,38 @@ def test_gibbs_evaluates_each_net_and_the_target_once(tmp_path, monkeypatch):
     assert rc == 0
     assert calls == {"net": 2, "target": 1}
     assert out.read_text() == "\n".join(want) + "\n"
+
+
+@pytest.mark.parametrize("command", ["sign-convergence", "convergence"])
+def test_measurement_rule_defaults_to_default_quad(command):
+    argv = [command, "--out", "x.csv"] + (
+        ["--max-depth", "2"] if command == "sign-convergence"
+        else ["--target", "hat", "--m", "1", "--modes-list", "4"])
+    assert cli._quad_from_args(cli.build_parser().parse_args(argv)) == DEFAULT_QUAD
+
+
+def test_sign_convergence_fails_when_an_error_passes_the_bound(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(cli, "sign_error_bound", lambda ell, p: 0.0 if ell == 3 else math.inf)
+    out = tmp_path / "conv.csv"
+    rc = main(["sign-convergence", "--max-depth", "4", "--out", str(out)])
+    assert rc == EXIT_ASSERTION
+    assert "experiment failure: depth 3: measured error" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_gibbs_fails_when_support_widths_grow(tmp_path, monkeypatch, capsys):
+    def growing(target, approxes, threshold, lo, hi):
+        return [(0.1 * (i + 1), 0.0) for i, _ in enumerate(approxes)]
+
+    monkeypatch.setattr(cli, "gibbs_profile", growing)
+    out = tmp_path / "g.csv"
+    rc = main(["gibbs", "--target", "pw_smooth", "--m", "1", "--modes", "5",
+               "--depths", "3,4", "--threshold", "0.02", "--out", str(out)])
+    assert rc == EXIT_ASSERTION
+    assert "support widths not non-increasing" in capsys.readouterr().err
+    # the rows are written before the widths are checked
+    _, rows = read_csv(out)
+    assert [r[0] for r in rows] == ["3", "4"]
 
 
 def test_gibbs_unsorted_depths_rejected(tmp_path):
@@ -368,7 +403,7 @@ def test_build_order_too_large_names_max_order(tmp_path, capsys):
     rc = main(["build", "--target", "hat", "--m", "13", "--modes", "4",
                "--depth", "5", "--out", str(tmp_path / "n.json")])
     assert rc == EXIT_USAGE
-    assert "max_order" in capsys.readouterr().err
+    assert capsys.readouterr().err == "error: jet order 13 exceeds maximum supported order 12\n"
 
 
 def test_convergence_baseline_rate(tmp_path):

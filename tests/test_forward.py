@@ -7,6 +7,7 @@ change; a branch evaluates in chunks over the flattened input.  None of
 these may change a single output bit.
 """
 
+import itertools
 import math
 import tracemalloc
 
@@ -313,7 +314,8 @@ def test_adversarial_blocks_match_point_by_point(built_net, extra):
 def test_ascending_orders_a_block_by_its_packed_keys():
     """The permutation sorts a block (NaN of both signs, +-inf, +-0.0,
     duplicates, a descending run); -NaN comes first, +NaN last and -0.0
-    before +0.0.  Points within TRIG_CHUNK ulps of each other may swap."""
+    before +0.0.  Points within 2^b ulps of each other may swap, b the
+    bits an index into the block takes."""
     rng = np.random.default_rng(21)
     n = network.TRIG_CHUNK
     xs = rng.uniform(-1.0, 1.0, n)
@@ -331,23 +333,39 @@ def test_ascending_orders_a_block_by_its_packed_keys():
     zeros = bits(finite[finite == 0.0])
     assert zeros.tolist() == bits([-0.0, -0.0, 0.0, 0.0]).tolist()
     # neighbours closer than the index bits may come out in either order,
-    # among them the subnormals next to a zero of their own sign
+    # among them the subnormals next to a zero of their own sign; a block
+    # of 200 points takes 8 index bits
     for near in (0.5 + np.arange(200) * np.spacing(0.5), np.arange(-100, 100) * 5e-324):
         order = network._ascending(near[::-1].copy())
         assert np.array_equal(np.sort(order), np.arange(200))
-        assert np.abs(near[::-1][order] - near).max() <= network.TRIG_CHUNK * np.spacing(near).max()
+        assert np.abs(near[::-1][order] - near).max() <= 2 ** 8 * np.spacing(near).max()
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_ascending_sorts_the_smallest_blocks(n):
+    """A block of n points takes the index bits of n - 1 (none for one
+    point), and its keys still sort it: every order of distinct points,
+    equal points and a signed-zero pair."""
+    blocks = [np.array(p) for p in itertools.permutations([-0.75, 0.25, 0.5][:n])]
+    blocks += [np.full(n, 0.125), np.array([0.0, -0.0, 1.0])[:n]]
+    for xs in blocks:
+        order = network._ascending(xs.copy())
+        assert np.array_equal(np.sort(order), np.arange(n)), xs
+        # -0.0 before +0.0
+        want = sorted(xs.tolist(), key=lambda v: (v, math.copysign(1.0, v)))
+        assert bits(xs[order]).tolist() == bits(want).tolist(), xs
 
 
 def test_block_order_follows_the_chunk_size(built_net, monkeypatch):
-    """The index bits of a key come from TRIG_CHUNK: blocks of 2^15 points
-    need 15 of them.  A chunk size that is not a power of two is refused."""
+    """The index bits of a key come from the block it sorts, so any chunk
+    size gives the plain recursion's bits: blocks of 2^15 points take 15 of
+    them, and a chunk that is not a power of two leaves a smaller last
+    block."""
     xs = np.random.default_rng(22).uniform(-1.0, 1.0, 2 ** 15 + 5)
     want = forward_plain(built_net, xs)
-    monkeypatch.setattr(network, "TRIG_CHUNK", 2 ** 15)
-    assert_same_bits(eval_grid(built_net, xs), want)
-    monkeypatch.setattr(network, "TRIG_CHUNK", 1000)
-    with pytest.raises(ValueError, match="power of two"):
-        eval_grid(built_net, xs)
+    for chunk in (2 ** 15, 1000, 3 * 2 ** 12):
+        monkeypatch.setattr(network, "TRIG_CHUNK", chunk)
+        assert_same_bits(eval_grid(built_net, xs), want, f"TRIG_CHUNK {chunk}")
 
 
 def test_every_layer_is_a_call_of_its_own_branch(built_net, monkeypatch):

@@ -109,6 +109,14 @@ def test_dispatch_matches_numpy_on_arrays():
     assert np.allclose(jets.exp(xs), np.exp(xs))
 
 
+def test_negation_negates_every_coefficient():
+    u = jets.sin(jet_var(0.5, 4)) + 2.0
+    neg = -u
+    assert neg.base_point == 0.5
+    assert neg.coeffs == tuple(-c for c in u.coeffs)
+    assert derivatives(neg).tolist() == (-derivatives(u)).tolist()
+
+
 def test_mismatched_operands_rejected():
     with pytest.raises(JetError):
         jet_var(0.0, 2) + jet_var(1.0, 2)

@@ -221,6 +221,23 @@ def _one_layer(g):
     return '{"depth": 1, "layers": [{"g": ' + g + ', "h": null}]}'
 
 
+@pytest.mark.parametrize("g, message", [
+    ("[1.0]", "layer 1 g-branch: branch must be an object"),
+    ('{"a": [], "b": []}', "layer 1 g-branch: missing or invalid 'freqs' array"),
+    ('{"freqs": 1.0, "a": [], "b": []}', "layer 1 g-branch: missing or invalid 'freqs' array"),
+    ('{"freqs": {}, "a": [], "b": []}', "layer 1 g-branch: missing or invalid 'freqs' array"),
+])
+def test_branch_that_is_no_object_of_arrays_rejected(g, message):
+    with pytest.raises(NetworkFormatError, match=f"^{message}$"):
+        deserialize(_one_layer(g))
+
+
+@pytest.mark.parametrize("layer", ['{"h": null}', "[]", "null"])
+def test_layer_without_g_branch_rejected(layer):
+    with pytest.raises(NetworkFormatError, match="^layer 1: must be an object with a 'g' branch$"):
+        deserialize('{"layers": [' + layer + "]}")
+
+
 @pytest.mark.parametrize("entry", ['"1.5"', '" 2 "', "true", "false", "null", "[1.0]", "{}"])
 @pytest.mark.parametrize("key", ["freqs", "a", "b"])
 def test_non_number_entries_rejected(key, entry):

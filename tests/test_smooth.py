@@ -8,6 +8,7 @@ import pytest
 
 from fresnet.builder import BuildSpec, build_piecewise_net
 from fresnet.hermite import deriv_rows
+from fresnet.jets import MAX_ORDER
 from fresnet.network import _branch_modes, branch_from_modes, eval_grid
 from fresnet.quadrature import build_rule, nodes_weights
 from fresnet.smooth import build_smooth_branch, fourier_coeffs
@@ -71,7 +72,7 @@ def test_branch_matches_hermite_plus_series():
     m, half = 3, 16
     minus = t.one_sided_derivs(-1.0, "right", m)
     plus = t.one_sided_derivs(1.0, "left", m)
-    br = build_smooth_branch(t.eval, minus, plus, m, half)
+    br = build_smooth_branch(t.eval, minus, plus, half)
     assert br.width == 2 * half + 1 + 2 * (m + 1)
     # independent reconstruction
     from fresnet.hermite import hermite_endpoint
@@ -103,7 +104,7 @@ def test_smooth_target_spectral_accuracy():
     m = 4
     minus = t.one_sided_derivs(-1.0, "right", m)
     plus = t.one_sided_derivs(1.0, "left", m)
-    br = build_smooth_branch(t.eval, minus, plus, m, 48)
+    br = build_smooth_branch(t.eval, minus, plus, 48)
     xs = np.linspace(-1, 1, 2001)
     assert np.max(np.abs(br(xs) - t.eval(xs))) < 1e-6
 
@@ -116,7 +117,7 @@ def test_truncation_error_decreases_with_modes():
     xs = np.linspace(-1, 1, 1001)
     errs = []
     for half in (8, 16, 32, 64):
-        br = build_smooth_branch(t.eval, minus, plus, m, half)
+        br = build_smooth_branch(t.eval, minus, plus, half)
         errs.append(np.max(np.abs(br(xs) - t.eval(xs))))
     assert errs == sorted(errs, reverse=True)
     assert errs[-1] < errs[0] / 10
@@ -151,14 +152,19 @@ def test_validation():
     with pytest.raises(ValueError):
         fourier_coeffs(lambda x: x, -1)
     with pytest.raises(ValueError):
-        build_smooth_branch(lambda x: x, [0.0], [0.0, 1.0], 1, 4)
+        build_smooth_branch(lambda x: x, [0.0], [0.0, 1.0], 4)
+    # the endpoint data set the Hermite order, which hermite_endpoint bounds
+    with pytest.raises(ValueError, match="exceeds maximum supported order"):
+        build_smooth_branch(lambda x: x, [0.0] * (MAX_ORDER + 2), [0.0] * (MAX_ORDER + 2), 4)
+    with pytest.raises(ValueError):
+        build_smooth_branch(lambda x: x, [], [], 4)
 
 
 def test_periodic_compatible_data_gives_zero_hermite_part():
     # with zero endpoint data the Hermite part vanishes and sin(pi x) is
     # reproduced by its own (exact) k = +-1 Fourier modes
     b = build_smooth_branch(
-        lambda x: np.sin(math.pi * np.asarray(x)), [0.0, 0.0], [0.0, 0.0], 1, 4
+        lambda x: np.sin(math.pi * np.asarray(x)), [0.0, 0.0], [0.0, 0.0], 4
     )
     h_amps = [math.hypot(a, c) for a, c in zip(b.sin_amps[-4:], b.cos_amps[-4:])]
     assert max(h_amps) <= 1e-9
@@ -169,7 +175,7 @@ def test_periodic_compatible_data_gives_zero_hermite_part():
 def test_identity_with_no_modes_is_pure_hermite():
     # f = x, m = 1, K = 0: H_r carries the whole endpoint data
     b = build_smooth_branch(lambda x: np.asarray(x, dtype=float),
-                            np.array([-1.0, 1.0]), np.array([1.0, 1.0]), 1, 0)
+                            np.array([-1.0, 1.0]), np.array([1.0, 1.0]), 0)
     assert b.width == 1 + 4  # constant residual mode + 2(m+1) Hermite modes
     assert ends_interpolated(b)
     assert abs(b(np.array([0.0]))[0]) < 0.15
@@ -192,7 +198,7 @@ def test_smooth_target_width_rate():
         plus = t.one_sided_derivs(1.0, "left", m)
         ws, errs = [], []
         for half in (1, 2, 4, 8, 16):
-            b = build_smooth_branch(t.eval, minus, plus, m, half)
+            b = build_smooth_branch(t.eval, minus, plus, half)
             ws.append(2 * half)
             errs.append(lp_error(t.eval, b, 2.0))
         assert fit_rate(ws, errs).slope <= -(m - 0.5), m

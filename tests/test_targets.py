@@ -5,11 +5,10 @@ import math
 import numpy as np
 import pytest
 
-from fresnet.jets import MAX_ORDER
+from fresnet.jets import MAX_ORDER, JetError
 from fresnet.targets import (
     PiecewiseTarget,
     UnknownTargetError,
-    UnsupportedOrderError,
     register_target,
     registered_names,
     target_lookup,
@@ -96,7 +95,8 @@ def test_domain_and_argument_errors():
         t.one_sided_derivs(2.0, "left", 1)
     with pytest.raises(ValueError):
         t.one_sided_derivs(0.0, "up", 1)
-    with pytest.raises(UnsupportedOrderError):
+    # the jet refuses the order, on every path to the derivatives
+    with pytest.raises(JetError, match=f"jet order {MAX_ORDER + 1} exceeds maximum"):
         t.one_sided_derivs(0.0, "left", MAX_ORDER + 1)
     # NaN is no point of [-1, 1], for eval as for one_sided_derivs; an empty
     # array still evaluates
