@@ -40,8 +40,10 @@ class BuildSpec:
     """What to build: target, Hermite order m, half mode count K, depth L.
 
     The build's quadrature rule follows from K alone
-    (:func:`fresnet.quadrature.build_rule`).  ``quad`` is accepted for
-    callers that still pass a rule, but it does not reach the build.
+    (:func:`fresnet.quadrature.build_rule`).  ``quad`` does not reach the
+    build: a spec with any rule builds the same net.  It is kept only for
+    its one caller, the convergence-sweep workload's ``accuracy_net`` in
+    ``bench/workloads.py``, which still passes the CLI's rule.
     """
 
     target: PiecewiseTarget

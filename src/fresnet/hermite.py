@@ -7,14 +7,7 @@ Builds the 2(m+1)-term trigonometric polynomial
 matching prescribed derivative values H^{(s)}(-1) and H^{(s)}(1) for
 0 <= s <= m.  The coefficients solve a dense complex linear system with
 one row per derivative constraint.  The matrix depends on m alone, so a
-process builds it once per order.  Each solve has one verdict: its
-coefficients c are returned only if every row meets the componentwise
-backward-error test |M c - rhs| <= RESIDUAL_BOUND (|M| |c| + |rhs|)
-(Oettli & Prager, 1964), and otherwise, or on a singular solve,
-:class:`HermiteSolveError` is raised.  A row of |M| |c| is
-sum_k |c_k| |omega_k|^s, the size of the terms that H^{(s)} sums, so each
-condition is held to what rounding can reach; non-finite data, or data
-whose scale overflows, fails.
+process builds it once per order.
 
 H is returned as a :class:`fresnet.network.Branch`, the type every
 trigonometric polynomial of a network has: one real entry per complex
@@ -23,6 +16,17 @@ negative-frequency mode sign-folded onto it.  H has only 2(m+1) modes c,
 so its derivatives of orders 0..m at a point y are one small product,
 Re(V c), with the rows V of :func:`deriv_rows`; the interpolation matrix
 is those rows at y = -1 and y = +1.
+
+Each solve has one verdict, :func:`scaled_residual`, judged on the Branch
+itself, so a net's H and H_r can be judged again from what the net holds.
+It unfolds the branch's entries back into c exactly and returns the
+largest componentwise backward error |M c - rhs| / (|M| |c| + |rhs|)
+(Oettli & Prager, 1964).  A row of |M| |c| is sum_k |c_k| |omega_k|^s,
+the size of the terms that H^{(s)} sums, so each condition is held to
+what rounding can reach.  :func:`hermite_endpoint` returns its branch
+only if that error is at most RESIDUAL_BOUND, and otherwise, or on a
+singular solve, raises :class:`HermiteSolveError`; non-finite data, or
+data whose scale overflows, fails.
 """
 
 from __future__ import annotations
@@ -32,7 +36,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import jets
-from .network import Branch, branch_from_modes
+from .network import Branch, _branch_modes, branch_from_modes
 
 #: Largest componentwise backward error a solve may leave in any row.
 RESIDUAL_BOUND = 1e-8
@@ -44,29 +48,62 @@ class HermiteSolveError(RuntimeError):
 
 def hermite_endpoint(alphas, betas) -> Branch:
     """Polynomial with H^{(s)}(-1) = alphas[s], H^{(s)}(1) = betas[s]."""
-    alphas = np.asarray(alphas, dtype=complex)
-    betas = np.asarray(betas, dtype=complex)
-    if alphas.shape != betas.shape or alphas.ndim != 1 or alphas.size < 1:
-        raise ValueError("alphas and betas must be equal-length nonempty vectors")
-    m = alphas.size - 1
-    if m > jets.MAX_ORDER:
-        raise ValueError(f"order {m} exceeds maximum supported order {jets.MAX_ORDER}")
+    m, data = _endpoint_data(alphas, betas)
     matrix, omegas = _hermite_system(m)
-    rhs = np.concatenate([alphas, betas])
     try:
-        coeffs = np.linalg.solve(matrix, rhs)
+        coeffs = np.linalg.solve(matrix, data.ravel())
     except np.linalg.LinAlgError as exc:
         raise HermiteSolveError(f"singular order-{m} interpolation system") from exc
-    # a product, not a quotient: all-zero data passes (0 <= 0), NaN fails,
-    # and so does a scale that overflows, taken without a warning
-    with np.errstate(invalid="ignore", over="ignore"):
-        residual = np.abs(matrix @ coeffs - rhs)
-        scale = np.abs(matrix) @ np.abs(coeffs) + np.abs(rhs)
-    if not np.all((residual <= RESIDUAL_BOUND * scale) & (scale < np.inf)):
-        raise HermiteSolveError(
-            f"order-{m} interpolation solve leaves a scaled residual above {RESIDUAL_BOUND:g}"
-        )
-    return branch_from_modes(coeffs, omegas)
+    # non-finite coefficients make no Branch; their residual is NaN or inf
+    if np.isfinite(coeffs).all():
+        branch = branch_from_modes(coeffs, omegas)
+        if scaled_residual(branch, *data) <= RESIDUAL_BOUND:
+            return branch
+    raise HermiteSolveError(
+        f"order-{m} interpolation solve leaves a scaled residual above {RESIDUAL_BOUND:g}"
+    )
+
+
+@np.errstate(all="ignore")
+def scaled_residual(branch: Branch, alphas, betas) -> float:
+    """Largest componentwise backward error |M c - b| / (|M| |c| + |b|) of
+    ``branch`` as a solution of the order-m system with data b = [alphas,
+    betas], m = len(alphas) - 1.
+
+    c is the branch's entries unfolded back into the solve's complex
+    modes, exactly: the entry of a negative frequency of
+    :func:`_hermite_system` holds the conjugate of its mode.  A row with
+    zero residual counts 0.0, so all-zero data gives 0.0; a row whose scale
+    overflows counts inf, and NaN data gives NaN, so ``not r <= bound``
+    refuses both.  Raises ValueError for endpoint lists
+    :func:`hermite_endpoint` refuses and for a branch whose entries are not
+    at the 2(m+1) frequencies of an order-m polynomial.
+    """
+    m, data = _endpoint_data(alphas, betas)
+    matrix, omegas = _hermite_system(m)
+    if branch.freqs != tuple(np.abs(omegas).tolist()):
+        raise ValueError(f"branch is not an order-{m} endpoint polynomial of width {omegas.size}")
+    _, coeffs = _branch_modes(branch)
+    np.conjugate(coeffs, out=coeffs, where=omegas < 0)
+    rhs = data.ravel()
+    residual = np.abs(matrix @ coeffs - rhs)
+    scale = np.abs(matrix) @ np.abs(coeffs) + np.abs(rhs)
+    rows = residual / scale
+    rows[residual == 0] = 0.0  # an exact row counts 0, also where 0/0
+    rows[scale == np.inf] = np.inf
+    return float(rows.max())
+
+
+def _endpoint_data(alphas, betas, dtype=complex):
+    """(m, [alphas, betas] as a 2 x (m+1) array of ``dtype``), refusing
+    anything but two equal-length nonempty vectors of order
+    m <= :data:`fresnet.jets.MAX_ORDER`."""
+    alphas, betas = np.asarray(alphas, dtype=dtype), np.asarray(betas, dtype=dtype)
+    if alphas.shape != betas.shape or alphas.ndim != 1 or alphas.size < 1:
+        raise ValueError("alphas and betas must be equal-length nonempty vectors")
+    if alphas.size > jets.MAX_ORDER + 1:
+        raise ValueError(f"order {alphas.size - 1} exceeds maximum supported order {jets.MAX_ORDER}")
+    return alphas.size - 1, np.concatenate([alphas, betas]).reshape(2, -1)
 
 
 @lru_cache(maxsize=jets.MAX_ORDER + 1)

@@ -8,9 +8,12 @@ trigonometric polynomial H such that
 has q^{(s)}(0^-) = alpha_s and q^{(s)}(0^+) = beta_s for 0 <= s <= m.
 Because z(0^-) = -1 and z(0^+) = 1, the required values of H and its
 derivatives at y = -1 and y = +1 follow from two lower-triangular
-chain-rule systems, after which the endpoint Hermite interpolation of
-:mod:`fresnet.hermite` produces H, a :class:`fresnet.network.Branch`: the
-builder puts it into the network as the last layer's h-branch as it is.
+chain-rule systems (:func:`h_endpoint_data`), after which the endpoint
+Hermite interpolation of :mod:`fresnet.hermite` produces H, a
+:class:`fresnet.network.Branch`: the builder puts it into the network as
+the last layer's h-branch as it is.  So H can be judged again from a net
+alone: ``hermite.scaled_residual(h_branch, *h_endpoint_data(alphas,
+betas))`` is the verdict its solve was given.
 :func:`z_profile` returns z's one-sided derivatives as one array
 [z, z', ..., z^(m)], laid out like a target's ``one_sided_derivs``, so
 each system's right-hand side is a difference of two such arrays.  The
@@ -32,7 +35,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .hermite import deriv_rows, hermite_endpoint
+from .hermite import _endpoint_data, deriv_rows, hermite_endpoint
 from .network import Branch, _branch_modes
 
 
@@ -99,25 +102,30 @@ def _chain_rule_system(point: float, side: str, m: int):
     return zs, a
 
 
-def build_jump_H(alphas, betas) -> Branch:
-    """H such that q = z + H(z) has the prescribed one-sided derivatives."""
-    alphas = np.asarray(alphas, dtype=float)
-    betas = np.asarray(betas, dtype=float)
-    if alphas.shape != betas.shape or alphas.ndim != 1 or alphas.size < 1:
-        raise ValueError("alphas and betas must be equal-length nonempty vectors")
-    m = alphas.size - 1
-    endpoint_values = []
+def h_endpoint_data(alphas, betas) -> np.ndarray:
+    """H's derivatives [H(y), ..., H^(m)(y)] at y = -1 (row 0) and y = +1
+    (row 1) for which q = z + H(z) has the one-sided derivatives
+    q^{(s)}(0^-) = alphas[s] and q^{(s)}(0^+) = betas[s].
+
+    Each row solves its lower-triangular chain-rule system by forward
+    substitution; the lists are refused as :func:`hermite_endpoint` refuses
+    them.
+    """
+    m, data = _endpoint_data(alphas, betas, float)
     # non-finite or overflowing data leaves the substitution as inf or NaN,
     # without a warning, and the Hermite solve refuses it
     with np.errstate(invalid="ignore", over="ignore"):
-        for side, data in (("left", alphas), ("right", betas)):
+        for side, v in zip(("left", "right"), data):
             zs, a = _chain_rule_system(0.0, side, m)
-            rhs = data - zs
-            v = np.zeros(m + 1)
+            rhs = v - zs
             for s in range(m + 1):
                 v[s] = (rhs[s] - a[s, :s] @ v[:s]) / a[s, s]
-            endpoint_values.append(v)
-    return hermite_endpoint(endpoint_values[0], endpoint_values[1])
+    return data
+
+
+def build_jump_H(alphas, betas) -> Branch:
+    """H such that q = z + H(z) has the prescribed one-sided derivatives."""
+    return hermite_endpoint(*h_endpoint_data(alphas, betas))
 
 
 def q_eval(h: Branch, x):

@@ -14,7 +14,9 @@ one by one to an array filled with its constant, the quarter-pi phase
 taken as a complex exp.  The Gibbs measurements take
 one approximation at a time, the support width from the outermost points
 over the threshold instead of the largest |x| of all of them.  The rate
-fit, which only the tests read, lives here too.
+fit, which only the tests read, lives here too, and so does the reading
+of a net's two Hermite solves with their endpoint data recomputed from
+the target.
 """
 
 import math
@@ -24,7 +26,7 @@ import numpy as np
 
 from fresnet import jets, network
 from fresnet.jets import Jet
-from fresnet.jump import z_profile
+from fresnet.jump import h_endpoint_data, q_derivs_at, z_profile
 from fresnet.metrics import DEFAULT_GRID_N
 from fresnet.network import _NODES_PER_TERM, _TAYLOR_STEPS, Branch, FourierResNet
 from fresnet.quadrature import build_rule, nodes_weights
@@ -54,6 +56,21 @@ def max_abs_deriv(br: Branch, lo: float, hi: float, n: int = 4001) -> float:
     for w, a, b in zip(br.freqs, br.sin_amps, br.cos_amps):
         deriv += w * (a * np.cos(w * grid) - b * np.sin(w * grid))
     return float(np.max(np.abs(deriv)))
+
+
+def held_solves(target, net: FourierResNet, m: int, k: int):
+    """[(H, its endpoint data), (H_r, its endpoint data)] of a net built
+    at order m and half mode count k: H is the last h-branch, H_r the last
+    g-branch's entries after its 2k+1 spectral ones, and the data, rows
+    at -1 and +1, are recomputed from the target as the build computes
+    them."""
+    h, g = net.layers[-1].h_branch, net.layers[-1].g_branch
+    h_r = Branch(g.freqs[2 * k + 1:], g.sin_amps[2 * k + 1:], g.cos_amps[2 * k + 1:])
+    h_data = h_endpoint_data(target.one_sided_derivs(0.0, "left", m),
+                             target.one_sided_derivs(0.0, "right", m))
+    r_data = [target.one_sided_derivs(-1.0, "right", m) - q_derivs_at(-1.0, "right", h, m),
+              target.one_sided_derivs(1.0, "left", m) - q_derivs_at(1.0, "left", h, m)]
+    return [(h, h_data), (h_r, r_data)]
 
 
 def phi(y):

@@ -161,14 +161,19 @@ def test_criterion_06_residual_periodization_and_decay():
     for name in ("pw_smooth", "hat"):
         t = target_lookup(name)
         for m in (2, 3, 4):
-            h_poly = build_piecewise_net(BuildSpec(t, m, 64, 20)).layers[-1].h_branch
+            last = build_piecewise_net(BuildSpec(t, m, 64, 20)).layers[-1]
+            h_poly, spectral = last.h_branch, last.g_branch
             h_minus = t.one_sided_derivs(-1.0, "right", m) - q_derivs_at(
                 -1.0, "right", h_poly, m
             )
             h_plus = t.one_sided_derivs(1.0, "left", m) - q_derivs_at(
                 1.0, "left", h_poly, m
             )
-            hp = hermite_endpoint(h_minus, h_plus)
+            # H_r as the net holds it: the g-branch's entries after its
+            # 2K+1 = 129 spectral ones
+            hp = network.Branch(spectral.freqs[129:], spectral.sin_amps[129:],
+                                spectral.cos_amps[129:])
+            assert hp.width == 2 * (m + 1)
 
             def g(x):
                 return t.eval(x) - q_eval(h_poly, x) - hp(x)

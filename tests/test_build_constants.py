@@ -6,9 +6,9 @@ import warnings
 import numpy as np
 import pytest
 
-from fresnet import builder, cli, hermite, jump, network, quadrature
+from fresnet import builder, cli, hermite, jets, jump, network, quadrature
 from fresnet.builder import BuildSpec, build_piecewise_net
-from fresnet.hermite import HermiteSolveError, hermite_endpoint
+from fresnet.hermite import HermiteSolveError, hermite_endpoint, scaled_residual
 from fresnet.targets import target_lookup
 
 
@@ -16,12 +16,13 @@ def test_one_build_creates_each_orders_hermite_system_once():
     hermite._hermite_system.cache_clear()
     build_piecewise_net(BuildSpec(target_lookup("hat"), 3, 8, 6))
     info = hermite._hermite_system.cache_info()
-    # H (jump) and H_r (smooth part) are both order-3 solves
-    assert (info.misses, info.hits) == (1, 1)
+    # H (jump) and H_r (smooth part) are both order-3 solves, and each
+    # solve's verdict (scaled_residual) reads the system once more
+    assert (info.misses, info.hits) == (1, 3)
     build_piecewise_net(BuildSpec(target_lookup("pw_smooth"), 3, 16, 6))
     build_piecewise_net(BuildSpec(target_lookup("hat"), 2, 8, 6))
     info = hermite._hermite_system.cache_info()
-    assert (info.misses, info.hits) == (2, 4)
+    assert (info.misses, info.hits) == (2, 10)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -66,6 +67,89 @@ def test_zero_data_gives_the_zero_polynomial():
         poly = hermite_endpoint(np.zeros(m + 1), np.zeros(m + 1))
         assert poly.width == 2 * (m + 1)
         assert not any(poly.sin_amps + poly.cos_amps)
+
+
+#: The message every scaled-residual refusal of an order-2 solve gives.
+REFUSED_2 = "^order-2 interpolation solve leaves a scaled residual above 1e-08$"
+
+
+@pytest.fixture
+def verdicts(monkeypatch):
+    """Every value scaled_residual returns to hermite_endpoint."""
+    seen = []
+    real = hermite.scaled_residual
+
+    def spy(branch, alphas, betas):
+        seen.append(real(branch, alphas, betas))
+        return seen[-1]
+
+    monkeypatch.setattr(hermite, "scaled_residual", spy)
+    return seen
+
+
+def test_overflowing_data_is_refused_by_an_infinite_verdict(verdicts):
+    with pytest.raises(HermiteSolveError, match=REFUSED_2):
+        hermite_endpoint([1e308, 0.0, 0.0], [0.0, 0.0, 0.0])
+    assert verdicts == [np.inf]
+    # the same verdict on that solve's polynomial, built directly
+    matrix, omegas = hermite._hermite_system(2)
+    coeffs = np.linalg.solve(matrix, [1e308, 0.0, 0.0, 0.0, 0.0, 0.0])
+    poly = network.branch_from_modes(coeffs, omegas)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert scaled_residual(poly, [1e308, 0.0, 0.0], [0.0, 0.0, 0.0]) == np.inf
+
+
+def test_nan_data_is_refused_with_the_same_message(verdicts):
+    # NaN coefficients make no Branch, so the verdict is not asked for
+    with pytest.raises(HermiteSolveError, match=REFUSED_2):
+        hermite_endpoint([np.nan, 0.0, 0.0], [0.0, 0.0, 0.0])
+    assert verdicts == []
+    poly = hermite_endpoint(np.ones(3), np.ones(3))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert np.isnan(scaled_residual(poly, [np.nan, 1.0, 1.0], np.ones(3)))
+
+
+def test_singular_solve_is_refused_before_the_verdict(monkeypatch, verdicts):
+    def singular(matrix, rhs):
+        raise np.linalg.LinAlgError("Singular matrix")
+
+    monkeypatch.setattr(np.linalg, "solve", singular)
+    with pytest.raises(HermiteSolveError, match="^singular order-3 interpolation system$"):
+        hermite_endpoint(np.ones(4), np.ones(4))
+    assert verdicts == []
+
+
+def test_zero_data_has_a_zero_verdict(verdicts):
+    for m in (0, 9, 12):
+        poly = hermite_endpoint(np.zeros(m + 1), np.zeros(m + 1))
+        assert not any(poly.sin_amps + poly.cos_amps)
+        assert scaled_residual(poly, np.zeros(m + 1), np.zeros(m + 1)) == 0.0
+    assert verdicts == [0.0, 0.0, 0.0]
+
+
+@pytest.mark.parametrize("alphas, betas", [
+    ([1.0], [1.0, 2.0]), ([], []), ([[1.0, 2.0]], [[1.0, 2.0]]), (1.0, 1.0),
+    (np.zeros(jets.MAX_ORDER + 2), np.zeros(jets.MAX_ORDER + 2)),
+], ids=["unequal", "empty", "2-d", "scalar", "order-13"])
+def test_the_verdict_refuses_what_the_solve_refuses(alphas, betas):
+    with pytest.raises(ValueError) as solve:
+        hermite_endpoint(alphas, betas)
+    with pytest.raises(ValueError) as verdict:
+        scaled_residual(hermite_endpoint([0.0], [0.0]), alphas, betas)
+    assert str(verdict.value) == str(solve.value)
+
+
+def test_the_verdict_refuses_a_branch_of_another_order():
+    poly = hermite_endpoint(np.ones(3), np.ones(3))
+    for m in (1, 3):
+        with pytest.raises(ValueError, match=f"not an order-{m} endpoint polynomial"):
+            scaled_residual(poly, np.ones(m + 1), np.ones(m + 1))
+    # the width of an order-2 polynomial, at other frequencies
+    other = network.Branch(tuple(2.0 * f for f in poly.freqs), poly.sin_amps, poly.cos_amps)
+    with pytest.raises(ValueError, match="not an order-2 endpoint polynomial"):
+        scaled_residual(other, np.ones(3), np.ones(3))
 
 
 def test_cached_constants_refuse_writes():

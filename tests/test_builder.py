@@ -8,10 +8,13 @@ import pytest
 
 from fresnet import hermite, jump, network, quadrature, sign, smooth
 from fresnet.builder import BuildSpec, build_piecewise_net
+from fresnet.hermite import RESIDUAL_BOUND, scaled_residual
 from fresnet.jump import q_derivs_at, q_eval
 from fresnet.metrics import lp_error
+from fresnet.quadrature import QuadratureConfig
 from fresnet.sign import build_sign_net
 from fresnet.targets import PiecewiseTarget, target_lookup
+from oracles import held_solves
 
 
 def grid_no_zero(n=1001):
@@ -125,6 +128,55 @@ def test_a_build_calls_each_stage_by_a_name_a_tracer_can_rebind(monkeypatch):
         monkeypatch.setattr(PiecewiseTarget, name, counting(f"PiecewiseTarget.{name}", method))
     build_piecewise_net(BuildSpec(target_lookup("pw_smooth"), 2, 8, 6))
     assert len(calls) == 10 and all(calls.values()), calls
+
+
+def rebind_everywhere(monkeypatch, module, name, wrapper):
+    """Rebind ``module.name`` in every fresnet module that holds it."""
+    orig = getattr(module, name)
+    for mod_name, mod in list(sys.modules.items()):
+        if mod is not None and (mod_name == "fresnet" or mod_name.startswith("fresnet.")):
+            for attr, value in list(vars(mod).items()):
+                if value is orig:
+                    monkeypatch.setattr(mod, attr, wrapper)
+
+
+@pytest.mark.parametrize("m", (1, 4, 8, 12))
+@pytest.mark.parametrize("name", ("sgn", "pw_smooth", "hat"))
+def test_the_net_holds_each_solve_and_its_verdict(monkeypatch, name, m):
+    """H is the last h-branch and H_r the last g-branch's entries after its
+    2K+1 spectral ones, in the built net and in its loaded copy; the verdict
+    on either slice, from endpoint data recomputed from the spec, is the
+    value the solve was judged by."""
+    solves, verdicts = [], []
+    real_solve = hermite.hermite_endpoint
+    real_verdict = hermite.scaled_residual
+
+    def spy_solve(alphas, betas):
+        solves.append(real_solve(alphas, betas))
+        return solves[-1]
+
+    def spy_verdict(branch, alphas, betas):
+        verdicts.append(real_verdict(branch, alphas, betas))
+        return verdicts[-1]
+
+    rebind_everywhere(monkeypatch, hermite, "hermite_endpoint", spy_solve)
+    rebind_everywhere(monkeypatch, hermite, "scaled_residual", spy_verdict)
+    t, k = target_lookup(name), 64
+    net = build_piecewise_net(BuildSpec(t, m, k, 20))
+    assert len(solves) == len(verdicts) == 2
+    for held in (net, network.deserialize(network.serialize(net))):
+        for (branch, data), solve, judged in zip(held_solves(t, held, m, k), solves, verdicts):
+            assert branch == solve
+            value = scaled_residual(branch, *data)
+            assert value == judged and value <= 1e-10 < RESIDUAL_BOUND, (value, judged)
+
+
+def test_a_spec_rule_does_not_reach_the_build():
+    # BuildSpec.quad is kept for one caller and must build the default net
+    t = target_lookup("pw_smooth")
+    ruled = BuildSpec(t, 2, 16, 8, QuadratureConfig(8, 4, 0.5))
+    assert network.serialize(build_piecewise_net(ruled)) == network.serialize(
+        build_piecewise_net(BuildSpec(t, 2, 16, 8)))
 
 
 def test_end_to_end_accuracy_moderate_budget():
