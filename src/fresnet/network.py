@@ -576,32 +576,36 @@ def neuron_count(net: FourierResNet) -> int:
 # -0.0 == 0.0, but one is written "-0.0", the other "0.0".
 #
 # The distinct numbers are formatted by :func:`_format_g17`, a numpy kernel
-# that gives the bytes of "%.17g" without a Python call per number.  "%.17g"
-# writes round(|v| 10^(16-e)), the 17-digit integer of |v|, with e its
-# decimal exponent, rounding a tie to even (Gay, "Correctly Rounded
-# Binary-Decimal and Decimal-Binary Conversions", 1990).  The kernel takes e
-# from log10, corrected by one where the product below falls outside
-# [10^16, 10^17), and forms |v| 10^(16-e) as the unevaluated sum p + r of
-# two doubles: Dekker's exact two-product ("A floating-point technique for
-# extending the available precision", 1971) of |v| with the double nearest
-# 10^(16-e), Veltkamp-split by 2^27 + 1 since numpy has no fused
-# multiply-add, plus |v| times the double nearest the rest of 10^(16-e).
-# Both doubles come from exact Python integers, so p + r is within about
-# 1e-14 of the exact product, below 10^17.  p is a whole number above 2^53,
-# so the fraction of the product is r - floor(r), and the 17-digit integer
-# is p + floor(r), plus one where that fraction is above 1/2, computed in
-# int64.  Any number the product cannot settle is written by "%.17g" % v
-# itself: a fraction within 1e-9 of 1/2 (an exact tie is always among
-# them, so only CPython decides a tie), +-0, and |v| outside
-# [1e-280, 1e280], where a split or a product could overflow or lose bits
-# below the normal range.  Of a built network's nonzero numbers none falls
-# back.  The text is laid out by one take: each number's row holds its
-# sign, its 17 digits (from a table of 4-digit groups), its exponent bytes
-# and the constant bytes, and a table of byte patterns, one per exponent
-# class (-4..16, else exponential) and count of significant digits, picks
-# them, with pad bytes that one bytes.translate then drops.  It costs
-# about 0.2 us per number against about 0.4 us for "%.17g" itself, and its
-# tables take well under 1 ms to build, once per process.
+# that gives the bytes of "%.17g" from vector passes.  "%.17g" writes
+# round(|v| 10^(16-e)), the 17-digit integer of |v|, with e its decimal
+# exponent, rounding a tie to even (Gay, "Correctly Rounded Binary-Decimal
+# and Decimal-Binary Conversions", 1990).  The kernel takes e from log10,
+# corrected by one where the product below falls outside [10^16, 10^17),
+# and forms |v| 10^(16-e) as the unevaluated sum p + r of two doubles:
+# Dekker's exact two-product ("A floating-point technique for extending the
+# available precision", 1971) of |v| with the double nearest 10^(16-e),
+# Veltkamp-split by 2^27 + 1 since numpy has no fused multiply-add, plus |v|
+# times the double nearest the rest of 10^(16-e).  Both doubles come from
+# exact Python integers, so p + r is within about 1e-14 of the exact
+# product, below 10^17.  p is a whole number above 2^53, so the fraction of
+# the product is r - floor(r), and the 17-digit integer is p + floor(r),
+# plus one where that fraction is above 1/2, computed in int64.
+#
+# Any number the product cannot settle is written by "%.17g" % v itself: a
+# fraction within 1e-9 of 1/2 (an exact tie is always among them, so only
+# CPython decides a tie), a product that still reads outside
+# [10^16, 10^17) after its correction (an exact power of ten may, such as
+# 1e20), +-0, and |v| outside [1e-280, 1e280], where a split or a product
+# could overflow or lose bits below the normal range.  Of a built network's
+# nonzero numbers none falls back.
+#
+# The text is laid out by one take: each number's row holds its sign, its
+# 17 digits (from a table of 4-digit groups), its exponent bytes and the
+# constant bytes, and a table of byte patterns, one per exponent class
+# (-4..16, else exponential) and count of significant digits, picks them,
+# with pad bytes that one bytes.translate then drops.  It costs about
+# 0.13 us per number against about 0.41 us for "%.17g" itself, and its
+# tables take about 0.7 ms to build, once per process.
 #
 # "%.17g" writes a whole number below 1e17 without a point or an exponent,
 # so such a number gets ".0" from one numpy mask, and JSON parses it as a
@@ -677,16 +681,17 @@ def _g17_tables():
     exponent = bytes(range(24, 28))
     patterns = bytearray()
     for cls in range(22):
+        x = cls - 4  # the exponent of a fixed-point class
         for n in range(1, 18):
             d = bytes(range(7, 7 + n))
             if cls == 21:
                 text = d[:1] + (point + d[1:] if n > 1 else b"") + exp_e + exponent
-            elif cls >= 4 and n <= cls - 3:
-                text = d + zero * (cls - 3 - n)
-            elif cls >= 4:
-                text = d[:cls - 3] + point + d[cls - 3:]
+            elif x < 0:
+                text = zero + point + zero * (-x - 1) + d
+            elif n <= x + 1:
+                text = d + zero * (x + 1 - n)
             else:
-                text = zero + point + zero * (3 - cls) + d
+                text = d[:x + 1] + point + d[x + 1:]
             patterns += b"\1" + text + bytes(_G17_WIDTH - 2 - len(text)) + sep
     patterns = np.frombuffer(patterns, dtype=np.uint8).reshape(22 * 17, -1).astype(np.intp)
     tables = (hi, hi1, hi - hi1, np.array(lo), exps.view(np.uint32).ravel(),

@@ -1,11 +1,12 @@
-"""Print sha256 hashes of the bits fresnet builds and evaluates.
+"""Print sha256 hashes of the bits fresnet builds, evaluates and writes.
 
     python3 tools/bitcheck.py [ROOT]
 
 ROOT is a fresnet source tree (default: the one holding this script); its
 ``src`` and ``tests`` directories go first on the import path, so the same
-script checks any commit: two trees whose three lines agree build
-byte-identical nets and evaluate them to the same bits.
+script checks any commit: two trees whose four lines agree build
+byte-identical nets, evaluate them to the same bits and write the same
+text for any number.
 
 * ``serialize``: the text of every registered target's net at m 1..12 and
   K in {0, 1, 5, 11, 12, 13, 64, 512}, L = 60.
@@ -19,6 +20,13 @@ byte-identical nets and evaluate them to the same bits.
   are 2^-950, 2^-1000, 2^-1070 (rescaled plans) and 1, fed +-0, +-5e-324,
   +-2^-1..2^-1074 and tricky points, in both orders; and the sign-stack run
   ``network._iterate`` called directly on unsorted input.
+* ``edges``: ``serialize`` of a one-layer net whose branch holds the
+  302,479 values of ``tests/edge_floats.py`` in each of its three arrays,
+  the second in reverse order: random bit patterns, subnormals, huge
+  values, powers of ten and their neighbours, whole numbers near 2^53,
+  1e16 and 1e17, exact ties at 17 digits, signed zeros, +-5e-324 and
+  +-max.  That module comes from this script's own tree when ROOT has
+  none, so this line needs only the public API.
 
 Takes a few seconds; prints one line per hash.
 """
@@ -33,12 +41,14 @@ import numpy as np
 
 ROOT = pathlib.Path(sys.argv[1] if len(sys.argv) > 1 else pathlib.Path(__file__).parent.parent)
 sys.path[:0] = [str(ROOT.resolve() / "src"), str(ROOT.resolve() / "tests")]
+sys.path.append(str(pathlib.Path(__file__).resolve().parent.parent / "tests"))
 
 from fresnet import network  # noqa: E402
 from fresnet.builder import BuildSpec, build_piecewise_net  # noqa: E402
 from fresnet.network import Branch, FourierResNet, Layer  # noqa: E402
 from fresnet.sign import build_sign_net  # noqa: E402
 from fresnet.targets import registered_names, target_lookup  # noqa: E402
+from edge_floats import edge_floats  # noqa: E402
 from test_forward import tricky_points  # noqa: E402
 
 KS = (0, 1, 5, 11, 12, 13, 64, 512)
@@ -97,6 +107,10 @@ def main():
         f[::97] = -0.0
         extra.update(network._iterate(h, f, 59).tobytes())
     print("extra    ", extra.hexdigest())
+
+    values = tuple(edge_floats().tolist())
+    net = FourierResNet((Layer(Branch(values, values[::-1], values)),))
+    print("edges    ", hashlib.sha256(network.serialize(net).encode()).hexdigest())
 
 
 if __name__ == "__main__":
