@@ -566,55 +566,65 @@ def neuron_count(net: FourierResNet) -> int:
 # Numbers are written as "%.17g" writes them: 17 significant digits, which
 # round-trip IEEE binary64 exactly.
 #
-# Formatting the numbers is most of the cost, and about half the numbers of
-# a built network repeat an earlier one bit for bit (each +-k pair of the
-# spectral layer folds to the same entry, and every sign layer holds the
-# same h-branch).  So serialize builds the text as a skeleton with one %s
-# per number, formats each distinct float64 bit pattern once and fills the
-# skeleton in one step; the bytes are those of formatting every number in
-# turn.  Numbers are told apart by their bits, not their values:
-# -0.0 == 0.0, but one is written "-0.0", the other "0.0".
+# About half the numbers of a built network repeat an earlier one bit for
+# bit (each +-k pair of the spectral layer folds to the same entry, and
+# every sign layer holds the same h-branch), so serialize writes each
+# distinct float64 bit pattern once.  Numbers are told apart by their bits,
+# not their values: -0.0 == 0.0, but one is written "-0.0", the other
+# "0.0".  The whole document is built as bytes, with no Python string per
+# number:
 #
-# The distinct numbers are formatted by :func:`_format_g17`, a numpy kernel
-# that gives the bytes of "%.17g" from vector passes.  "%.17g" writes
-# round(|v| 10^(16-e)), the 17-digit integer of |v|, with e its decimal
-# exponent, rounding a tie to even (Gay, "Correctly Rounded Binary-Decimal
-# and Decimal-Binary Conversions", 1990).  The kernel takes e from log10,
-# corrected by one where the product below falls outside [10^16, 10^17),
-# and forms |v| 10^(16-e) as the unevaluated sum p + r of two doubles:
-# Dekker's exact two-product ("A floating-point technique for extending the
-# available precision", 1971) of |v| with the double nearest 10^(16-e),
-# Veltkamp-split by 2^27 + 1 since numpy has no fused multiply-add, plus |v|
-# times the double nearest the rest of 10^(16-e).  Both doubles come from
-# exact Python integers, so p + r is within about 1e-14 of the exact
-# product, below 10^17.  p is a whole number above 2^53, so the fraction of
-# the product is r - floor(r), and the 17-digit integer is p + floor(r),
-# plus one where that fraction is above 1/2, computed in int64.
+# * :func:`_g17_rows` writes each distinct number as one row of 26 bytes:
+#   its text, ".0" if that has neither a point nor an exponent (a whole
+#   number below 1e17, which JSON must read as a float: "-0" would come back
+#   as the integer 0 and lose the sign of -0.0), NUL pads, then ", ".
+# * np.unique's inverse takes the rows into file order, and the separator of
+#   each array's last row becomes "\n" and a pad.
+# * One bytes.translate deletes the pads, and one decode and one split give
+#   one string per array (three per branch, a few hundred per net).
+# * Those fill a skeleton with one %s per nonempty array; an empty array
+#   is written "[]" by the skeleton.  A layer's skeleton line depends only on
+#   the widths of its g- and h-branch, and is built once per such shape (a
+#   built net has at most four); the last layer's line drops its comma.
 #
-# Any number the product cannot settle is written by "%.17g" % v itself: a
-# fraction within 1e-9 of 1/2 (an exact tie is always among them, so only
-# CPython decides a tie), a product that still reads outside
-# [10^16, 10^17) after its correction (an exact power of ten may, such as
-# 1e20), +-0, and |v| outside [1e-280, 1e280], where a split or a product
-# could overflow or lose bits below the normal range.  Of a built network's
-# nonzero numbers none falls back.
+# The bytes are those of formatting every number in turn.  At K = 1024
+# (6,390 numbers, 3,122 distinct) the rows cost about 0.13 us per distinct
+# number, and the gather, translate, decode, split and fill about 0.05 us
+# per number of the file; the value list and np.unique are most of the
+# rest.
 #
-# The text is laid out by one take: each number's row holds its sign, its
-# 17 digits (from a table of 4-digit groups), its exponent bytes and the
-# constant bytes, and a table of byte patterns, one per exponent class
-# (-4..16, else exponential) and count of significant digits, picks them,
-# with pad bytes that one bytes.translate then drops.  It costs about
-# 0.13 us per number against about 0.41 us for "%.17g" itself, and its
-# tables take about 0.7 ms to build, once per process.
+# :func:`_g17_rows` gets the text of "%.17g" from vector passes.  "%.17g"
+# writes round(|v| 10^(16-e)), the 17-digit integer of |v|, with e its
+# decimal exponent, rounding a tie to even (Gay, "Correctly Rounded
+# Binary-Decimal and Decimal-Binary Conversions", 1990).  The kernel takes e
+# from log10, corrected by one where the product below falls outside
+# [10^16, 10^17), and forms |v| 10^(16-e) as the unevaluated sum p + r of
+# two doubles: Dekker's exact two-product ("A floating-point technique for
+# extending the available precision", 1971) of |v| with the double nearest
+# 10^(16-e), Veltkamp-split by 2^27 + 1 since numpy has no fused
+# multiply-add, plus |v| times the double nearest the rest of 10^(16-e).
+# Both doubles come from exact Python integers, so p + r is within about
+# 1e-14 of the exact product, below 10^17.  p is a whole number above 2^53,
+# so the fraction of the product is r - floor(r), and the 17-digit integer
+# is p + floor(r), plus one where that fraction is above 1/2, computed in
+# int64.
 #
-# "%.17g" writes a whole number below 1e17 without a point or an exponent,
-# so such a number gets ".0" from one numpy mask, and JSON parses it as a
-# float ("-0" would come back as the integer 0 and lose the sign of -0.0).
-# A layer's skeleton line depends only on the widths of its g- and
-# h-branch, and is built once per such shape (a built net has at most
-# four).
+# Any number the product cannot settle is written by "%.17g" % v itself
+# into its row: a fraction within 1e-9 of 1/2 (an exact tie is always
+# among them, so only CPython decides a tie), a product that still reads
+# outside [10^16, 10^17) after its correction (an exact power of ten may,
+# such as 1e20), +-0, and |v| outside [1e-280, 1e280], where a split or a
+# product could overflow or lose bits below the normal range.  Of a built
+# network's nonzero numbers none falls back.
+#
+# The rows are laid out by one take: each number's source row holds its
+# sign, its 17 digits (from a table of 4-digit groups), its exponent bytes
+# and the constant bytes, and a table of byte patterns, one per exponent
+# class (-4..16, else exponential) and count of significant digits, picks
+# them, with pads where a sign, a point or a third exponent digit is absent.
+# Its tables take about 0.7 ms to build, once per process.
 
-#: The magnitudes that :func:`_format_g17` writes by its own arithmetic;
+#: The magnitudes that :func:`_g17_rows` writes by its own arithmetic;
 #: any other number falls back to "%.17g" (see the notes above).
 _G17_MIN, _G17_MAX = 1e-280, 1e280
 #: Its tables cover the decimal exponents -_G17_E.._G17_E: those of every
@@ -624,27 +634,28 @@ _G17_E = 284
 #: Veltkamp's split constant for binary64: a double splits into two halves
 #: of at most 26 significant bits, whose products are exact.
 _SPLIT = 2.0 ** 27 + 1
-#: Bytes of a row of :func:`_format_g17`'s source, and of its text.
-_G17_ROW, _G17_WIDTH = 32, 25
-#: A row's first and last four bytes: pad and minus sign; ".0e" and the
-#: separator.
-_MINUS_WORD = np.frombuffer(b"\0-\0\0", dtype=np.uint32)[0]
-_TAIL_WORD = np.frombuffer(b".0e\n", dtype=np.uint32)[0]
+#: Bytes of a source row of :func:`_g17_rows`, and of a row of its text.
+_G17_ROW, _G17_WIDTH = 32, 26
+#: A source row's first and last four bytes: pad, sign and the separator;
+#: ".0e" and a pad.
+_PLUS_WORD, _MINUS_WORD = np.frombuffer(b"\0\0, \0-, ", dtype=np.uint32)
+_TAIL_WORD = np.frombuffer(b".0e\0", dtype=np.uint32)[0]
 
 
 @cache
 def _g17_tables():
-    """The read-only tables of :func:`_format_g17`.
+    """The read-only tables of :func:`_g17_rows`.
 
     For e in [-_G17_E, _G17_E]: ``hi`` the double nearest 10^s, s = 16 - e,
     its Veltkamp halves ``hi1`` and ``hi2``, ``lo`` the double nearest
     10^s - hi, and ``exps`` the four bytes of "%e"'s exponent (sign,
     hundreds or a pad byte, tens, units) as one uint32.  ``groups`` holds
     the four digit bytes of 0..9999 as one uint32, and ``patterns`` the
-    offsets, within a source row of :func:`_format_g17`, of the bytes of
-    each exponent class (-4..16, then exponential) and count n = 1..17 of
-    significant digits, in row class * 17 + n - 1, padded with offset 0,
-    which holds a pad byte."""
+    offsets, within a source row of :func:`_g17_rows`, of the bytes of the
+    text row of each exponent class (-4..16, then exponential) and count
+    n = 1..17 of significant digits, in row class * 17 + n - 1: the sign,
+    the text, with ".0" if it has neither a point nor an exponent, offset
+    0 (a pad byte) up to the last two, and the separator."""
     powers = [1]
     for _ in range(16 + _G17_E):
         powers.append(powers[-1] * 10)
@@ -675,9 +686,9 @@ def _g17_tables():
     ascii_digits = np.arange(48, 58, dtype=np.uint8)
     for place in range(4):
         groups[..., place] = ascii_digits.reshape((10,) + (1,) * (3 - place))
-    # a row: 0 pad, 1 sign, 2-3 unused, 4-23 the digit groups (the 17 digits
-    # at 7-23), 24-27 the exponent, 28-31 ".0e" and the separator
-    point, zero, exp_e, sep = (bytes((offset,)) for offset in range(28, 32))
+    # a source row: 0 pad, 1 sign, 2-3 the separator, 4-23 the digit groups
+    # (the 17 digits at 7-23), 24-27 the exponent, 28-30 ".0e", 31 a pad
+    point, zero, exp_e = (bytes((offset,)) for offset in range(28, 31))
     exponent = bytes(range(24, 28))
     patterns = bytearray()
     for cls in range(22):
@@ -689,10 +700,11 @@ def _g17_tables():
             elif x < 0:
                 text = zero + point + zero * (-x - 1) + d
             elif n <= x + 1:
-                text = d + zero * (x + 1 - n)
+                # a whole number, which JSON must read as a float
+                text = d + zero * (x + 1 - n) + point + zero
             else:
                 text = d[:x + 1] + point + d[x + 1:]
-            patterns += b"\1" + text + bytes(_G17_WIDTH - 2 - len(text)) + sep
+            patterns += b"\1" + text + bytes(_G17_WIDTH - 3 - len(text)) + b"\2\3"
     patterns = np.frombuffer(patterns, dtype=np.uint8).reshape(22 * 17, -1).astype(np.intp)
     tables = (hi, hi1, hi - hi1, np.array(lo), exps.view(np.uint32).ravel(),
               groups.view(np.uint32).ravel(), patterns)
@@ -757,16 +769,18 @@ def _digits17(values):
     return digits, e, settled
 
 
-def _format_g17(values) -> list:
-    """["%.17g" % v for v in values] for the 1-D float64 array ``values``,
-    bit for bit, from numpy passes (see the serialization notes above)."""
+def _g17_rows(values) -> np.ndarray:
+    """The text of each number of the 1-D float64 array ``values`` as one
+    uint8 row of _G17_WIDTH bytes: "%.17g" % v, bit for bit, then ".0" if
+    that has neither a point nor an exponent, NUL pads, and ", " in the
+    last two bytes (see the serialization notes above)."""
     exps, groups, patterns = _g17_tables()[4:]
     digits, e, settled = _digits17(values)
     n = values.size
-    # each row as eight uint32 words: sign, five digit groups, exponent and
-    # the constant bytes (see _g17_tables)
+    # each source row as eight uint32 words: sign and separator, five digit
+    # groups, exponent and the constant bytes (see _g17_tables)
     rows = np.empty((n, _G17_ROW // 4), dtype=np.uint32)
-    rows[:, 0] = np.where(np.signbit(values), _MINUS_WORD, 0)
+    rows[:, 0] = np.where(np.signbit(values), _MINUS_WORD, _PLUS_WORD)
     rest = digits
     for col in range(5, 1, -1):
         rest, group = np.divmod(rest, 10000)
@@ -774,15 +788,17 @@ def _format_g17(values) -> list:
     rows[:, 1] = groups.take(rest)
     rows[:, 6] = exps.take(e + _G17_E)
     rows[:, 7] = _TAIL_WORD
-    text = rows.view(np.uint8)
-    significant = 17 - (text[:, 23:6:-1] != ord("0")).argmax(axis=1)
+    source = rows.view(np.uint8)
+    significant = 17 - (source[:, 23:6:-1] != ord("0")).argmax(axis=1)
     cls = np.where((e >= -4) & (e <= 16), e + 4, 21)
     index = patterns.take(cls * 17 + significant - 1, axis=0)
     index += np.arange(0, n * _G17_ROW, _G17_ROW)[:, None]
-    out = text.ravel().take(index).tobytes().translate(None, b"\0").decode("ascii").split("\n")
-    out.pop()
+    out = source.ravel().take(index)
     for i in np.flatnonzero(~settled).tolist():
-        out[i] = "%.17g" % values[i]
+        text = "%.17g" % values[i]
+        if "." not in text and "e" not in text:
+            text += ".0"
+        out[i] = np.frombuffer(text.encode().ljust(_G17_WIDTH - 2, b"\0") + b", ", np.uint8)
     return out
 
 
@@ -790,21 +806,22 @@ def serialize(net: FourierResNet) -> str:
     def skeleton(width):
         if width is None:
             return "null"
-        arr = "[" + ", ".join(["%s"] * width) + "]"
+        arr = "[%s]" if width else "[]"
         return '{"freqs": ' + arr + ', "a": ' + arr + ', "b": ' + arr + "}"
 
     values = []
+    # the length of each nonempty array, in file order
+    lengths = []
     shapes = {}
     lines = ['{', f'  "depth": {net.depth},', '  "layers": [']
     for layer in net.layers:
         g, h = layer.g_branch, layer.h_branch
-        values += g.freqs
-        values += g.sin_amps
-        values += g.cos_amps
-        if h is not None:
-            values += h.freqs
-            values += h.sin_amps
-            values += h.cos_amps
+        for branch in (g, h):
+            if branch is not None and branch.width:
+                values += branch.freqs
+                values += branch.sin_amps
+                values += branch.cos_amps
+                lengths += (branch.width,) * 3
         shape = (g.width, None if h is None else h.width)
         line = shapes.get(shape)
         if line is None:
@@ -816,11 +833,12 @@ def serialize(net: FourierResNet) -> str:
     lines.append("  ]")
     lines.append("}")
     bits, slots = np.unique(np.array(values, dtype=float).view(np.int64), return_inverse=True)
-    d = bits.view(float)
-    texts = _format_g17(d)
-    for i in np.flatnonzero((d == np.floor(d)) & (np.abs(d) < 1e17)).tolist():
-        texts[i] += ".0"
-    return ("\n".join(lines) + "\n") % tuple(map(texts.__getitem__, slots.tolist()))
+    rows = _g17_rows(bits.view(float)).take(slots, axis=0)
+    # each array's last number ends in a newline and a pad, not ", "
+    rows[np.cumsum(lengths, dtype=np.intp) - 1, -2:] = (ord("\n"), 0)
+    texts = rows.tobytes().translate(None, b"\0").decode("ascii").split("\n")
+    texts.pop()
+    return ("\n".join(lines) + "\n") % tuple(texts)
 
 
 _NUMBER_TYPES = {int, float}

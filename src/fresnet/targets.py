@@ -49,10 +49,11 @@ class PiecewiseTarget:
             raise ValueError("evaluation point outside [-1, 1]")
         scalar = x.ndim == 0
         xs = np.atleast_1d(x)
-        left = np.asarray(self.left_piece(xs), dtype=float)
-        right = np.asarray(self.right_piece(xs), dtype=float)
-        vals = np.where(xs < 0, left, right)
-        vals = np.where(xs == 0, self.value_at_breakpoint, vals)
+        vals = np.full(xs.shape, self.value_at_breakpoint, dtype=float)
+        # each piece sees only the points of its own side, where it is valid;
+        # a piece that gives a scalar is broadcast over them
+        for side, piece in ((xs < 0, self.left_piece), (xs > 0, self.right_piece)):
+            vals[side] = piece(xs[side])
         return float(vals[0]) if scalar else vals
 
     def one_sided_derivs(self, point: float, side: str, m: int) -> np.ndarray:

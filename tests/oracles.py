@@ -197,7 +197,9 @@ def frequency_multiset(net: FourierResNet):
     return sorted(out)
 
 
-def _fmt(v: float) -> str:
+def number_text(v: float) -> str:
+    """One number as the file writes it: "%.17g", and ".0" if that has
+    neither a point nor an exponent."""
     s = format(float(v), ".17g")
     # keep a decimal point so JSON parses the value as a float ("-0" would
     # otherwise come back as the integer 0 and lose the sign of -0.0)
@@ -208,7 +210,7 @@ def _fmt(v: float) -> str:
 
 def _branch_json(br: Branch) -> str:
     def arr(vals):
-        return "[" + ", ".join(_fmt(v) for v in vals) + "]"
+        return "[" + ", ".join(number_text(v) for v in vals) + "]"
 
     return (
         '{"freqs": ' + arr(br.freqs)

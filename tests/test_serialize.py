@@ -1,6 +1,6 @@
 """Serialization: the bytes of ``serialize`` against the per-value oracle
-``serialize_plain``, its number kernel against ``"%.17g"``, and the round
-trip compared bit for bit."""
+``serialize_plain``, its byte-row kernel against ``"%.17g"`` and the
+``.0`` rule, and the round trip compared bit for bit."""
 
 import math
 import struct
@@ -17,7 +17,7 @@ from fresnet.network import Branch, FourierResNet, Layer, deserialize, serialize
 from fresnet.sign import build_sign_net
 from fresnet.targets import target_lookup
 from edge_floats import edge_floats
-from oracles import serialize_plain
+from oracles import number_text, serialize_plain
 
 
 def bits(net):
@@ -30,9 +30,21 @@ def bits(net):
     return np.array(values, dtype=float).view(np.int64)
 
 
+def assert_same_text(text, expected):
+    """text == expected, reported by the first difference: pytest's own
+    report of two long unequal strings is a diff that takes about half a
+    minute per failing call."""
+    if text != expected:
+        at = next((i for i, (a, b) in enumerate(zip(text, expected)) if a != b),
+                  min(len(text), len(expected)))
+        start = max(at - 60, 0)
+        pytest.fail(f"texts differ from index {at}: {text[start:at + 20]!r} "
+                    f"!= {expected[start:at + 20]!r}")
+
+
 def assert_bytes_and_round_trip(net):
     text = serialize(net)
-    assert text == serialize_plain(net)
+    assert_same_text(text, serialize_plain(net))
     again = deserialize(text)
     assert again == net
     assert np.array_equal(bits(again), bits(net))
@@ -86,7 +98,7 @@ def edge_net():
 def test_edge_values_keep_their_bits():
     net = edge_net()
     text = serialize(net)
-    assert text == serialize_plain(net)
+    assert_same_text(text, serialize_plain(net))
     assert np.array_equal(bits(deserialize(text)), bits(net))
     numbers = set(bits(net).view(float).tolist())
     assert numbers >= {*WHOLE, *SUBNORMAL, *HUGE}
@@ -97,10 +109,20 @@ def test_edge_values_keep_their_bits():
     assert '{"g": {"freqs": [-0.0], "a": [0.0], "b": [-0.0]}' in text
 
 
+def row_texts(rows):
+    """The numbers of ``network._g17_rows``' rows, each of which must end in
+    the separator ", " and hold no other byte but pads and its text."""
+    assert rows.shape[1] == network._G17_WIDTH
+    assert (rows[:, -2:] == np.frombuffer(b", ", dtype=np.uint8)).all()
+    texts = rows.tobytes().translate(None, b"\0").decode("ascii").split(", ")
+    assert texts.pop() == ""
+    return texts
+
+
 def test_kernel_writes_the_bytes_of_percent_17g():
     values = edge_floats()
     assert values.size > 300_000
-    assert network._format_g17(values) == ["%.17g" % v for v in values.tolist()]
+    assert row_texts(network._g17_rows(values)) == [number_text(v) for v in values.tolist()]
 
 
 def test_kernel_leaves_ties_zeros_and_range_ends_to_percent_17g():
@@ -123,7 +145,7 @@ def test_kernel_leaves_ties_zeros_and_range_ends_to_percent_17g():
         assert (len(digits) == 18 and digits[-1] == "5") or digits == "1", v
     x = 200000000000001 / 16
     assert not network._digits17(np.array([x]))[2][0]
-    assert network._format_g17(np.array([x, -x])) == ["12500000000000.062", "-12500000000000.062"]
+    assert row_texts(network._g17_rows(np.array([x, -x]))) == ["12500000000000.062", "-12500000000000.062"]
 
 
 def test_a_built_nets_nonzero_numbers_take_the_vector_path():
@@ -133,6 +155,54 @@ def test_a_built_nets_nonzero_numbers_take_the_vector_path():
     assert values.size > 3000
     assert settled[values != 0].all()
     assert not settled[values == 0].any()
+
+
+# numbers the kernel leaves to "%.17g": a signed zero, an exact tie at 17
+# digits and a magnitude outside its range
+FALLBACK = (-0.0, 200000000000001 / 16, 1e300)
+
+
+@pytest.mark.parametrize("v", FALLBACK)
+def test_a_fallback_number_first_last_and_alone_in_an_array(v):
+    assert not network._digits17(np.array([v]))[2][0]
+    first = Branch((v, 0.5, 3.0), (v, -1.25, 2.0), (v, 7.0, 1e-5))
+    last = Branch((0.5, 3.0, v), (-1.25, 2.0, v), (7.0, 1e-5, v))
+    alone = Branch((v,), (v,), (v,))
+    net = FourierResNet((Layer(first), Layer(last, alone), Layer(alone, first)))
+    assert_bytes_and_round_trip(net)
+    text = serialize(net)
+    number = number_text(v)
+    assert f'"freqs": [{number}, 0.5, 3.0]' in text
+    assert f'"b": [7.0, 1.0000000000000001e-05, {number}]' in text
+    assert f'{{"freqs": [{number}], "a": [{number}], "b": [{number}]}}' in text
+
+
+def test_a_whole_number_keeps_its_point_as_an_arrays_last_entry():
+    g = Branch((0.5, 3.0), (0.25, 2.0 ** 53), (-1.5, 99999999999999984.0))
+    h = Branch((1e16,), (-7.0,), (1e17,))
+    net = FourierResNet((Layer(g), Layer(g, h)))
+    assert_bytes_and_round_trip(net)
+    text = serialize(net)
+    assert '{"freqs": [0.5, 3.0], "a": [0.25, 9007199254740992.0], "b": [-1.5, 99999999999999984.0]}' in text
+    assert '"h": {"freqs": [10000000000000000.0], "a": [-7.0], "b": [1e+17]}}\n' in text
+
+
+def test_widths_zero_and_one():
+    empty = Branch((), (), ())
+    one = Branch((2.5,), (-0.0,), (4.0,))
+    net = FourierResNet((Layer(one), Layer(empty, one), Layer(one, empty), Layer(empty, empty),
+                         Layer(one, one)))
+    assert_bytes_and_round_trip(net)
+    assert '{"g": {"freqs": [], "a": [], "b": []}, "h": {"freqs": [2.5], "a": [-0.0], "b": [4.0]}}' \
+        in serialize(net)
+
+
+@pytest.mark.parametrize("depth", [1, 3])
+def test_a_net_whose_branches_are_all_empty(depth):
+    empty = Branch((), (), ())
+    net = FourierResNet((Layer(empty), *[Layer(empty, empty)] * (depth - 1)))
+    assert_bytes_and_round_trip(net)
+    assert serialize(net).count("[]") == 3 + 6 * (depth - 1)
 
 
 def from_bits(pattern):

@@ -1,6 +1,7 @@
 """Target registry: pointwise values and jet derivatives vs finite differences."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -129,3 +130,19 @@ def test_custom_registration_roundtrip():
     t = target_lookup(name)
     assert t.eval(0.5) == pytest.approx(1.0)
     assert t.one_sided_derivs(0.25, "left", 1) == pytest.approx([0.5, 2.0])
+
+
+def test_each_piece_is_evaluated_on_its_own_side_only():
+    # the right piece has a pole at -0.5, on the left side, where it is not
+    # valid; a division by zero there would be an error under this filter
+    pole = PiecewiseTarget("_pole", lambda u: 3.0 * u, lambda u: 1.0 / (u + 0.5), 0.25)
+    x = np.array([-1.0, -0.5, -0.0, 0.0, 0.5, 1.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert pole.eval(x).tolist() == [-3.0, -1.5, 0.25, 0.25, 1.0, 1.0 / 1.5]
+        assert pole.eval(-0.5) == -1.5
+        assert pole.eval(x.reshape(2, 3)).tolist() == [[-3.0, -1.5, 0.25], [0.25, 1.0, 1.0 / 1.5]]
+    # a piece that gives a scalar is broadcast over its side
+    flat = PiecewiseTarget("_flat", lambda u: -2.0, lambda u: u, 0.0)
+    assert flat.eval(np.array([-0.75, -0.25, 0.0, 0.5])).tolist() == [-2.0, -2.0, 0.0, 0.5]
+    assert flat.eval(-0.75) == -2.0
