@@ -581,7 +581,8 @@ def neuron_count(net: FourierResNet) -> int:
 # * np.unique's inverse takes the rows into file order, and the separator of
 #   each array's last row becomes "\n" and a pad.
 # * One bytes.translate deletes the pads, and one decode and one split give
-#   one string per array (three per branch, a few hundred per net).
+#   one string per array (three per nonempty branch, 189 for a built net
+#   at L = 60).
 # * Those fill a skeleton with one %s per nonempty array; an empty array
 #   is written "[]" by the skeleton.  A layer's skeleton line depends only on
 #   the widths of its g- and h-branch, and is built once per such shape (a
@@ -589,7 +590,7 @@ def neuron_count(net: FourierResNet) -> int:
 #
 # The bytes are those of formatting every number in turn.  At K = 1024
 # (6,390 numbers, 3,122 distinct) the rows cost about 0.13 us per distinct
-# number, and the gather, translate, decode, split and fill about 0.05 us
+# number, and the gather, translate, decode, split and fill about 0.04 us
 # per number of the file; the value list and np.unique are most of the
 # rest.
 #
