@@ -17,13 +17,19 @@ def lp_error(f, g, p, quad: QuadratureConfig = DEFAULT_QUAD):
     geometrically graded toward it, so error localized in exponentially
     small neighborhoods of the breakpoint is still resolved.  For a tuple
     of exponents ``p`` the tuple of norms is returned, from one evaluation
-    of f and g.
+    of f and g.  A non-finite value of f or of g is refused: NaN or inf
+    would make every norm NaN or inf.
     """
     ps = p if isinstance(p, tuple) else (p,)
     if not all(0 < q < np.inf for q in ps):
         raise ValueError("p must be a finite positive number")
     x, w = nodes_weights(quad)
-    diff = np.abs(np.asarray(f(x), dtype=float) - np.asarray(g(x), dtype=float))
+    vals = []
+    for name, fn in (("f", f), ("g", g)):
+        vals.append(np.asarray(fn(x), dtype=float))
+        if not np.isfinite(vals[-1]).all():
+            raise ValueError(f"{name} has a non-finite value on the quadrature nodes")
+    diff = np.abs(vals[0] - vals[1])
     norms = tuple(float(w @ diff**q) ** (1.0 / q) for q in ps)
     return norms if isinstance(p, tuple) else norms[0]
 

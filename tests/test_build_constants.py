@@ -1,12 +1,13 @@
-"""Constants a build computes once: per-order systems, the sin(x) neuron, and
-the call budget of one ``convergence`` cell, counted rather than timed."""
+"""Constants a build computes once: per-order systems, the build rule's per-K
+tables, the sin(x) neuron, and the call budget of one ``convergence`` cell,
+counted rather than timed."""
 
 import warnings
 
 import numpy as np
 import pytest
 
-from fresnet import builder, cli, hermite, jets, jump, network, quadrature
+from fresnet import builder, cli, hermite, jets, jump, network, quadrature, smooth
 from fresnet.builder import BuildSpec, build_piecewise_net
 from fresnet.hermite import HermiteSolveError, hermite_endpoint, scaled_residual
 from fresnet.targets import target_lookup
@@ -152,12 +153,47 @@ def test_the_verdict_refuses_a_branch_of_another_order():
         scaled_residual(other, np.ones(3), np.ones(3))
 
 
+def test_one_build_rule_table_per_modes_count():
+    smooth._rule_tables.cache_clear()
+    for name in ("hat", "pw_smooth"):
+        for m in (1, 3):
+            for k in (0, 7, 20):
+                build_piecewise_net(BuildSpec(target_lookup(name), m, k, 6))
+    info = smooth._rule_tables.cache_info()
+    assert (info.misses, info.hits) == (3, 9)
+
+
+def test_a_convergence_sweeps_modes_counts_keep_their_tables():
+    # a sweep over K 5..80 and the baselines' K + 20: 9 keys, none evicted
+    smooth._rule_tables.cache_clear()
+    keys = (5, 10, 20, 40, 80, 25, 30, 60, 100)
+    for _ in range(3):
+        for k in keys:
+            smooth.fourier_coeffs(np.cos, k)
+    info = smooth._rule_tables.cache_info()
+    assert (info.misses, info.hits) == (len(keys), 2 * len(keys))
+
+
+@pytest.mark.parametrize("half", [0, 1, 7, 80, 1024])
+def test_cold_and_warm_builds_write_the_same_bytes(half):
+    spec = BuildSpec(target_lookup("pw_smooth"), 4, half, 20)
+    smooth._rule_tables.cache_clear()
+    quadrature.nodes_weights.cache_clear()
+    cold = network.serialize(build_piecewise_net(spec))
+    warm = network.serialize(build_piecewise_net(spec))
+    info = smooth._rule_tables.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
+    assert cold == warm
+
+
 def test_cached_constants_refuse_writes():
     matrix, omegas = hermite._hermite_system(2)
     zs, bell = jump._chain_rule_system(0.0, "left", 2)
     # every build and every lp_error reads the same cached nodes and weights
     x, w = quadrature.nodes_weights()
-    for array in (matrix, omegas, zs, bell, x, w):
+    # and every build at one K the same per-K tables
+    half_w, rows, phase = smooth._rule_tables(7)
+    for array in (matrix, omegas, zs, bell, x, w, half_w, rows, phase):
         with pytest.raises(ValueError, match="read-only"):
             array[0] = 0.0
 
@@ -187,7 +223,7 @@ def test_builds_share_the_sin_neuron_and_its_plan(monkeypatch):
 def counters(monkeypatch):
     """Counts of irfft calls, Taylor tables and chain-rule matrices, with
     every per-process cache they could hide behind emptied; Hermite systems
-    are counted by their cache's misses."""
+    and the build rule's per-K tables are counted by their caches' misses."""
     counts = {"irfft": 0, "tables": 0, "bell": []}
 
     def counting(name, fn):
@@ -208,6 +244,7 @@ def counters(monkeypatch):
     monkeypatch.setattr(jump, "chain_rule_matrix", counting_bell)
     hermite._hermite_system.cache_clear()
     jump._chain_rule_system.cache_clear()
+    smooth._rule_tables.cache_clear()
     return counts
 
 
@@ -226,11 +263,15 @@ def test_convergence_cell_call_budget(counters, tmp_path):
     assert hermite._hermite_system.cache_info().misses == 1
     # z's profile at 0 from both sides and at the two endpoints
     assert len(counters["bell"]) == 4
+    # the build at K = 20 and the baseline series at K = 40
+    assert smooth._rule_tables.cache_info().misses == 2
     cell(2)
     assert counters["irfft"] == counters["tables"]
     assert hermite._hermite_system.cache_info().misses == 1
     assert len(counters["bell"]) == 4
+    assert smooth._rule_tables.cache_info().misses == 2
     cell(3)
     assert counters["irfft"] == counters["tables"]
     assert hermite._hermite_system.cache_info().misses == 2
     assert len(counters["bell"]) == 8
+    assert smooth._rule_tables.cache_info().misses == 2

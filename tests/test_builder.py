@@ -100,7 +100,10 @@ def test_a_build_calls_each_stage_by_a_name_a_tracer_can_rebind(monkeypatch):
     """A tracer records a build stage by rebinding the stage's function in
     every fresnet module that holds it, and a method on its class (as
     ``bench/spans.py`` does); a traced run fails when a stage records no
-    calls.  So one build must reach every stage through such a name."""
+    calls.  So one build must reach every stage through such a name, also
+    when an earlier build at the same K filled the per-K caches."""
+    spec = BuildSpec(target_lookup("pw_smooth"), 2, 8, 6)
+    build_piecewise_net(spec)
     calls = {}
 
     def counting(name, fn):
@@ -126,7 +129,7 @@ def test_a_build_calls_each_stage_by_a_name_a_tracer_can_rebind(monkeypatch):
     for name in ("one_sided_derivs", "eval"):
         method = PiecewiseTarget.__dict__[name]
         monkeypatch.setattr(PiecewiseTarget, name, counting(f"PiecewiseTarget.{name}", method))
-    build_piecewise_net(BuildSpec(target_lookup("pw_smooth"), 2, 8, 6))
+    build_piecewise_net(spec)
     assert len(calls) == 10 and all(calls.values()), calls
 
 

@@ -148,6 +148,27 @@ def test_lp_error_validation():
             lp_error(lambda x: x, lambda x: 0 * x, bad)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("p", [2.0, (1.0, 2.0)], ids=["scalar-p", "tuple-p"])
+def test_lp_error_refuses_a_non_finite_value(bad, p):
+    # one bad node would make every norm NaN or inf
+    one_bad = lambda x: np.where(x == x[-1], bad, np.sin(x))  # noqa: E731
+    with pytest.raises(ValueError, match="^f has a non-finite value on the quadrature nodes$"):
+        lp_error(one_bad, np.sin, p)
+    with pytest.raises(ValueError, match="^g has a non-finite value on the quadrature nodes$"):
+        lp_error(np.sin, one_bad, p)
+    # f is refused before g is evaluated
+    calls = []
+
+    def g(x):
+        calls.append(x.size)
+        return np.sin(x)
+
+    with pytest.raises(ValueError, match="^f has"):
+        lp_error(one_bad, g, p)
+    assert calls == []
+
+
 def test_lp_error_tuple_of_exponents_evaluates_once():
     calls = []
 

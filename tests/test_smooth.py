@@ -11,6 +11,7 @@ from fresnet.hermite import deriv_rows
 from fresnet.jets import MAX_ORDER
 from fresnet.network import _branch_modes, branch_from_modes, eval_grid
 from fresnet.quadrature import build_rule, nodes_weights
+from fresnet import quadrature, smooth
 from fresnet.smooth import build_smooth_branch, fourier_coeffs
 from fresnet.targets import target_lookup
 
@@ -223,6 +224,9 @@ def test_negative_modes_are_exact_conjugates(half):
 
 
 def _build_peak(spec):
+    # a cold build: its peak includes the per-K tables and the rule's nodes
+    smooth._rule_tables.cache_clear()
+    quadrature.nodes_weights.cache_clear()
     tracemalloc.start()
     try:
         build_piecewise_net(spec)
