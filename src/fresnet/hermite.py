@@ -81,7 +81,8 @@ def scaled_residual(branch: Branch, alphas, betas) -> float:
     """
     m, data = _endpoint_data(alphas, betas)
     matrix, omegas = _hermite_system(m)
-    if branch.freqs != tuple(np.abs(omegas).tolist()):
+    freqs = branch.entries[0]
+    if freqs.shape != omegas.shape or not (freqs == np.abs(omegas)).all():
         raise ValueError(f"branch is not an order-{m} endpoint polynomial of width {omegas.size}")
     _, coeffs = _branch_modes(branch)
     np.conjugate(coeffs, out=coeffs, where=omegas < 0)

@@ -141,36 +141,80 @@ class NetworkFormatError(ValueError):
     """Raised for malformed or inconsistent serialized networks."""
 
 
-@dataclass(frozen=True)
 class Branch:
-    """One trigonometric branch: parallel lists of frequencies and amplitudes."""
+    """One trigonometric branch: parallel lists of frequencies and amplitudes.
 
-    freqs: tuple
-    sin_amps: tuple
-    cos_amps: tuple
+    ``entries`` holds them as one read-only (3, width) float64 array: row 0
+    the frequencies, row 1 the sine amplitudes a, row 2 the cosine
+    amplitudes b.  ``freqs``, ``sin_amps`` and ``cos_amps`` are those rows as
+    tuples of Python floats, each built on its first read and kept; the
+    library reads only the array.  The constructor takes any three
+    equal-length sequences of real numbers (ints and bools read back as
+    floats) and copies them; a branch is immutable, and every entry must be
+    finite.  Branches are equal, and hash equal, when their entries are
+    equal as numbers, so -0.0 and 0.0 entries compare equal.
+    """
 
-    def __post_init__(self):
-        if not (len(self.freqs) == len(self.sin_amps) == len(self.cos_amps)):
+    def __init__(self, freqs, sin_amps, cos_amps):
+        if not (len(freqs) == len(sin_amps) == len(cos_amps)):
             raise NetworkFormatError(
-                f"mismatched lengths freqs={len(self.freqs)} "
-                f"a={len(self.sin_amps)} b={len(self.cos_amps)}"
+                f"mismatched lengths freqs={len(freqs)} a={len(sin_amps)} b={len(cos_amps)}"
             )
-        # A NaN or infinite entry makes the entries' sum NaN or infinite, so a
-        # finite float sum shows every entry finite without building an array.
-        # Any other sum (finite entries that overflow, entries that are not all
-        # floats or cannot be added) leaves the verdict to numpy's check.  An
-        # empty branch has no entry to check.
-        try:
-            total = sum(self.freqs) + sum(self.sin_amps) + sum(self.cos_amps)
-        except (TypeError, ValueError, ArithmeticError):
-            total = None
-        if self.freqs and not (type(total) is float and math.isfinite(total)):
-            if not np.isfinite(np.asarray((*self.freqs, *self.sin_amps, *self.cos_amps))).all():
-                raise NetworkFormatError("branch parameters must be finite")
+        # a copy; numbers only: with dtype=float a string would parse, so
+        # the dtype is checked instead (an int beyond 64 bits is an object)
+        entries = np.array((freqs, sin_amps, cos_amps))
+        if entries.ndim != 2 or entries.dtype.kind not in "biuf":
+            raise TypeError(f"branch entries must be flat sequences of real numbers, "
+                            f"got {entries.dtype} of shape {entries.shape}")
+        object.__setattr__(self, "entries", _sealed(entries.astype(float, copy=False)))
+
+    @classmethod
+    def _of(cls, entries: np.ndarray) -> Branch:
+        """The branch whose entries are ``entries``, a read-only (3, width)
+        float64 array with finite entries that nothing else writes."""
+        branch = object.__new__(cls)
+        object.__setattr__(branch, "entries", entries)
+        return branch
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to Branch attribute {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete Branch attribute {name!r}")
+
+    def __eq__(self, other):
+        if self is other:
+            return True
+        if type(other) is not Branch:
+            return NotImplemented
+        a, b = self.entries, other.entries
+        # equal bits (so equal widths: every entries array has 3 rows), else
+        # equal values, which differ in bits only by the sign of a zero
+        return a.tobytes() == b.tobytes() or (a.shape == b.shape and bool((a == b).all()))
+
+    def __hash__(self):
+        # + 0.0 turns -0.0 into 0.0, so equal branches have equal bytes
+        return hash((self.entries + 0.0).tobytes())
+
+    def __repr__(self):
+        rows = (tuple(row) for row in self.entries.tolist())
+        return "Branch(freqs={!r}, sin_amps={!r}, cos_amps={!r})".format(*rows)
+
+    @cached_property
+    def freqs(self) -> tuple:
+        return tuple(self.entries[0].tolist())
+
+    @cached_property
+    def sin_amps(self) -> tuple:
+        return tuple(self.entries[1].tolist())
+
+    @cached_property
+    def cos_amps(self) -> tuple:
+        return tuple(self.entries[2].tolist())
 
     @property
     def width(self) -> int:
-        return len(self.freqs)
+        return self.entries.shape[1]
 
     @cached_property
     def _plan(self):
@@ -215,14 +259,29 @@ class FourierResNet:
         return len(self.layers)
 
 
+def _sealed(entries: np.ndarray) -> np.ndarray:
+    """The new array ``entries``, made read-only, if its entries are all
+    finite."""
+    if not np.isfinite(entries).all():
+        raise NetworkFormatError("branch parameters must be finite")
+    entries.flags.writeable = False
+    return entries
+
+
+#: The entries of every empty branch that :func:`deserialize` makes.
+_NO_ENTRIES = _sealed(np.empty((3, 0)))
+
+
 def _branch_modes(branch: Branch):
     """(freqs, amps): one complex mode per entry, amplitude b - ia, since
     a sin(wt) + b cos(wt) == Re((b - ia) e^{iwt}).  Built without
     arithmetic, so :func:`branch_from_modes` gives back the entries bit for
-    bit, signed zeros included."""
-    amps = np.asarray(branch.cos_amps, dtype=complex)
-    amps.imag = np.negative(branch.sin_amps)
-    return np.asarray(branch.freqs, dtype=float), amps
+    bit, signed zeros included.  The frequencies are a read-only view of
+    the branch's entries."""
+    freqs, sin_amps, cos_amps = branch.entries
+    amps = cos_amps.astype(complex)
+    amps.imag = np.negative(sin_amps)
+    return freqs, amps
 
 
 def _trig_plan(omegas, amps):
@@ -429,12 +488,10 @@ def branch_from_modes(coeffs, omegas) -> Branch:
     if omegas.shape != coeffs.shape:
         raise ValueError(f"{omegas.size} frequencies but {coeffs.size} amplitudes")
     negative = omegas < 0
-    coeffs = np.where(negative, coeffs.conj(), coeffs)
-    return Branch(
-        tuple(np.where(negative, -omegas, omegas).tolist()),
-        tuple((-coeffs.imag).tolist()),
-        tuple(coeffs.real.tolist()),
-    )
+    # a = -Im c, which conj(c) turns into Im c; b = Re c either way
+    entries = np.array([np.where(negative, -omegas, omegas),
+                        np.where(negative, coeffs.imag, -coeffs.imag), coeffs.real])
+    return Branch._of(_sealed(entries))
 
 
 def eval_prefix(net: FourierResNet, x, ell: int):
@@ -548,14 +605,9 @@ def neuron_count(net: FourierResNet) -> int:
     counted, keeping the total equal to the complex-mode count of the
     underlying construction.
     """
-    total = 0
-    for layer in net.layers:
-        branches = [layer.g_branch]
-        if layer.h_branch is not None:
-            branches.append(layer.h_branch)
-        for br in branches:
-            total += sum(1 for w in br.freqs if w != 0.0)
-    return total
+    return np.count_nonzero(np.concatenate(
+        [br.entries[0] for layer in net.layers for br in (layer.g_branch, layer.h_branch)
+         if br is not None]))
 
 
 # -- serialization --------------------------------------------------------
@@ -810,6 +862,7 @@ def serialize(net: FourierResNet) -> str:
         arr = "[%s]" if width else "[]"
         return '{"freqs": ' + arr + ', "a": ' + arr + ', "b": ' + arr + "}"
 
+    # each branch's entries, freqs then a then b, in file order
     values = []
     # the length of each nonempty array, in file order
     lengths = []
@@ -818,11 +871,10 @@ def serialize(net: FourierResNet) -> str:
     for layer in net.layers:
         g, h = layer.g_branch, layer.h_branch
         for branch in (g, h):
-            if branch is not None and branch.width:
-                values += branch.freqs
-                values += branch.sin_amps
-                values += branch.cos_amps
-                lengths += (branch.width,) * 3
+            if branch is not None:
+                values.append(branch.entries.ravel())
+                if branch.width:
+                    lengths += (branch.width,) * 3
         shape = (g.width, None if h is None else h.width)
         line = shapes.get(shape)
         if line is None:
@@ -833,7 +885,7 @@ def serialize(net: FourierResNet) -> str:
     lines[-1] = lines[-1][:-1]
     lines.append("  ]")
     lines.append("}")
-    bits, slots = np.unique(np.array(values, dtype=float).view(np.int64), return_inverse=True)
+    bits, slots = np.unique(np.concatenate(values).view(np.int64), return_inverse=True)
     rows = _g17_rows(bits.view(float)).take(slots, axis=0)
     # each array's last number ends in a newline and a pad, not ", "
     rows[np.cumsum(lengths, dtype=np.intp) - 1, -2:] = (ord("\n"), 0)
@@ -845,7 +897,9 @@ def serialize(net: FourierResNet) -> str:
 _NUMBER_TYPES = {int, float}
 
 
-def _parse_branch(obj, where: str) -> Branch:
+def _parse_branch(obj, where: str, numbers: list) -> int:
+    """Check the branch object ``obj`` and append its entries, freqs then a
+    then b, to ``numbers`` as Python floats; returns its width."""
     if not isinstance(obj, dict):
         raise NetworkFormatError(f"{where}: branch must be an object")
     columns = []
@@ -855,21 +909,36 @@ def _parse_branch(obj, where: str) -> Branch:
         # exact types: json.loads gives bool, a subclass of int, for true/false.
         # One set of the entries' types; the entries are scanned one by one
         # only to name the first offending one
-        types = set(map(type, obj[key]))
+        column = obj[key]
+        types = set(map(type, column))
         if not types <= _NUMBER_TYPES:
-            v = next(v for v in obj[key] if type(v) not in _NUMBER_TYPES)
+            v = next(v for v in column if type(v) not in _NUMBER_TYPES)
             raise NetworkFormatError(f"{where}: '{key}' entry {v!r} is not a number")
-        columns.append((obj[key], int in types))
-    try:
-        # serialize writes floats only, taken as they are; int entries (a
-        # hand-written file) are converted, so a branch holds floats
-        return Branch(*(tuple(map(float, entries)) if has_int else tuple(entries)
-                        for entries, has_int in columns))
-    except (ValueError, OverflowError) as exc:
-        raise NetworkFormatError(f"{where}: {exc}") from exc
+        if int in types:
+            # serialize writes floats only; int entries (a hand-written
+            # file) are converted here, where an int too large for a float
+            # can be named
+            try:
+                column = list(map(float, column))
+            except OverflowError as exc:
+                raise NetworkFormatError(f"{where}: {exc}") from exc
+        columns.append(column)
+    width = len(columns[0])
+    if not width == len(columns[1]) == len(columns[2]):
+        raise NetworkFormatError(f"{where}: mismatched lengths freqs={width} "
+                                 f"a={len(columns[1])} b={len(columns[2])}")
+    for column in columns:
+        numbers += column
+    return width
 
 
 def deserialize(text: str) -> FourierResNet:
+    """The network of a serialized document.
+
+    The structure and the type of every entry are checked branch by branch,
+    in document order; then all entries are converted to float64 at once
+    and checked finite, and each branch's entries are a (3, width) view of
+    that one read-only array."""
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -888,14 +957,42 @@ def deserialize(text: str) -> FourierResNet:
         raise NetworkFormatError(
             f"declared depth {depth} != number of layers {len(layers_doc)}"
         )
-    layers = []
+    numbers = []
+    # the widths of each layer's g- and h-branch, None for no h-branch
+    widths = []
     for i, layer_doc in enumerate(layers_doc, start=1):
         if not isinstance(layer_doc, dict) or "g" not in layer_doc:
             raise NetworkFormatError(f"layer {i}: must be an object with a 'g' branch")
-        g = _parse_branch(layer_doc["g"], f"layer {i} g-branch")
+        g = _parse_branch(layer_doc["g"], f"layer {i} g-branch", numbers)
         h_doc = layer_doc.get("h")
-        h = None if h_doc is None else _parse_branch(h_doc, f"layer {i} h-branch")
-        layers.append(Layer(g, h))
+        h = None if h_doc is None else _parse_branch(h_doc, f"layer {i} h-branch", numbers)
+        widths.append((g, h))
+    entries = np.array(numbers, dtype=float)
+    bad = ~np.isfinite(entries)
+    if bad.any():
+        # name the first branch that holds a non-finite entry
+        first, end = bad.argmax(), 0
+        for i, pair in enumerate(widths, start=1):
+            for kind, width in zip("gh", pair):
+                end += 3 * (width or 0)
+                if first < end:
+                    raise NetworkFormatError(
+                        f"layer {i} {kind}-branch: branch parameters must be finite")
+    # every view of a read-only array is read-only
+    entries.flags.writeable = False
+    layers = []
+    lo = 0
+    for pair in widths:
+        g_h = []
+        for width in pair:
+            if width is None:
+                g_h.append(None)
+            elif width == 0:
+                g_h.append(Branch._of(_NO_ENTRIES))
+            else:
+                g_h.append(Branch._of(entries[lo:lo + 3 * width].reshape(3, width)))
+                lo += 3 * width
+        layers.append(Layer(*g_h))
     return FourierResNet(tuple(layers))
 
 

@@ -52,4 +52,4 @@ def truncated_sign_series(n_terms: int) -> Branch:
     ells = np.arange(1, n_terms + 1)
     freqs = (2 * ells - 1) * math.pi
     amps = 4.0 / (math.pi * (2 * ells - 1))
-    return Branch(tuple(freqs), tuple(amps), (0.0,) * n_terms)
+    return Branch(freqs, amps, np.zeros(n_terms))

@@ -5,8 +5,8 @@
 ROOT is a fresnet source tree (default: the one holding this script); its
 ``src`` and ``tests`` directories go first on the import path, so the same
 script checks any commit: two trees whose four lines agree build
-byte-identical nets, evaluate them to the same bits and write the same
-text for any number.
+byte-identical nets, evaluate them to the same bits, write the same
+text for any number and load back the same nets.
 
 * ``serialize``: the text of every registered target's net at m 1..12 and
   K in {0, 1, 5, 11, 12, 13, 64, 512}, L = 60.
@@ -27,8 +27,11 @@ text for any number.
   1e16 and 1e17, exact ties at 17 digits, signed zeros, +-5e-324 and
   +-max.  That module comes from this script's own tree when ROOT has
   none, so this line needs only the public API.
+* ``loaded``: each ``serialize`` net after a ``serialize`` ->
+  ``deserialize`` round trip: its text again, and ``eval_grid`` on the
+  ``eval`` points.  Public API only, like ``edges``.
 
-Takes a few seconds; prints one line per hash.
+Takes about ten seconds; prints one line per hash.
 """
 
 import hashlib
@@ -57,6 +60,7 @@ KS = (0, 1, 5, 11, 12, 13, 64, 512)
 def main():
     ser = hashlib.sha256()
     ev = hashlib.sha256()
+    loaded = hashlib.sha256()
     rng = np.random.default_rng(123)
     pts = np.concatenate([tricky_points(), tricky_points(500, seed=7),
                           rng.uniform(-1, 1, 20000), rng.uniform(-1e6, 1e6, 2000),
@@ -67,7 +71,11 @@ def main():
         for m in range(1, 13):
             for K in KS:
                 net = build_piecewise_net(BuildSpec(target_lookup(name), m, K, 60))
-                ser.update(network.serialize(net).encode())
+                text = network.serialize(net)
+                ser.update(text.encode())
+                again = network.deserialize(text)
+                loaded.update(network.serialize(again).encode())
+                loaded.update(network.eval_grid(again, pts).tobytes())
                 if m not in (1, 4, 12):
                     continue
                 ev.update(network.eval_grid(net, pts).tobytes())
@@ -111,6 +119,7 @@ def main():
     values = tuple(edge_floats().tolist())
     net = FourierResNet((Layer(Branch(values, values[::-1], values)),))
     print("edges    ", hashlib.sha256(network.serialize(net).encode()).hexdigest())
+    print("loaded   ", loaded.hexdigest())
 
 
 if __name__ == "__main__":
