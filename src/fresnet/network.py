@@ -260,12 +260,13 @@ class FourierResNet:
 
 
 def _sealed(entries: np.ndarray) -> np.ndarray:
-    """The new array ``entries``, made read-only, if its entries are all
-    finite."""
+    """A view of the new array ``entries``, which is made read-only, if its
+    entries are all finite.  A view of a read-only array cannot be made
+    writeable again."""
     if not np.isfinite(entries).all():
         raise NetworkFormatError("branch parameters must be finite")
     entries.flags.writeable = False
-    return entries
+    return entries.view()
 
 
 #: The entries of every empty branch that :func:`deserialize` makes.

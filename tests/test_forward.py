@@ -417,3 +417,46 @@ def test_random_order_million_point_eval_holds_one_block():
     finally:
         tracemalloc.stop()
     assert peak < xs.nbytes + 4e6, f"eval_grid peak {peak / 1e6:.1f} MB"
+
+
+@pytest.mark.parametrize("depth", [3, 20])
+def test_built_and_loaded_nets_run_their_sign_stack_once(monkeypatch, depth):
+    """Layers 2..L-1 of a built net of L sign layers are one run of L - 2
+    steps, both in the built net, which shares one h object, and in its
+    loaded copy, whose equal h-branches are matched by ``==``."""
+    built = build_piecewise_net(BuildSpec(target_lookup("pw_smooth"), 4, 512, depth))
+    loaded = network.deserialize(network.serialize(built))
+    runs = []
+    iterate = network._iterate
+
+    def counter(h, f, steps):
+        runs.append(steps)
+        return iterate(h, f, steps)
+
+    monkeypatch.setattr(network, "_iterate", counter)
+    xs = np.linspace(-1.0, 1.0, 33)
+    for net in (built, loaded):
+        runs.clear()
+        assert_same_bits(eval_grid(net, xs), forward_plain(built, xs))
+        assert runs == [depth - 2]
+
+
+def test_the_library_makes_no_tuple_views():
+    """A build, serialize, load, neuron count and eval read only each
+    branch's entries array: none of the branches they make holds the
+    tuple views, which are built on a first read."""
+    net = build_piecewise_net(BuildSpec(target_lookup("pw_smooth"), 4, 64, 20))
+    loaded = network.deserialize(network.serialize(net))
+    for held in (net, loaded):
+        network.serialize(held)
+        network.neuron_count(held)
+        eval_grid(held, np.linspace(-1.0, 1.0, 33))
+    branches = [net.layers[-1].g_branch, net.layers[-1].h_branch]
+    branches += [br for layer in loaded.layers for br in (layer.g_branch, layer.h_branch)
+                 if br is not None]
+    for br in branches:
+        assert not {"freqs", "sin_amps", "cos_amps"} & br.__dict__.keys()
+    assert "_plan" in net.layers[-1].g_branch.__dict__  # the eval did run
+    # a first read builds a view and keeps it
+    spectral = net.layers[-1].g_branch
+    assert spectral.freqs is spectral.freqs and "freqs" in spectral.__dict__

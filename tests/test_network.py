@@ -328,3 +328,118 @@ def test_save_load(tmp_path):
     path = tmp_path / "net.fnet.json"
     network.save(net, path)
     assert network.load(path) == net
+
+
+# -- the Branch contract -----------------------------------------------------
+
+def _made_branches():
+    """A branch from each way one is made: the constructor,
+    branch_from_modes and deserialize (nonempty and empty)."""
+    made = Branch((1.0, 2.0), (0.5, -0.25), (0.0, 3.0))
+    loaded = deserialize(serialize(FourierResNet((Layer(made), Layer(Branch((), (), ()), made)))))
+    return {
+        "constructor": made,
+        "branch_from_modes": branch_from_modes([1 + 2j, -3j], [-2.0, 0.5]),
+        "loaded": loaded.layers[1].h_branch,
+        "loaded empty": loaded.layers[1].g_branch,
+    }
+
+
+@pytest.mark.parametrize("how", ["constructor", "branch_from_modes", "loaded", "loaded empty"])
+def test_a_branch_refuses_every_write(how):
+    br = _made_branches()[how]
+    before = br.entries.copy()
+    for name in ("entries", "freqs", "sin_amps", "cos_amps", "width", "other"):
+        with pytest.raises(AttributeError):
+            setattr(br, name, (1.0,))
+        with pytest.raises(AttributeError):
+            delattr(br, name)
+    assert not br.entries.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        br.entries[...] = 7.0
+    with pytest.raises(ValueError):
+        br.entries.flags.writeable = True
+    assert br.entries.dtype == np.float64 and br.entries.shape == (3, br.width)
+    assert np.array_equal(br.entries.view(np.int64), before.view(np.int64))
+
+
+def test_tuples_lists_and_arrays_make_equal_branches():
+    rows = ((0.0, 1.5, math.pi), (1.0, -2.0, 0.25), (3.0, 0.0, -1e-300))
+    made = [Branch(*rows), Branch(*map(list, rows)), Branch(*map(np.array, rows)),
+            Branch(*np.array(rows)), Branch(rows[0], list(rows[1]), np.array(rows[2]))]
+    for br in made:
+        assert br == made[0] and hash(br) == hash(made[0])
+        assert br.freqs == rows[0] and br.sin_amps == rows[1] and br.cos_amps == rows[2]
+        assert np.array_equal(br.entries, np.array(rows))
+    assert made[0] != Branch(rows[0], rows[1], (3.0, 0.0, -2e-300))
+    assert made[0] != Branch((0.0,), (1.0,), (3.0,))
+    assert made[0] != rows and Branch((), (), ()) == Branch([], [], [])
+
+
+def test_int_and_bool_entries_read_back_as_floats():
+    br = Branch((1, 2), [0, True], np.array([False, True]))
+    assert br.entries.dtype == np.float64
+    for view, want in ((br.freqs, (1.0, 2.0)), (br.sin_amps, (0.0, 1.0)),
+                       (br.cos_amps, (0.0, 1.0))):
+        assert view == want and all(type(v) is float for v in view)
+    assert br == Branch((1.0, 2.0), (0.0, 1.0), (0.0, 1.0))
+
+
+@pytest.mark.parametrize("rows", [
+    (("1.0",), (1.0,), (0.0,)),
+    (["1.0", "2.0"], [1.0, 2.0], [0.0, 0.0]),
+    ((1.0,), np.array(["0.5"]), (0.0,)),
+    ((10 ** 400,), (1.0,), (0.0,)),
+    ((1.0,), (1.0,), (-(10 ** 400),)),
+    ((1j,), (1.0,), (0.0,)),
+    (((1.0,),), ((1.0,),), ((0.0,),)),
+])
+def test_entries_that_are_no_real_numbers_raise_type_error(rows):
+    with pytest.raises(TypeError):
+        Branch(*rows)
+
+
+def test_signed_zero_entries_are_equal_and_hash_equal():
+    plus = Branch((0.0, 1.0), (0.0, 0.5), (0.0, -0.0))
+    minus = Branch((-0.0, 1.0), (-0.0, 0.5), (-0.0, 0.0))
+    assert plus.entries.tobytes() != minus.entries.tobytes()
+    assert plus == minus and minus == plus and hash(plus) == hash(minus)
+    assert len({plus, minus}) == 1
+    # the bits are kept: each is written with its own zeros
+    assert serialize(FourierResNet((Layer(plus),))) != serialize(FourierResNet((Layer(minus),)))
+
+
+def test_a_made_branch_does_not_follow_its_inputs():
+    coeffs, omegas = np.array([1 + 2j, 0.5 - 1j, -3j]), np.array([-2.0, 0.0, 1.5])
+    br = branch_from_modes(coeffs, omegas)
+    want = br.entries.copy()
+    coeffs[:] = np.nan
+    omegas[:] = -7.0
+    assert np.array_equal(br.entries, want)
+    rows = [np.array([1.0, 2.0]), np.array([0.5, 0.5]), np.array([0.0, 1.0])]
+    stacked = np.array(rows)
+    br, from_stack = Branch(*rows), Branch(*stacked)
+    for arr in (*rows, stacked):
+        arr[:] = np.inf
+    assert br == from_stack == Branch((1.0, 2.0), (0.5, 0.5), (0.0, 1.0))
+
+
+@pytest.mark.parametrize("entry", [0, 3, 5])
+@pytest.mark.parametrize("layer, kind", [(1, "g"), (2, "h"), (3, "g"), (3, "h")])
+def test_a_non_finite_entry_names_its_branch(layer, kind, entry):
+    """The non-finite entry is the first (freqs[0]), a middle (a[1]) or the
+    last (b[1]) of its branch; layer 2's g-branch is empty."""
+
+    def branch(numbers):
+        return ('{"freqs": [%s, %s], "a": [%s, %s], "b": [%s, %s]}' % tuple(numbers)
+                if numbers else '{"freqs": [], "a": [], "b": []}')
+
+    numbers = {(i, k): ["1.0", "2.0", "0.5", "0.25", "0.0", "1.0"] for i in (1, 2, 3) for k in "gh"}
+    numbers[2, "g"] = []
+    numbers[layer, kind][entry] = "NaN"
+    text = ('{"layers": [{"g": ' + branch(numbers[1, "g"]) + ', "h": null}, '
+            + ", ".join('{"g": %s, "h": %s}' % (branch(numbers[i, "g"]), branch(numbers[i, "h"]))
+                        for i in (2, 3)) + "]}")
+    with pytest.raises(NetworkFormatError,
+                       match=f"^layer {layer} {kind}-branch: branch parameters must be finite$"):
+        deserialize(text)
