@@ -10,12 +10,12 @@ where every branch g/h is a finite trigonometric sum
     sum_k a_k sin(w_k t) + b_k cos(w_k t).
 
 Branches are stored in real sin/cos form, one entry per underlying complex
-mode.  A complex amplitude c at signed frequency w contributes
-Re(c e^{iwt}) and is folded onto the nonnegative frequency |w| by
-:func:`branch_from_modes` (conjugating c when w < 0).  A zero-frequency
-entry is a constant bias term; it is excluded from :func:`neuron_count` so
-that neuron totals match the L + W + 1 + 4(m+1) accounting of the deep
-piecewise construction.
+mode, as one read-only (3, width) float64 array.  A complex amplitude c
+at signed frequency w contributes Re(c e^{iwt}) and is folded onto the
+nonnegative frequency |w| by :func:`branch_from_modes` (conjugating c when
+w < 0).  A zero-frequency entry is a constant bias term; it is excluded
+from :func:`neuron_count` so that neuron totals match the
+L + W + 1 + 4(m+1) accounting of the deep piecewise construction.
 
 Every trigonometric sum in the package is a :class:`Branch`, evaluated by
 one kernel: the branch's plan, built on its first call and kept, and
@@ -195,6 +195,11 @@ class Branch:
     def __hash__(self):
         # + 0.0 turns -0.0 into 0.0, so equal branches have equal bytes
         return hash((self.entries + 0.0).tobytes())
+
+    def __reduce__(self):
+        # a copy or an unpickled branch is made by the constructor, so its
+        # entries are read-only too
+        return Branch, tuple(self.entries)
 
     def __repr__(self):
         rows = (tuple(row) for row in self.entries.tolist())
@@ -644,8 +649,9 @@ def neuron_count(net: FourierResNet) -> int:
 # The bytes are those of formatting every number in turn.  At K = 1024
 # (6,390 numbers, 3,122 distinct) the rows cost about 0.13 us per distinct
 # number, and the gather, translate, decode, split and fill about 0.04 us
-# per number of the file; the value list and np.unique are most of the
-# rest.
+# per number of the file; np.unique is most of the rest.  The numbers
+# come from one np.concatenate of the branches' entries arrays, with no
+# Python float per number.
 #
 # :func:`_g17_rows` gets the text of "%.17g" from vector passes.  "%.17g"
 # writes round(|v| 10^(16-e)), the 17-digit integer of |v|, with e its
@@ -863,8 +869,9 @@ def serialize(net: FourierResNet) -> str:
         arr = "[%s]" if width else "[]"
         return '{"freqs": ' + arr + ', "a": ' + arr + ', "b": ' + arr + "}"
 
-    # each branch's entries, freqs then a then b, in file order
-    values = []
+    # each nonempty branch's entries, freqs then a then b, in file order,
+    # after an empty array, so that a net of empty branches joins to none
+    values = [np.empty(0)]
     # the length of each nonempty array, in file order
     lengths = []
     shapes = {}
@@ -872,10 +879,9 @@ def serialize(net: FourierResNet) -> str:
     for layer in net.layers:
         g, h = layer.g_branch, layer.h_branch
         for branch in (g, h):
-            if branch is not None:
+            if branch is not None and branch.width:
                 values.append(branch.entries.ravel())
-                if branch.width:
-                    lengths += (branch.width,) * 3
+                lengths += (branch.width,) * 3
         shape = (g.width, None if h is None else h.width)
         line = shapes.get(shape)
         if line is None:
@@ -969,30 +975,24 @@ def deserialize(text: str) -> FourierResNet:
         h = None if h_doc is None else _parse_branch(h_doc, f"layer {i} h-branch", numbers)
         widths.append((g, h))
     entries = np.array(numbers, dtype=float)
-    bad = ~np.isfinite(entries)
-    if bad.any():
-        # name the first branch that holds a non-finite entry
-        first, end = bad.argmax(), 0
-        for i, pair in enumerate(widths, start=1):
-            for kind, width in zip("gh", pair):
-                end += 3 * (width or 0)
-                if first < end:
-                    raise NetworkFormatError(
-                        f"layer {i} {kind}-branch: branch parameters must be finite")
+    finite = np.isfinite(entries).all()
     # every view of a read-only array is read-only
     entries.flags.writeable = False
     layers = []
     lo = 0
-    for pair in widths:
+    for i, pair in enumerate(widths, start=1):
         g_h = []
-        for width in pair:
+        for kind, width in zip("gh", pair):
             if width is None:
                 g_h.append(None)
-            elif width == 0:
-                g_h.append(Branch._of(_NO_ENTRIES))
-            else:
-                g_h.append(Branch._of(entries[lo:lo + 3 * width].reshape(3, width)))
-                lo += 3 * width
+                continue
+            view = entries[lo:lo + 3 * width].reshape(3, width) if width else _NO_ENTRIES
+            lo += 3 * width
+            # only when some entry is not finite, to name its branch
+            if not finite and not np.isfinite(view).all():
+                raise NetworkFormatError(
+                    f"layer {i} {kind}-branch: branch parameters must be finite")
+            g_h.append(Branch._of(view))
         layers.append(Layer(*g_h))
     return FourierResNet(tuple(layers))
 

@@ -1,6 +1,8 @@
 """Network evaluation against a straight-line oracle, plus serialization."""
 
+import copy
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -316,11 +318,15 @@ def test_branch_check_of_entries_that_are_not_all_floats():
     # int entries, and ints mixed with floats, are accepted as numbers
     assert Branch((1, 2), (0, True), (1.5, 0)).width == 2
     assert Branch((), (), ()).width == 0
-    # entries that are not numbers raise numpy's error, as they always did
-    with pytest.raises(TypeError):
-        Branch(("1.0",), (1.0,), (0.0,))
-    with pytest.raises(TypeError):
-        Branch((10 ** 400,), (1.0,), (0.0,))
+    # entries that are not real numbers raise TypeError (strings and huge
+    # ints did before entries were an array); a string is not parsed, in a
+    # tuple, a list or an array
+    for rows in [(("1.0",), (1.0,), (0.0,)), ((10 ** 400,), (1.0,), (0.0,)),
+                 (["1.0", "2.0"], [1.0, 2.0], [0.0, 0.0]), ((1.0,), np.array(["0.5"]), (0.0,)),
+                 ((1.0,), (1.0,), (-(10 ** 400),)), ((1j,), (1.0,), (0.0,)),
+                 (((1.0,),), ((1.0,),), ((0.0,),))]:
+        with pytest.raises(TypeError):
+            Branch(*rows)
 
 
 def test_save_load(tmp_path):
@@ -345,9 +351,16 @@ def _made_branches():
     }
 
 
+@pytest.mark.parametrize("duplicate", [None, copy.copy, copy.deepcopy,
+                                       lambda br: pickle.loads(pickle.dumps(br))])
 @pytest.mark.parametrize("how", ["constructor", "branch_from_modes", "loaded", "loaded empty"])
-def test_a_branch_refuses_every_write(how):
+def test_a_branch_refuses_every_write(how, duplicate):
+    """So does its copy, deep copy or unpickled copy."""
     br = _made_branches()[how]
+    if duplicate is not None:
+        br(0.5)  # a plan to copy along
+        br = duplicate(br)
+        assert br == _made_branches()[how]
     before = br.entries.copy()
     for name in ("entries", "freqs", "sin_amps", "cos_amps", "width", "other"):
         with pytest.raises(AttributeError):
@@ -383,20 +396,6 @@ def test_int_and_bool_entries_read_back_as_floats():
                        (br.cos_amps, (0.0, 1.0))):
         assert view == want and all(type(v) is float for v in view)
     assert br == Branch((1.0, 2.0), (0.0, 1.0), (0.0, 1.0))
-
-
-@pytest.mark.parametrize("rows", [
-    (("1.0",), (1.0,), (0.0,)),
-    (["1.0", "2.0"], [1.0, 2.0], [0.0, 0.0]),
-    ((1.0,), np.array(["0.5"]), (0.0,)),
-    ((10 ** 400,), (1.0,), (0.0,)),
-    ((1.0,), (1.0,), (-(10 ** 400),)),
-    ((1j,), (1.0,), (0.0,)),
-    (((1.0,),), ((1.0,),), ((0.0,),)),
-])
-def test_entries_that_are_no_real_numbers_raise_type_error(rows):
-    with pytest.raises(TypeError):
-        Branch(*rows)
 
 
 def test_signed_zero_entries_are_equal_and_hash_equal():
