@@ -4,7 +4,7 @@
 
 ROOT is a fresnet source tree (default: the one holding this script); its
 ``src`` and ``tests`` directories go first on the import path, so the same
-script checks any commit: two trees whose four lines agree build
+script checks any commit: two trees whose five lines agree build
 byte-identical nets, evaluate them to the same bits, write the same
 text for any number and load back the same nets.
 
