@@ -13,9 +13,16 @@ The build's quadrature rule follows from the mode count alone.  The
 ``--panels``/``--nodes``/``--grading`` flags of ``sign-convergence`` and
 ``convergence`` set the graded rule by which errors are measured.
 
-All experiment output is CSV (comma separated, header row, LF endings,
-floats with 17 significant digits).  Optional SVG charts are minimal
-polyline plots; the CSV is the contract.
+All experiment output is CSV (comma separated, header row, LF endings).
+Every float is written as "%.17g" writes it, by :mod:`fresnet.numtext`,
+the package's one float-to-text path: the columns of ``sign-curves`` and
+``eval`` by :func:`~fresnet.numtext.write_csv`, formatted and written in
+blocks of :data:`~fresnet.numtext.CSV_BLOCK` numbers; the few numbers of
+each ``sign-convergence``, ``convergence`` and ``gibbs`` row by
+:func:`~fresnet.numtext.texts`, which writes fewer than
+:data:`~fresnet.numtext.VECTOR_MIN` numbers (the break-even of its vector
+passes) by one "%.17g" each.  Optional SVG charts are minimal polyline
+plots; the CSV is the contract.
 
 Exit codes: 0 success, 2 usage / unknown name, 3 experiment assertion
 failure, 4 I/O error.
@@ -30,7 +37,7 @@ from functools import lru_cache, partial
 
 import numpy as np
 
-from . import network
+from . import network, numtext
 from .builder import BuildSpec, build_piecewise_net
 from .metrics import gibbs_profile, lp_error
 from .quadrature import DEFAULT_QUAD, QuadratureConfig
@@ -47,10 +54,6 @@ EXPERIMENT_HEADER = (
 )
 
 
-def _fmt(v) -> str:
-    return format(float(v), ".17g")
-
-
 def _int_list(text: str):
     try:
         values = [int(tok) for tok in text.split(",") if tok]
@@ -65,6 +68,13 @@ def _write_lines(path: str, lines) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         for line in lines:
             fh.write(line + "\n")
+
+
+def _write_csv(path: str, header, columns) -> None:
+    """The CSV of equal-length float columns under their header."""
+    with open(path, "wb") as fh:
+        fh.write(",".join(header).encode() + b"\n")
+        numtext.write_csv(fh, columns)
 
 
 class _AssertionFailure(Exception):
@@ -129,12 +139,7 @@ def cmd_sign_curves(args) -> int:
         columns[f"resnet_L{d}"] = network.eval_grid(build_sign_net(d), grid)
     for d in args.depths:
         columns[f"series_L{d}"] = truncated_sign_series(d)(grid)
-    header = ",".join(columns)
-    rows = [
-        ",".join(_fmt(columns[name][i]) for name in columns)
-        for i in range(args.grid)
-    ]
-    _write_lines(args.out, [header] + rows)
+    _write_csv(args.out, columns, columns.values())
     if args.svg:
         _write_svg(
             args.svg, grid, {k: v for k, v in columns.items() if k != "x"}
@@ -159,7 +164,7 @@ def cmd_sign_convergence(args) -> int:
             raise _AssertionFailure(
                 f"depth {ell}: measured error {resnet_err:.3e} exceeds bound {bound:.3e}"
             )
-        lines.append(f"{ell},{_fmt(resnet_err)},{_fmt(series_err)},{_fmt(bound)}")
+        lines.append(f"{ell}," + ",".join(numtext.texts((resnet_err, series_err, bound))))
     _write_lines(args.out, lines)
     return 0
 
@@ -181,9 +186,7 @@ def cmd_build(args) -> int:
 def cmd_eval(args) -> int:
     grid = _grid(args.grid)
     net = network.load(args.net)
-    vals = network.eval_grid(net, grid)
-    lines = ["x,value"] + [f"{_fmt(x)},{_fmt(v)}" for x, v in zip(grid, vals)]
-    _write_lines(args.out, lines)
+    _write_csv(args.out, ("x", "value"), (grid, network.eval_grid(net, grid)))
     return 0
 
 
@@ -201,9 +204,10 @@ def cmd_convergence(args) -> int:
                 target.eval, lambda x: network.eval_grid(net, x), (1.0, 2.0), quad
             )
             wall = (time.perf_counter() - t0) * 1e3
+            errors = ",".join(numtext.texts((err1, err2)))
             lines.append(
                 f"resnet,{target.name},{m},{w},{args.depth},"
-                f"{network.neuron_count(net)},{_fmt(err1)},{_fmt(err2)},,{wall:.1f}"
+                f"{network.neuron_count(net)},{errors},,{wall:.1f}"
             )
     for half_modes in args.modes_list:
         w = 2 * half_modes
@@ -215,10 +219,8 @@ def cmd_convergence(args) -> int:
         )
         err1, err2 = lp_error(target.eval, series, (1.0, 2.0), quad)
         wall = (time.perf_counter() - t0) * 1e3
-        lines.append(
-            f"fourier_baseline,{target.name},0,{w},0,{n_terms},"
-            f"{_fmt(err1)},{_fmt(err2)},,{wall:.1f}"
-        )
+        errors = ",".join(numtext.texts((err1, err2)))
+        lines.append(f"fourier_baseline,{target.name},0,{w},0,{n_terms},{errors},,{wall:.1f}")
     _write_lines(args.out, lines)
     return 0
 
@@ -238,7 +240,7 @@ def cmd_gibbs(args) -> int:
     widths = []
     for depth, (width, over) in zip(args.depths, profile):
         widths.append(width)
-        lines.append(f"{depth},{_fmt(width)},{_fmt(over)}")
+        lines.append(f"{depth}," + ",".join(numtext.texts((width, over))))
     _write_lines(args.out, lines)
     if len(widths) > 1 and any(b > a for a, b in zip(widths, widths[1:])):
         raise _AssertionFailure(f"support widths not non-increasing: {widths}")

@@ -104,17 +104,23 @@ fixed points.
 
 Networks are immutable after construction and evaluation is pure, so all
 operations are safe for concurrent use.
+
+:func:`serialize` writes every number through :mod:`fresnet.numtext`, the
+package's one float-to-text path, which writes exactly "%.17g" % v; the
+".0" that JSON needs on a whole number is the serializer's own rule (see
+the serialization notes below).
 """
 
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass
-from functools import cache, cached_property
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
+
+from . import numtext
 
 #: Points per block in which :meth:`Branch.__call__` sums its parts and
 #: the forward pass evaluates its layers, so the Horner state (16 B per
@@ -600,7 +606,12 @@ def _iterate(h: Branch, f: np.ndarray, steps: int) -> np.ndarray:
 
 
 def eval_grid(net: FourierResNet, xs) -> np.ndarray:
-    """f_L at every point of ``xs``."""
+    """f_L at every point of ``xs``.
+
+    A net is defined at every x, but its accuracy is claimed only on
+    [-1, 1], where its target lives: outside, it is an extension with no
+    claim (a pw_smooth net at m = 4, K = 64, L = 30 gives 0.918 at x = 1.5
+    and 1.628 at x = 3).  NaN and +-inf give NaN, with no warning."""
     return _forward(net, np.asarray(xs, dtype=float), net.depth)
 
 
@@ -621,8 +632,10 @@ def neuron_count(net: FourierResNet) -> int:
 # Format: UTF-8 JSON, schema
 #   {"depth": int, "layers": [{"g": {"freqs": [...], "a": [...], "b": [...]},
 #                              "h": {...} | null}, ...]}
-# Numbers are written as "%.17g" writes them: 17 significant digits, which
-# round-trip IEEE binary64 exactly.
+# Numbers are written as "%.17g" writes them (:mod:`fresnet.numtext`): 17
+# significant digits, which round-trip IEEE binary64 exactly, and ".0" after
+# a whole number, which JSON must read as a float ("-0" would come back as
+# the integer 0 and lose the sign of -0.0).
 #
 # About half the numbers of a built network repeat an earlier one bit for
 # bit (each +-k pair of the spectral layer folds to the same entry, and
@@ -632,10 +645,15 @@ def neuron_count(net: FourierResNet) -> int:
 # "0.0".  The whole document is built as bytes, with no Python string per
 # number:
 #
-# * :func:`_g17_rows` writes each distinct number as one row of 26 bytes:
-#   its text, ".0" if that has neither a point nor an exponent (a whole
-#   number below 1e17, which JSON must read as a float: "-0" would come back
-#   as the integer 0 and lose the sign of -0.0), NUL pads, then ", ".
+# * :func:`fresnet.numtext.rows` writes each distinct number as one row of
+#   26 bytes: its text, then NUL pads.  A whole number's text (a sign and at
+#   most 17 digits) never reaches the two pads before the row's last two,
+#   so a row that holds neither a point nor an "e" gets ".0" there, and
+#   every row ", " in its last two bytes.  Those rows are the whole numbers
+#   below 1e17 in magnitude, found from the numbers, which is cheaper than
+#   scanning the rows: "%.17g" writes a number below 1e17 in fixed point,
+#   and its 17-digit rounding is whole only if the number is (a fraction
+#   of a double is at least 2^-53 of it, the rounding below 10^-16 of it).
 # * np.unique's inverse takes the rows into file order, and the separator of
 #   each array's last row becomes "\n" and a pad.
 # * One bytes.translate deletes the pads, and one decode and one split give
@@ -652,214 +670,10 @@ def neuron_count(net: FourierResNet) -> int:
 # per number of the file; np.unique is most of the rest.  The numbers
 # come from one np.concatenate of the branches' entries arrays, with no
 # Python float per number.
-#
-# :func:`_g17_rows` gets the text of "%.17g" from vector passes.  "%.17g"
-# writes round(|v| 10^(16-e)), the 17-digit integer of |v|, with e its
-# decimal exponent, rounding a tie to even (Gay, "Correctly Rounded
-# Binary-Decimal and Decimal-Binary Conversions", 1990).  The kernel takes e
-# from log10, corrected by one where the product below falls outside
-# [10^16, 10^17), and forms |v| 10^(16-e) as the unevaluated sum p + r of
-# two doubles: Dekker's exact two-product ("A floating-point technique for
-# extending the available precision", 1971) of |v| with the double nearest
-# 10^(16-e), Veltkamp-split by 2^27 + 1 since numpy has no fused
-# multiply-add, plus |v| times the double nearest the rest of 10^(16-e).
-# Both doubles come from exact Python integers, so p + r is within about
-# 1e-14 of the exact product, below 10^17.  p is a whole number above 2^53,
-# so the fraction of the product is r - floor(r), and the 17-digit integer
-# is p + floor(r), plus one where that fraction is above 1/2, computed in
-# int64.
-#
-# Any number the product cannot settle is written by "%.17g" % v itself
-# into its row: a fraction within 1e-9 of 1/2 (an exact tie is always
-# among them, so only CPython decides a tie), a product that still reads
-# outside [10^16, 10^17) after its correction (an exact power of ten may,
-# such as 1e20), +-0, and |v| outside [1e-280, 1e280], where a split or a
-# product could overflow or lose bits below the normal range.  Of a built
-# network's nonzero numbers none falls back.
-#
-# The rows are laid out by one take: each number's source row holds its
-# sign, its 17 digits (from a table of 4-digit groups), its exponent bytes
-# and the constant bytes, and a table of byte patterns, one per exponent
-# class (-4..16, else exponential) and count of significant digits, picks
-# them, with pads where a sign, a point or a third exponent digit is absent.
-# Its tables take about 0.7 ms to build, once per process.
 
-#: The magnitudes that :func:`_g17_rows` writes by its own arithmetic;
-#: any other number falls back to "%.17g" (see the notes above).
-_G17_MIN, _G17_MAX = 1e-280, 1e280
-#: Its tables cover the decimal exponents -_G17_E.._G17_E: those of every
-#: |v| in [_G17_MIN, _G17_MAX], each with its one correction, while
-#: 10^(16 + _G17_E) times _SPLIT stays below the overflow threshold.
-_G17_E = 284
-#: Veltkamp's split constant for binary64: a double splits into two halves
-#: of at most 26 significant bits, whose products are exact.
-_SPLIT = 2.0 ** 27 + 1
-#: Bytes of a source row of :func:`_g17_rows`, and of a row of its text.
-_G17_ROW, _G17_WIDTH = 32, 26
-#: A source row's first and last four bytes: pad, sign and the separator;
-#: ".0e" and a pad.
-_PLUS_WORD, _MINUS_WORD = np.frombuffer(b"\0\0, \0-, ", dtype=np.uint32)
-_TAIL_WORD = np.frombuffer(b".0e\0", dtype=np.uint32)[0]
-
-
-@cache
-def _g17_tables():
-    """The read-only tables of :func:`_g17_rows`.
-
-    For e in [-_G17_E, _G17_E]: ``hi`` the double nearest 10^s, s = 16 - e,
-    its Veltkamp halves ``hi1`` and ``hi2``, ``lo`` the double nearest
-    10^s - hi, and ``exps`` the four bytes of "%e"'s exponent (sign,
-    hundreds or a pad byte, tens, units) as one uint32.  ``groups`` holds
-    the four digit bytes of 0..9999 as one uint32, and ``patterns`` the
-    offsets, within a source row of :func:`_g17_rows`, of the bytes of the
-    text row of each exponent class (-4..16, then exponential) and count
-    n = 1..17 of significant digits, in row class * 17 + n - 1: the sign,
-    the text, with ".0" if it has neither a point nor an exponent, offset
-    0 (a pad byte) up to the last two, and the separator."""
-    powers = [1]
-    for _ in range(16 + _G17_E):
-        powers.append(powers[-1] * 10)
-    hi, lo = [], []
-    for power in reversed(powers):
-        h = float(power)
-        hi.append(h)
-        lo.append(float(power - int(h)))
-    for power in powers[1:_G17_E - 16 + 1]:
-        # 10^-k: int true division rounds correctly, so h = 1/10^k, and with
-        # h = num/2^t, 10^-k - h = (2^t - num 10^k) / 10^k * 2^-t exactly
-        h = 1 / power
-        num, den = h.as_integer_ratio()
-        hi.append(h)
-        lo.append(math.ldexp((den - num * power) / power, 1 - den.bit_length()))
-    hi = np.array(hi)
-    c = hi * _SPLIT
-    hi1 = c - (c - hi)
-    e = np.arange(-_G17_E, _G17_E + 1)
-    exps = np.empty((e.size, 4), dtype=np.uint8)
-    exps[:, 0] = np.where(e < 0, ord("-"), ord("+"))
-    e = abs(e)
-    exps[:, 1] = np.where(e >= 100, e // 100 + 48, 0)
-    exps[:, 2] = e // 10 % 10 + 48
-    exps[:, 3] = e % 10 + 48
-    # groups[i, j, k, l] = the bytes of "ijkl"
-    groups = np.empty((10, 10, 10, 10, 4), dtype=np.uint8)
-    ascii_digits = np.arange(48, 58, dtype=np.uint8)
-    for place in range(4):
-        groups[..., place] = ascii_digits.reshape((10,) + (1,) * (3 - place))
-    # a source row: 0 pad, 1 sign, 2-3 the separator, 4-23 the digit groups
-    # (the 17 digits at 7-23), 24-27 the exponent, 28-30 ".0e", 31 a pad
-    point, zero, exp_e = (bytes((offset,)) for offset in range(28, 31))
-    exponent = bytes(range(24, 28))
-    patterns = bytearray()
-    for cls in range(22):
-        x = cls - 4  # the exponent of a fixed-point class
-        for n in range(1, 18):
-            d = bytes(range(7, 7 + n))
-            if cls == 21:
-                text = d[:1] + (point + d[1:] if n > 1 else b"") + exp_e + exponent
-            elif x < 0:
-                text = zero + point + zero * (-x - 1) + d
-            elif n <= x + 1:
-                # a whole number, which JSON must read as a float
-                text = d + zero * (x + 1 - n) + point + zero
-            else:
-                text = d[:x + 1] + point + d[x + 1:]
-            patterns += b"\1" + text + bytes(_G17_WIDTH - 3 - len(text)) + b"\2\3"
-    patterns = np.frombuffer(patterns, dtype=np.uint8).reshape(22 * 17, -1).astype(np.intp)
-    tables = (hi, hi1, hi - hi1, np.array(lo), exps.view(np.uint32).ravel(),
-              groups.view(np.uint32).ravel(), patterns)
-    for t in tables:
-        t.flags.writeable = False
-    return tables
-
-
-def _product17(a, e):
-    """(p, r): |a| 10^(16-e) as p + r, for a in [_G17_MIN, _G17_MAX] and e
-    in the tables' range, with p the rounded product (Dekker's two-product
-    of a and 10^(16-e)'s nearest double, plus a times the rest's)."""
-    hi, hi1, hi2, lo = _g17_tables()[:4]
-    i = e + _G17_E
-    h, h1, h2 = hi[i], hi1[i], hi2[i]
-    c = a * _SPLIT
-    a1 = c - (c - a)
-    a2 = a - a1
-    p = a * h
-    r = a1 * h1
-    r -= p
-    r += a1 * h2
-    r += a2 * h1
-    r += a2 * h2
-    r += a * lo[i]
-    return p, r
-
-
-def _digits17(values):
-    """(digits, e, settled) for the 1-D float64 array ``values``: the int64
-    digits = round(|v| 10^(16-e)) in [10^16, 10^17) and the decimal exponent
-    e of |v| rounded to 17 significant digits, as "%.17g" has them, wherever
-    ``settled``; elsewhere the product cannot decide them, and the digits
-    and e are meaningless (see the serialization notes above)."""
-    a = np.abs(values)
-    settled = (a >= _G17_MIN) & (a <= _G17_MAX)
-    a[~settled] = 1.0
-    e = np.floor(np.log10(a)).astype(np.intp)
-    p, r = _product17(a, e)
-    # p - 10^16 and p - 10^17 are exact where p is near them, and far from
-    # them the sign of p + r - 10^k is that of p - 10^k; so each test has
-    # the sign of the exact difference
-    low = (p - 1e16) + r < 0
-    high = (p - 1e17) + r >= 0
-    fix = np.flatnonzero(low | high)
-    if fix.size:
-        e[fix] += high[fix].astype(np.intp) - low[fix]
-        p[fix], r[fix] = _product17(a[fix], e[fix])
-        # log10 is never off by two; a product on a boundary may still
-        # read outside it, and that number falls back
-        out = ((p[fix] - 1e16) + r[fix] < 0) | ((p[fix] - 1e17) + r[fix] >= 0)
-        settled[fix[out]] = False
-    floor = np.floor(r)
-    frac = r - floor
-    settled &= np.abs(frac - 0.5) > 1e-9
-    digits = p.astype(np.int64)
-    digits += floor.astype(np.int64)
-    digits += frac > 0.5
-    carry = digits == 10 ** 17
-    digits[carry] = 10 ** 16
-    e += carry
-    return digits, e, settled
-
-
-def _g17_rows(values) -> np.ndarray:
-    """The text of each number of the 1-D float64 array ``values`` as one
-    uint8 row of _G17_WIDTH bytes: "%.17g" % v, bit for bit, then ".0" if
-    that has neither a point nor an exponent, NUL pads, and ", " in the
-    last two bytes (see the serialization notes above)."""
-    exps, groups, patterns = _g17_tables()[4:]
-    digits, e, settled = _digits17(values)
-    n = values.size
-    # each source row as eight uint32 words: sign and separator, five digit
-    # groups, exponent and the constant bytes (see _g17_tables)
-    rows = np.empty((n, _G17_ROW // 4), dtype=np.uint32)
-    rows[:, 0] = np.where(np.signbit(values), _MINUS_WORD, _PLUS_WORD)
-    rest = digits
-    for col in range(5, 1, -1):
-        rest, group = np.divmod(rest, 10000)
-        rows[:, col] = groups.take(group)
-    rows[:, 1] = groups.take(rest)
-    rows[:, 6] = exps.take(e + _G17_E)
-    rows[:, 7] = _TAIL_WORD
-    source = rows.view(np.uint8)
-    significant = 17 - (source[:, 23:6:-1] != ord("0")).argmax(axis=1)
-    cls = np.where((e >= -4) & (e <= 16), e + 4, 21)
-    index = patterns.take(cls * 17 + significant - 1, axis=0)
-    index += np.arange(0, n * _G17_ROW, _G17_ROW)[:, None]
-    out = source.ravel().take(index)
-    for i in np.flatnonzero(~settled).tolist():
-        text = "%.17g" % values[i]
-        if "." not in text and "e" not in text:
-            text += ".0"
-        out[i] = np.frombuffer(text.encode().ljust(_G17_WIDTH - 2, b"\0") + b", ", np.uint8)
-    return out
+#: The bytes a whole number's row gets before its separator (see the
+#: serialization notes above).
+_POINT_ZERO = np.frombuffer(b".0", dtype=np.uint8)
 
 
 def serialize(net: FourierResNet) -> str:
@@ -893,7 +707,14 @@ def serialize(net: FourierResNet) -> str:
     lines.append("  ]")
     lines.append("}")
     bits, slots = np.unique(np.concatenate(values).view(np.int64), return_inverse=True)
-    rows = _g17_rows(bits.view(float)).take(slots, axis=0)
+    distinct = bits.view(float)
+    rows = numtext.rows(distinct)
+    # the rows that hold neither a point nor an "e" (see the notes above)
+    whole = (distinct == np.trunc(distinct)) & (np.abs(distinct) < 1e17)
+    rows[whole, -4:-2] = _POINT_ZERO
+    rows[:, -2] = ord(",")
+    rows[:, -1] = ord(" ")
+    rows = rows.take(slots, axis=0)
     # each array's last number ends in a newline and a pad, not ", "
     rows[np.cumsum(lengths, dtype=np.intp) - 1, -2:] = (ord("\n"), 0)
     texts = rows.tobytes().translate(None, b"\0").decode("ascii").split("\n")
@@ -904,11 +725,20 @@ def serialize(net: FourierResNet) -> str:
 _NUMBER_TYPES = {int, float}
 
 
+def _refuse_unknown_keys(obj: dict, known: tuple, where: str) -> None:
+    """Refuse the first key of ``obj`` outside ``known``: serialize writes
+    none, so such a key is a misspelt or foreign field, not one to drop."""
+    for key in obj:
+        if key not in known:
+            raise NetworkFormatError(f"{where}: unknown key {key!r}")
+
+
 def _parse_branch(obj, where: str, numbers: list) -> int:
     """Check the branch object ``obj`` and append its entries, freqs then a
     then b, to ``numbers`` as Python floats; returns its width."""
     if not isinstance(obj, dict):
         raise NetworkFormatError(f"{where}: branch must be an object")
+    _refuse_unknown_keys(obj, ("freqs", "a", "b"), where)
     columns = []
     for key in ("freqs", "a", "b"):
         if key not in obj or not isinstance(obj[key], list):
@@ -943,9 +773,10 @@ def deserialize(text: str) -> FourierResNet:
     """The network of a serialized document.
 
     The structure and the type of every entry are checked branch by branch,
-    in document order; then all entries are converted to float64 at once
-    and checked finite, and each branch's entries are a (3, width) view of
-    that one read-only array."""
+    in document order, and a key that :func:`serialize` does not write is
+    refused at every level (the document, a layer, a branch); then all
+    entries are converted to float64 at once and checked finite, and each
+    branch's entries are a (3, width) view of that one read-only array."""
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -954,6 +785,7 @@ def deserialize(text: str) -> FourierResNet:
         ) from exc
     if not isinstance(doc, dict) or "layers" not in doc:
         raise NetworkFormatError("document must be an object with a 'layers' array")
+    _refuse_unknown_keys(doc, ("depth", "layers"), "document")
     layers_doc = doc["layers"]
     if not isinstance(layers_doc, list) or not layers_doc:
         raise NetworkFormatError("'layers' must be a nonempty array")
@@ -970,6 +802,7 @@ def deserialize(text: str) -> FourierResNet:
     for i, layer_doc in enumerate(layers_doc, start=1):
         if not isinstance(layer_doc, dict) or "g" not in layer_doc:
             raise NetworkFormatError(f"layer {i}: must be an object with a 'g' branch")
+        _refuse_unknown_keys(layer_doc, ("g", "h"), f"layer {i}")
         g = _parse_branch(layer_doc["g"], f"layer {i} g-branch", numbers)
         h_doc = layer_doc.get("h")
         h = None if h_doc is None else _parse_branch(h_doc, f"layer {i} h-branch", numbers)

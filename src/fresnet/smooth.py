@@ -38,6 +38,12 @@ from .network import Branch, _branch_modes, branch_from_modes
 from .quadrature import build_rule, nodes_weights
 
 
+#: The largest K whose tables :func:`fourier_coeffs` keeps in the cache:
+#: about 1.4 MB per entry at K = 4096, at most 22.5 MB in all.  A larger
+#: K's tables are computed on each call and dropped after it.
+_CACHED_MODES = 4096
+
+
 @lru_cache(maxsize=16)
 def _rule_tables(half_modes: int):
     """The build rule's per-K tables: the half weights (1/2) w, the gather
@@ -50,8 +56,9 @@ def _rule_tables(half_modes: int):
     80 K B, the rows 8 (K+1) B.  Sixteen entries hold the nine K of a
     convergence sweep over K = 5..80 and its baselines without eviction;
     at most 5.6 MB are held if every entry is at K = 1024, 22.5 MB at
-    K = 4096.  The arrays are shared by every caller, so they are
-    read-only.
+    K = 4096, the largest K that :func:`fourier_coeffs` caches
+    (:data:`_CACHED_MODES`).  The arrays are shared by every caller, so
+    they are read-only.
     """
     rule = build_rule(half_modes)
     x, w = nodes_weights(rule)
@@ -80,15 +87,16 @@ def fourier_coeffs(g, half_modes: int) -> np.ndarray:
     the first panel, c_k = sum_j e^{-ik pi x_0j} A[k mod panels, j] for
     k = 0..K; the negative modes are their exact conjugates, and c_0 is
     real.  Everything but g depends on K alone and is computed once per
-    K (``_rule_tables``), so a call does the integrand, the FFT and one
-    product.  The nodes are still fetched from ``nodes_weights`` on every
+    K up to :data:`_CACHED_MODES` (``_rule_tables``), so a call does the
+    integrand, the FFT and one product.  The nodes are still fetched from ``nodes_weights`` on every
     call, so a tracer that rebinds that name sees each build's quadrature
     stage, warm or cold.
     """
     if half_modes < 0:
         raise ValueError("half_modes must be nonnegative")
     x = nodes_weights(build_rule(half_modes))[0]
-    half_w, rows, phase = _rule_tables(half_modes)
+    tables = _rule_tables if half_modes <= _CACHED_MODES else _rule_tables.__wrapped__
+    half_w, rows, phase = tables(half_modes)
     samples = half_w * np.asarray(g(x), dtype=float)
     spectrum = np.fft.fft(samples.reshape(-1, phase.shape[1]), axis=0)
     c = np.einsum("kj,kj->k", phase, spectrum[rows])

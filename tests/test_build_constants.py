@@ -186,6 +186,17 @@ def test_cold_and_warm_builds_write_the_same_bytes(half):
     assert cold == warm
 
 
+def test_only_modes_counts_up_to_the_cap_are_cached():
+    smooth._rule_tables.cache_clear()
+    spec = BuildSpec(target_lookup("pw_smooth"), 2, 2 * smooth._CACHED_MODES, 4)
+    first = network.serialize(build_piecewise_net(spec))
+    assert smooth._rule_tables.cache_info().currsize == 0
+    assert network.serialize(build_piecewise_net(spec)) == first
+    assert smooth._rule_tables.cache_info().currsize == 0
+    smooth.fourier_coeffs(np.cos, smooth._CACHED_MODES)
+    assert smooth._rule_tables.cache_info().currsize == 1
+
+
 def test_cached_constants_refuse_writes():
     matrix, omegas = hermite._hermite_system(2)
     zs, bell = jump._chain_rule_system(0.0, "left", 2)

@@ -6,10 +6,11 @@ import numpy as np
 import pytest
 
 from fresnet.builder import BuildSpec, build_piecewise_net
-from fresnet import cli
+from fresnet import cli, network
 from fresnet.cli import EXIT_ASSERTION, EXIT_IO, EXIT_USAGE, main
 from fresnet.quadrature import DEFAULT_QUAD
 from fresnet.targets import target_lookup
+from edge_floats import edge_floats
 from oracles import fit_rate, gibbs_support_width, max_overshoot, serialize_plain
 
 
@@ -146,7 +147,6 @@ def test_gibbs_command(tmp_path):
 
 
 def test_gibbs_evaluates_each_net_and_the_target_once(tmp_path, monkeypatch):
-    from fresnet import network
     from fresnet.metrics import DEFAULT_GRID_N
     from fresnet.targets import PiecewiseTarget
 
@@ -269,8 +269,6 @@ def test_gibbs_refuses_a_nan_threshold(tmp_path):
 
 
 def test_gibbs_refuses_a_non_finite_net_value(tmp_path, monkeypatch, capsys):
-    from fresnet import network
-
     eval_grid = network.eval_grid
     monkeypatch.setattr(network, "eval_grid",
                         lambda net, xs: np.where(xs > 0.5, np.nan, eval_grid(net, xs)))
@@ -290,8 +288,6 @@ def test_float_formatting_round_trips(tmp_path):
           "--out", str(net_path)])
     main(["eval", "--net", str(net_path), "--grid", "11", "--out", str(out)])
     _, rows = read_csv(out)
-    from fresnet import network
-
     net = network.load(net_path)
     xs = np.array([float(row[0]) for row in rows])
     vals = network.eval_grid(net, xs)
@@ -428,3 +424,91 @@ def test_gibbs_large_threshold_and_singleton(tmp_path):
     assert rc == 0
     _, rows = read_csv(out)
     assert len(rows) == 1
+
+
+class EdgeValues:
+    """Stands in for the numbers a command computes: each call takes the
+    next of the hard-to-write values of ``tests/edge_floats.py``, and
+    ``given`` records them in the order the command receives them."""
+
+    def __init__(self):
+        self.pool = iter(edge_floats()[::7].tolist())
+        self.given = []
+
+    def take(self, n=None):
+        values = [next(self.pool) for _ in range(1 if n is None else n)]
+        self.given += values
+        return values[0] if n is None else np.array(values)
+
+
+def g17(values):
+    return [format(v, ".17g") for v in np.asarray(values, dtype=float).tolist()]
+
+
+# each grid on both sides of the break-even: 10 lines of 2 or 4 numbers
+# are written by "%.17g" number by number, 2000 lines by the vector passes
+@pytest.mark.parametrize("grid", [10, 2000])
+def test_eval_csv_is_percent_17g(grid, tmp_path, monkeypatch):
+    net_path, out = tmp_path / "net.fnet.json", tmp_path / "vals.csv"
+    assert main(["build", "--target", "hat", "--m", "1", "--modes", "4", "--depth", "5",
+                 "--out", str(net_path)]) == 0
+    edges = EdgeValues()
+    monkeypatch.setattr(network, "eval_grid", lambda net, xs: edges.take(xs.size))
+    assert main(["eval", "--net", str(net_path), "--grid", str(grid), "--out", str(out)]) == 0
+    lines = zip(g17(np.linspace(-1, 1, grid)), g17(edges.given))
+    assert out.read_text() == "x,value\n" + "".join(f"{x},{v}\n" for x, v in lines)
+
+
+@pytest.mark.parametrize("grid", [10, 2000])
+def test_sign_curves_csv_is_percent_17g(grid, tmp_path, monkeypatch):
+    out = tmp_path / "curves.csv"
+    edges = EdgeValues()
+    monkeypatch.setattr(network, "eval_grid", lambda net, xs: edges.take(xs.size))
+    monkeypatch.setattr(cli, "truncated_sign_series", lambda d: lambda xs: edges.take(xs.size))
+    assert main(["sign-curves", "--depths", "3", "--grid", str(grid), "--out", str(out)]) == 0
+    x = np.linspace(-1, 1, grid)
+    resnet, series = np.split(np.array(edges.given), 2)
+    columns = [g17(x), g17(np.sign(x)), g17(resnet), g17(series)]
+    lines = "".join(",".join(line) + "\n" for line in zip(*columns))
+    assert out.read_text() == "x,sgn,resnet_L3,series_L3\n" + lines
+
+
+def test_sign_convergence_csv_is_percent_17g(tmp_path, monkeypatch):
+    out = tmp_path / "conv.csv"
+    edges = EdgeValues()
+    # errors at most 0 and bounds at least 0, so no depth fails its bound
+    monkeypatch.setattr(cli, "lp_error", lambda f, g, p, quad: -abs(edges.take()))
+    monkeypatch.setattr(cli, "sign_error_bound", lambda ell, p: abs(edges.take()))
+    assert main(["sign-convergence", "--max-depth", "40", "--out", str(out)]) == 0
+    _, rows = read_csv(out)
+    texts = g17([-abs(v) if i % 3 < 2 else abs(v) for i, v in enumerate(edges.given)])
+    assert [cell for row in rows for cell in row[1:]] == texts
+
+
+def test_convergence_csv_is_percent_17g(tmp_path, monkeypatch):
+    out = tmp_path / "rates.csv"
+    edges = EdgeValues()
+    monkeypatch.setattr(cli, "lp_error", lambda f, g, p, quad: tuple(edges.take(2)))
+    assert main(["convergence", "--target", "hat", "--m", "1,2", "--modes-list", "2,3",
+                 "--depth", "4", "--out", str(out)]) == 0
+    _, rows = read_csv(out)
+    assert len(rows) == 6
+    assert [cell for row in rows for cell in row[6:8]] == g17(edges.given)
+
+
+def test_gibbs_csv_is_percent_17g(tmp_path, monkeypatch):
+    out = tmp_path / "g.csv"
+    edges = EdgeValues()
+
+    def profile(target, approxes, threshold, lo, hi):
+        # non-increasing widths, so the command succeeds
+        widths = sorted(np.abs(edges.take(4)).tolist(), reverse=True)
+        return [(w, edges.take()) for w, _ in zip(widths, approxes)]
+
+    monkeypatch.setattr(cli, "gibbs_profile", profile)
+    assert main(["gibbs", "--target", "pw_smooth", "--m", "1", "--modes", "5",
+                 "--depths", "3,4,5,6", "--threshold", "0.02", "--out", str(out)]) == 0
+    _, rows = read_csv(out)
+    widths = sorted(np.abs(edges.given[:4]).tolist(), reverse=True)
+    assert [row[1] for row in rows] == g17(widths)
+    assert [row[2] for row in rows] == g17(edges.given[4:])

@@ -13,13 +13,16 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fresnet import network
 from fresnet.builder import BuildSpec, build_piecewise_net
 from fresnet.network import (Branch, FourierResNet, Layer, branch_from_modes, eval_grid,
                              eval_prefix)
 from fresnet.sign import build_sign_net
-from fresnet.targets import target_lookup
+from fresnet.jets import MAX_ORDER
+from fresnet.targets import registered_names, target_lookup
 from oracles import forward_plain
 
 EMPTY = Branch((), (), ())
@@ -438,3 +441,13 @@ def test_the_library_makes_no_tuple_views():
     # a first read builds a view and keeps it
     spectral = net.layers[-1].g_branch
     assert spectral.freqs is spectral.freqs and "freqs" in spectral.__dict__
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(st.sampled_from(registered_names()), st.integers(1, MAX_ORDER), st.integers(0, 128),
+       st.integers(2, 60),
+       st.lists(st.floats(-1.0, 1.0), min_size=1, max_size=50))
+def test_a_built_net_is_finite_on_the_domain(name, m, half_modes, depth, xs):
+    # a net is defined at every x, and claims accuracy only on [-1, 1]
+    net = build_piecewise_net(BuildSpec(target_lookup(name), m, half_modes, depth))
+    assert np.isfinite(eval_grid(net, xs + [-1.0, -0.0, 0.0, 1.0])).all()

@@ -442,3 +442,22 @@ def test_a_non_finite_entry_names_its_branch(layer, kind, entry):
     with pytest.raises(NetworkFormatError,
                        match=f"^layer {layer} {kind}-branch: branch parameters must be finite$"):
         deserialize(text)
+
+
+EMPTY = '{"freqs": [], "a": [], "b": []}'
+
+
+@pytest.mark.parametrize("text, message", [
+    ('{"depth": 1, "layers": [{"g": ' + EMPTY + ', "h": null}], "x": 1}',
+     "document: unknown key 'x'"),
+    ('{"layers": [{"g": ' + EMPTY + ', "h": null, "x": 1}]}', "layer 1: unknown key 'x'"),
+    ('{"layers": [{"g": ' + EMPTY + '}, {"g": ' + EMPTY + ', "H": null}]}',
+     "layer 2: unknown key 'H'"),
+    ('{"layers": [{"g": {"freqs": [], "a": [], "x": [], "b": []}}]}',
+     "layer 1 g-branch: unknown key 'x'"),
+    ('{"layers": [{"g": ' + EMPTY + '}, {"g": ' + EMPTY + ', "h": {"freqs": [], "a": [], '
+     '"b": [], "c": []}}]}', "layer 2 h-branch: unknown key 'c'"),
+], ids=["document", "layer", "second-layer", "g-branch", "h-branch"])
+def test_an_unknown_key_is_refused_with_its_place(text, message):
+    with pytest.raises(NetworkFormatError, match=f"^{message}$"):
+        deserialize(text)

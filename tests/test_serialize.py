@@ -1,22 +1,21 @@
 """Serialization: the bytes of ``serialize`` against the per-value oracle
-``serialize_plain``, its byte-row kernel against ``"%.17g"`` and the
-``.0`` rule, and the round trip compared bit for bit."""
+``serialize_plain`` (``"%.17g"`` and the ``.0`` rule), and the round trip
+compared bit for bit.  The number-text kernel is checked against
+``"%.17g"`` in ``tests/test_numtext.py``."""
 
 import math
 import struct
-from decimal import Decimal
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from fresnet import network
+from fresnet import numtext
 from fresnet.builder import BuildSpec, build_piecewise_net
 from fresnet.network import Branch, FourierResNet, Layer, deserialize, serialize
 from fresnet.sign import build_sign_net
 from fresnet.targets import target_lookup
-from edge_floats import edge_floats
 from oracles import number_text, serialize_plain
 
 
@@ -109,54 +108,6 @@ def test_edge_values_keep_their_bits():
     assert '{"g": {"freqs": [-0.0], "a": [0.0], "b": [-0.0]}' in text
 
 
-def row_texts(rows):
-    """The numbers of ``network._g17_rows``' rows, each of which must end in
-    the separator ", " and hold no other byte but pads and its text."""
-    assert rows.shape[1] == network._G17_WIDTH
-    assert (rows[:, -2:] == np.frombuffer(b", ", dtype=np.uint8)).all()
-    texts = rows.tobytes().translate(None, b"\0").decode("ascii").split(", ")
-    assert texts.pop() == ""
-    return texts
-
-
-def test_kernel_writes_the_bytes_of_percent_17g():
-    values = edge_floats()
-    assert values.size > 300_000
-    assert row_texts(network._g17_rows(values)) == [number_text(v) for v in values.tolist()]
-
-
-def test_kernel_leaves_ties_zeros_and_range_ends_to_percent_17g():
-    values = edge_floats()
-    _, _, settled = network._digits17(values)
-    a = np.abs(values)
-    # m/16 for an odd m in [1.6e14, 1e15) is 625 m / 10^4, 18 significant
-    # digits ending in 5: a tie at 17 digits
-    tie = (a >= 1e13) & (a < 6.25e13)
-    tie[tie] = a[tie] * 16 % 2 == 1
-    assert tie.sum() >= 5000
-    assert not settled[tie].any()
-    outside = (a < network._G17_MIN) | (a > network._G17_MAX)
-    assert not settled[outside].any()
-    # every other number that falls back is an exact tie, whose exact
-    # decimal has 18 significant digits ending in 5, or a power of ten,
-    # whose product may read just outside [10^16, 10^17)
-    for v in values[~settled & ~outside].tolist():
-        digits = "".join(map(str, Decimal(v).as_tuple().digits)).rstrip("0")
-        assert (len(digits) == 18 and digits[-1] == "5") or digits == "1", v
-    x = 200000000000001 / 16
-    assert not network._digits17(np.array([x]))[2][0]
-    assert row_texts(network._g17_rows(np.array([x, -x]))) == ["12500000000000.062", "-12500000000000.062"]
-
-
-def test_a_built_nets_nonzero_numbers_take_the_vector_path():
-    net = build_piecewise_net(BuildSpec(target_lookup("pw_smooth"), 4, 1024, 60))
-    values = np.unique(bits(net)).view(float)
-    _, _, settled = network._digits17(values)
-    assert values.size > 3000
-    assert settled[values != 0].all()
-    assert not settled[values == 0].any()
-
-
 # numbers the kernel leaves to "%.17g": a signed zero, an exact tie at 17
 # digits and a magnitude outside its range
 FALLBACK = (-0.0, 200000000000001 / 16, 1e300)
@@ -164,7 +115,7 @@ FALLBACK = (-0.0, 200000000000001 / 16, 1e300)
 
 @pytest.mark.parametrize("v", FALLBACK)
 def test_a_fallback_number_first_last_and_alone_in_an_array(v):
-    assert not network._digits17(np.array([v]))[2][0]
+    assert not numtext._digits17(np.array([v]))[2][0]
     first = Branch((v, 0.5, 3.0), (v, -1.25, 2.0), (v, 7.0, 1e-5))
     last = Branch((0.5, 3.0, v), (-1.25, 2.0, v), (7.0, 1e-5, v))
     alone = Branch((v,), (v,), (v,))

@@ -30,14 +30,21 @@ text for any number and load back the same nets.
 * ``loaded``: each ``serialize`` net after a ``serialize`` ->
   ``deserialize`` round trip: its text again, and ``eval_grid`` on the
   ``eval`` points.  Public API only, like ``edges``.
+* ``csv``: the CSV text of the README's CLI examples (``sign-curves``,
+  ``sign-convergence``, ``build`` then ``eval``, ``convergence`` and
+  ``gibbs``), run in process by ``fresnet.cli.main``, with ``convergence``
+  run on every registered target and its ``wall_ms`` column dropped.
 
 Takes about ten seconds; prints one line per hash.
 """
 
+import contextlib
 import hashlib
+import io
 import math
 import pathlib
 import sys
+import tempfile
 import warnings
 
 import numpy as np
@@ -46,7 +53,7 @@ ROOT = pathlib.Path(sys.argv[1] if len(sys.argv) > 1 else pathlib.Path(__file__)
 sys.path[:0] = [str(ROOT.resolve() / "src"), str(ROOT.resolve() / "tests")]
 sys.path.append(str(pathlib.Path(__file__).resolve().parent.parent / "tests"))
 
-from fresnet import network  # noqa: E402
+from fresnet import cli, network  # noqa: E402
 from fresnet.builder import BuildSpec, build_piecewise_net  # noqa: E402
 from fresnet.network import Branch, FourierResNet, Layer  # noqa: E402
 from fresnet.sign import build_sign_net  # noqa: E402
@@ -55,6 +62,39 @@ from edge_floats import edge_floats  # noqa: E402
 from test_forward import tricky_points  # noqa: E402
 
 KS = (0, 1, 5, 11, 12, 13, 64, 512)
+
+#: The README's CLI examples, each with the CSV it writes; "{}" is the
+#: output directory.
+CLI_EXAMPLES = [
+    (["sign-curves", "--depths", "3,7", "--out", "{}/curves.csv", "--svg", "{}/curves.svg"],
+     "curves.csv"),
+    (["sign-convergence", "--max-depth", "20", "--p", "1", "--out", "{}/conv.csv"], "conv.csv"),
+    (["build", "--target", "pw_smooth", "--m", "2", "--modes", "32", "--depth", "20",
+      "--out", "{}/net.fnet.json"], None),
+    (["eval", "--net", "{}/net.fnet.json", "--grid", "2001", "--out", "{}/vals.csv"], "vals.csv"),
+    *((["convergence", "--target", name, "--m", "1,2,3,4", "--modes-list", "5,10,20,40,80",
+        "--out", "{}/rates.csv"], "rates.csv") for name in registered_names()),
+    (["gibbs", "--target", "pw_smooth", "--m", "1", "--modes", "5", "--depths", "3,4,5,6,7",
+      "--threshold", "0.02", "--out", "{}/gibbs.csv"], "gibbs.csv"),
+]
+
+
+def csv_hash() -> str:
+    """The sha256 of the CSV text of :data:`CLI_EXAMPLES`, with the
+    ``wall_ms`` column, the last of the experiment header, dropped."""
+    digest = hashlib.sha256()
+    with tempfile.TemporaryDirectory() as tmp:
+        for argv, csv in CLI_EXAMPLES:
+            with contextlib.redirect_stdout(io.StringIO()):
+                code = cli.main([arg.replace("{}", tmp) for arg in argv])
+            assert code == 0, (argv, code)
+            if csv is None:
+                continue
+            lines = pathlib.Path(tmp, csv).read_text(encoding="utf-8").splitlines()
+            if lines[0] == cli.EXPERIMENT_HEADER:
+                lines = [line.rsplit(",", 1)[0] for line in lines]
+            digest.update(("\n".join(lines) + "\n").encode())
+    return digest.hexdigest()
 
 
 def main():
@@ -120,6 +160,7 @@ def main():
     net = FourierResNet((Layer(Branch(values, values[::-1], values)),))
     print("edges    ", hashlib.sha256(network.serialize(net).encode()).hexdigest())
     print("loaded   ", loaded.hexdigest())
+    print("csv      ", csv_hash())
 
 
 if __name__ == "__main__":
