@@ -14,15 +14,14 @@ The build's quadrature rule follows from the mode count alone.  The
 ``convergence`` set the graded rule by which errors are measured.
 
 All experiment output is CSV (comma separated, header row, LF endings).
-Every float is written as "%.17g" writes it, by :mod:`fresnet.numtext`,
-the package's one float-to-text path: the columns of ``sign-curves`` and
-``eval`` by :func:`~fresnet.numtext.write_csv`, formatted and written in
-blocks of :data:`~fresnet.numtext.CSV_BLOCK` numbers; the few numbers of
-each ``sign-convergence``, ``convergence`` and ``gibbs`` row by
-:func:`~fresnet.numtext.texts`, which writes fewer than
-:data:`~fresnet.numtext.VECTOR_MIN` numbers (the break-even of its vector
-passes) by one "%.17g" each.  Optional SVG charts are minimal polyline
-plots; the CSV is the contract.
+Every float written to 17 digits is written as "%.17g" writes it, by
+:mod:`fresnet.numtext`: the columns of ``sign-curves`` and ``eval`` by
+:func:`~fresnet.numtext.write_csv`, formatted and written in blocks of
+:data:`~fresnet.numtext.CSV_BLOCK` numbers; the few numbers of each
+``sign-convergence``, ``convergence`` and ``gibbs`` row by
+:func:`~fresnet.numtext.texts`, one "%.17g" each.  The ``wall_ms`` column
+(".1f") and the SVG coordinates (".2f") are written outside it.  Optional
+SVG charts are minimal polyline plots; the CSV is the contract.
 
 Exit codes: 0 success, 2 usage / unknown name, 3 experiment assertion
 failure, 4 I/O error.

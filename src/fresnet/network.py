@@ -105,15 +105,16 @@ fixed points.
 Networks are immutable after construction and evaluation is pure, so all
 operations are safe for concurrent use.
 
-:func:`serialize` writes every number through :mod:`fresnet.numtext`, the
-package's one float-to-text path, which writes exactly "%.17g" % v; the
-".0" that JSON needs on a whole number is the serializer's own rule (see
-the serialization notes below).
+:func:`serialize` writes every number through :mod:`fresnet.numtext`,
+which writes every float that fresnet writes to 17 digits, exactly as
+"%.17g" % v does; the ".0" that JSON needs on a whole number is the
+serializer's own rule (see the serialization notes below).
 """
 
 from __future__ import annotations
 
 import json
+import numbers
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional
@@ -280,10 +281,6 @@ def _sealed(entries: np.ndarray) -> np.ndarray:
     return entries.view()
 
 
-#: The entries of every empty branch that :func:`deserialize` makes.
-_NO_ENTRIES = _sealed(np.empty((3, 0)))
-
-
 def _branch_modes(branch: Branch):
     """(freqs, amps): one complex mode per entry, amplitude b - ia, since
     a sin(wt) + b cos(wt) == Re((b - ia) e^{iwt}).  Built without
@@ -317,7 +314,9 @@ def _trig_plan(omegas, amps):
     quarters = np.rint(omegas / (np.pi / 4))
     on = (quarters * (np.pi / 4) == omegas) & (quarters <= 8 * omegas.size)
     q = quarters[on].astype(int)
-    grid = _merge(q, amps[on], q.max(initial=-1) + 1)
+    # np.add.at adds the modes at one frequency in input order
+    grid = np.zeros(q.max(initial=-1) + 1, dtype=complex)
+    np.add.at(grid, q, amps[on])
     # q = 0 is the constant, added as its real part; the pi ladder holds
     # q = 4k at index k - 1, the quarter-pi ladder q = 2j + 1 at index j,
     # and q = 4k + 2 (pi/2 in the first sign layer) is always dense
@@ -338,7 +337,8 @@ def _trig_plan(omegas, amps):
     freqs, merged = qs * (np.pi / 4), grid[qs]
     if q.size < omegas.size:
         off, where = np.unique(omegas[~on], return_inverse=True)
-        off_amps = _merge(where, amps[~on], off.size)
+        off_amps = np.zeros(off.size, dtype=complex)
+        np.add.at(off_amps, where, amps[~on])
         freqs, merged = np.concatenate([freqs, off]), np.concatenate([merged, off_amps])
     # a sin(wx) + b cos(wx) == Re((b - ia) e^{iwx}); a term with a = b = 0
     # is dropped, and one with a or b zero computes only the other's trig
@@ -347,16 +347,6 @@ def _trig_plan(omegas, amps):
     pi_ladder, quarter_ladder = ladders
     pi_table = _taylor_table(pi_ladder) if pi_ladder else None
     return bias, pi_table, quarter_ladder, terms, shift
-
-
-def _merge(index, amps, size: int):
-    """out[i] = sum of amps[j] over index[j] == i, for i < size: one
-    bincount for the real parts and one for the imaginary parts, each
-    adding in input order, as np.add.at does."""
-    out = np.empty(size, dtype=complex)
-    out.real = np.bincount(index, amps.real, size)
-    out.imag = np.bincount(index, amps.imag, size)
-    return out
 
 
 def _taylor_table(ladder):
@@ -508,6 +498,9 @@ def branch_from_modes(coeffs, omegas) -> Branch:
 
 def eval_prefix(net: FourierResNet, x, ell: int):
     """Output of the first ``ell`` layers, f_ell(x)."""
+    # bool is an Integral, but True is no layer index
+    if isinstance(ell, bool) or not isinstance(ell, numbers.Integral):
+        raise TypeError(f"layer index must be an integer, got {ell!r}")
     if not 1 <= ell <= net.depth:
         raise IndexError(f"layer index {ell} out of range 1..{net.depth}")
     x = np.asarray(x, dtype=float)
@@ -819,7 +812,7 @@ def deserialize(text: str) -> FourierResNet:
             if width is None:
                 g_h.append(None)
                 continue
-            view = entries[lo:lo + 3 * width].reshape(3, width) if width else _NO_ENTRIES
+            view = entries[lo:lo + 3 * width].reshape(3, width)
             lo += 3 * width
             # only when some entry is not finite, to name its branch
             if not finite and not np.isfinite(view).all():

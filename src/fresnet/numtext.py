@@ -1,12 +1,15 @@
-"""Number text: every float fresnet prints, written as ``"%.17g" % v``.
+"""Number text: every float fresnet writes to 17 digits, as ``"%.17g" % v``.
 
 Seventeen significant digits give back every IEEE binary64 bit on reading.
-This module is the package's only path from a float to its text:
+:func:`texts` is the definition, ``"%.17g" % v`` per number, and
+:func:`rows` its vector form, which gives the same bytes and falls back
+to :func:`texts` for the numbers it cannot settle.
 :func:`fresnet.network.serialize` writes a network's numbers through
 :func:`rows`, and the CLI writes its CSV through :func:`write_csv` (whole
 columns) and :func:`texts` (the few numbers of an experiment row).  The
-text is that of ``"%.17g"``, bit for bit; JSON's ``.0`` on a whole number
-is :func:`~fresnet.network.serialize`'s own rule, not this module's.
+CLI's ``wall_ms`` column and its SVG coordinates are not 17-digit numbers
+and are written outside this module.  JSON's ``.0`` on a whole number is
+:func:`~fresnet.network.serialize`'s own rule, not this module's.
 
 :func:`rows` gets the text of "%.17g" from vector passes.  "%.17g" writes
 round(|v| 10^(16-e)), the 17-digit integer of |v|, with e its decimal
@@ -23,15 +26,13 @@ product, below 10^17.  p is a whole number above 2^53, so the fraction of
 the product is r - floor(r), and the 17-digit integer is p + floor(r),
 plus one where that fraction is above 1/2, computed in int64.
 
-Any number the product cannot settle is written by "%.17g" % v itself
-into its row: a fraction within 1e-9 of 1/2 (an exact tie is always among
+Any number the product cannot settle is written by :func:`texts` into
+its row: a fraction within 1e-9 of 1/2 (an exact tie is always among
 them, so only CPython decides a tie), a product that still reads outside
 [10^16, 10^17) after its correction (an exact power of ten may, such as
 1e20), +-0, and |v| outside [1e-280, 1e280], where a split or a product
 could overflow or lose bits below the normal range.  Of a built network's
-nonzero numbers none falls back.  A call with fewer than
-:data:`VECTOR_MIN` numbers writes every number this way: below it the
-vector passes' fixed cost is more than one Python call per number.
+nonzero numbers none falls back.
 
 The rows are laid out by one take: each number's source row holds its
 sign, its 17 digits (from a table of 4-digit groups), its exponent bytes
@@ -57,17 +58,11 @@ import numpy as np
 #: 17 digits, a point and a four-byte exponent such as "e-308"), and the
 #: last two are pads in every row, where a caller writes its separator.
 WIDTH = 26
-#: Numbers per call from which :func:`rows` uses its vector passes; a
-#: smaller call writes each number by "%.17g" % v.  About where the two
-#: cost the same: 2 numbers take about 2.3 us by "%.17g" against 52 us by
-#: the vector passes, 128 numbers 68 us against 67 us, 256 numbers 142 us
-#: against 88 us (warm tables, one process on a shared 2-vCPU VM).
-VECTOR_MIN = 128
 #: Numbers per block in which :func:`write_csv` formats and writes a table.
 CSV_BLOCK = 32768
 
 #: The magnitudes that :func:`rows` writes by its own arithmetic; any other
-#: number falls back to "%.17g" (see the module docstring).
+#: number falls back to :func:`texts` (see the module docstring).
 _G17_MIN, _G17_MAX = 1e-280, 1e280
 #: Its tables cover the decimal exponents -_G17_E.._G17_E: those of every
 #: |v| in [_G17_MIN, _G17_MAX], each with its one correction, while
@@ -209,20 +204,11 @@ def _digits17(values):
     return digits, e, settled
 
 
-def _percent_rows(values) -> np.ndarray:
-    """The text rows of :func:`rows` by one "%.17g" % v per number of the
-    1-D float64 array ``values``."""
-    text = b"".join((b"%.17g" % v).ljust(WIDTH, b"\0") for v in values.tolist())
-    return np.frombuffer(bytearray(text), dtype=np.uint8).reshape(-1, WIDTH)
-
-
 def rows(values) -> np.ndarray:
     """The text of each number of the 1-D float64 array ``values`` as one
     writable uint8 row of :data:`WIDTH` bytes: "%.17g" % v, bit for bit,
     and NUL pads, the last two bytes among them (see the module
     docstring)."""
-    if values.size < VECTOR_MIN:
-        return _percent_rows(values)
     exps, groups, patterns = _g17_tables()[4:]
     digits, e, settled = _digits17(values)
     n = values.size
@@ -245,15 +231,15 @@ def rows(values) -> np.ndarray:
     out = source.ravel().take(index)
     fallback = np.flatnonzero(~settled)
     if fallback.size:
-        out[fallback] = _percent_rows(values[fallback])
+        text = np.array(texts(values[fallback]), dtype=f"S{WIDTH}")
+        out[fallback] = text.view(np.uint8).reshape(-1, WIDTH)
     return out
 
 
 def texts(values) -> list:
-    """["%.17g" % v for v in values], for a sequence of real numbers."""
-    out = rows(np.asarray(values, dtype=float).ravel())
-    out[:, -1] = ord("\n")
-    return out.tobytes().translate(None, b"\0").decode("ascii").split("\n")[:-1]
+    """["%.17g" % v for v in values], for a sequence of real numbers: the
+    definition of the text that :func:`rows` and :func:`write_csv` write."""
+    return ["%.17g" % v for v in np.asarray(values, dtype=float).ravel().tolist()]
 
 
 def write_csv(fh, columns) -> None:
@@ -262,6 +248,9 @@ def write_csv(fh, columns) -> None:
     joined by "," and ended by "\\n".  The table is formatted and written
     in blocks of :data:`CSV_BLOCK` numbers (at least one line each)."""
     columns = [np.asarray(c, dtype=float) for c in columns]
+    shapes = [c.shape for c in columns]
+    if any(len(shape) != 1 or shape != shapes[0] for shape in shapes):
+        raise ValueError(f"CSV columns must be 1-D and of one length, got shapes {shapes}")
     step = max(1, CSV_BLOCK // len(columns))
     for lo in range(0, columns[0].size, step):
         block = np.stack([c[lo:lo + step] for c in columns], axis=1)

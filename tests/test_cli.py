@@ -445,8 +445,7 @@ def g17(values):
     return [format(v, ".17g") for v in np.asarray(values, dtype=float).tolist()]
 
 
-# each grid on both sides of the break-even: 10 lines of 2 or 4 numbers
-# are written by "%.17g" number by number, 2000 lines by the vector passes
+# a small and a larger grid: 10 lines of 2 or 4 numbers and 2000 lines
 @pytest.mark.parametrize("grid", [10, 2000])
 def test_eval_csv_is_percent_17g(grid, tmp_path, monkeypatch):
     net_path, out = tmp_path / "net.fnet.json", tmp_path / "vals.csv"

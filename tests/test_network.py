@@ -79,6 +79,16 @@ def test_eval_prefix_chain():
         eval_prefix(net, 0.0, net.depth + 1)
 
 
+def test_eval_prefix_takes_only_an_integer_layer_index():
+    net = random_net(np.random.default_rng(11), 3)
+    xs = np.linspace(-1, 1, 5)
+    for ell in (True, False, 2.0, 1.5, "2", None):
+        with pytest.raises(TypeError, match=f"layer index must be an integer, got {ell!r}"):
+            eval_prefix(net, xs, ell)
+    for ell in (np.int64(2), np.uint8(2)):
+        assert np.array_equal(eval_prefix(net, xs, ell), eval_prefix(net, xs, 2))
+
+
 def test_scalar_and_empty_inputs():
     net = random_net(np.random.default_rng(3), 2)
     assert eval_prefix(net, 0.25, net.depth) == pytest.approx(oracle_eval(net, 0.25))

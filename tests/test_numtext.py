@@ -1,9 +1,11 @@
 """The number-text kernel against ``"%.17g"``: its rows, ties and fallbacks
-on the values of ``tests/edge_floats.py``, the two writers the CLI uses
-(``texts`` and ``write_csv``) below and above the break-even, and the
-memory of a blocked CSV."""
+on the values of ``tests/edge_floats.py``, the vector path in calls of
+every size, the two writers the CLI uses (``texts`` and ``write_csv``),
+the CSV writer's refusal of a column that is not 1-D or not of the other
+columns' length, and the memory of a blocked CSV."""
 
 import io
+import re
 import tracemalloc
 from decimal import Decimal
 
@@ -59,7 +61,7 @@ def test_kernel_leaves_ties_zeros_and_range_ends_to_percent_17g():
     x = 200000000000001 / 16
     assert not numtext._digits17(np.array([x]))[2][0]
     pair = ["12500000000000.062", "-12500000000000.062"]
-    assert row_texts(numtext.rows(np.array([x, -x] * numtext.VECTOR_MIN))) == pair * numtext.VECTOR_MIN
+    assert row_texts(numtext.rows(np.array([x, -x]))) == pair
 
 
 def test_a_built_nets_nonzero_numbers_take_the_vector_path():
@@ -73,15 +75,16 @@ def test_a_built_nets_nonzero_numbers_take_the_vector_path():
     assert not settled[values == 0].any()
 
 
-def test_below_the_break_even_every_number_takes_percent_17g(monkeypatch):
+@pytest.mark.parametrize("size", [1, 2, 127])
+def test_small_calls_take_the_vector_path(size, monkeypatch):
     calls = []
     digits17 = numtext._digits17
     monkeypatch.setattr(numtext, "_digits17", lambda v: calls.append(v.size) or digits17(v))
-    values = edge_floats()[:numtext.VECTOR_MIN]
-    assert row_texts(numtext.rows(values[:-1])) == g17(values[:-1])
-    assert calls == []
+    # nonzero numbers inside the kernel's range, none of them a tie
+    values = np.geomspace(1e-7, 3e9, size) * np.where(np.arange(size) % 2, -1, 1)
+    assert digits17(values)[2].all()
     assert row_texts(numtext.rows(values)) == g17(values)
-    assert calls == [numtext.VECTOR_MIN]
+    assert calls == [size]
 
 
 def test_empty_input_gives_no_rows_and_no_lines():
@@ -92,8 +95,8 @@ def test_empty_input_gives_no_rows_and_no_lines():
     assert sink.getvalue() == b""
 
 
-# call sizes on both sides of the break-even, and one of several blocks
-SIZES = (1, 2, numtext.VECTOR_MIN - 1, numtext.VECTOR_MIN, 1000, 3 * numtext.CSV_BLOCK + 7)
+# small and large calls, and one of several blocks
+SIZES = (1, 2, 127, 128, 1000, 3 * numtext.CSV_BLOCK + 7)
 
 
 def pieces(values, sizes):
@@ -118,6 +121,26 @@ def test_csv_lines_are_percent_17g_in_tables_of_every_size(columns):
         numtext.write_csv(sink, table.T)
         expected = "".join(",".join(g17(line)) + "\n" for line in table)
         assert sink.getvalue().decode("ascii") == expected
+
+
+#: Lines of two columns per block of write_csv.
+CSV_LINES = numtext.CSV_BLOCK // 2
+
+
+@pytest.mark.parametrize("shape", [(1, 2), (2, 1), ()])
+def test_csv_refuses_a_column_that_is_not_1d(shape):
+    sink = io.BytesIO()
+    with pytest.raises(ValueError, match=re.escape(f"got shapes {[shape, shape]}")):
+        numtext.write_csv(sink, [np.ones(shape), np.ones(shape)])
+    assert sink.getvalue() == b""
+
+
+@pytest.mark.parametrize("sizes", [(2, 3), (3, 2), (CSV_LINES + 1, CSV_LINES)])
+def test_csv_refuses_columns_of_unequal_length_before_writing(sizes):
+    sink = io.BytesIO()
+    with pytest.raises(ValueError, match=re.escape(f"got shapes {[(n,) for n in sizes]}")):
+        numtext.write_csv(sink, [np.ones(n) for n in sizes])
+    assert sink.getvalue() == b""
 
 
 class Sink:

@@ -171,6 +171,33 @@ def test_parts_add_as_to_a_filled_constant():
         assert np.array_equal(br(xs[:1]).view(np.int64), want[:1].view(np.int64))
 
 
+# low multiples, so that both branches hold their ladder (capped at 2n pi
+# for n entries) the same way
+@pytest.mark.parametrize("ladder,w0,w1", [("pi", 2 * math.pi, math.pi),
+                                           ("quarter-pi", 3 * math.pi / 4, math.pi / 4),
+                                           ("off the grid", 1.3, 2.1)])
+def test_duplicate_entries_merge_in_input_order(ladder, w0, w1):
+    """Entries at one frequency are summed in the order the branch holds
+    them: 1e16 + 3 + (2 - 1e16) is 6 in that order, 5 or 4 in another."""
+    sines, cosines = (-1e16, 5.0, 1e16 + 2), (1e16, 3.0, 2 - 1e16)
+
+    def merged(order):
+        a, b = (sum((v[i] for i in order[1:]), v[order[0]]) for v in (sines, cosines))
+        return Branch((w0, w1), (a, 0.25), (b, -0.5))
+
+    br = Branch((w0, w0, w1, w0), sines[:2] + (0.25,) + sines[2:],
+                cosines[:2] + (-0.5,) + cosines[2:])
+    xs = np.linspace(-1.9, 1.9, 301)
+    want = merged((0, 1, 2))(xs)
+    assert np.array_equal(br(xs).view(np.int64), want.view(np.int64))
+    for order in ((0, 2, 1), (2, 1, 0)):
+        assert not np.array_equal(want, merged(order)(xs))
+    _, pi_table, quarter_ladder, terms, _ = br._plan
+    parts = {"pi": pi_table is not None, "quarter-pi": bool(quarter_ladder),
+             "off the grid": bool(terms)}
+    assert [name for name, present in parts.items() if present] == [ladder]
+
+
 def test_signed_zeros_give_one_bit_pattern():
     """h(-0.0) and h(+0.0) differ only in the signs of zero parts, and
     adding the constant makes those +0.0: the sign stack normalises -0.0
