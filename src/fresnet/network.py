@@ -87,7 +87,12 @@ shrinks it after every step; no point is gathered or scattered.  Under
 phi(y) = y + sin(pi y)/pi most points reach their floating-point fixed
 point within about 20 layers.  The run adds 0.0 to the block once, so it
 holds no -0.0; then v + 0.0 is v bit for bit, and each step is h(v) with
-v added into it, one add per step.
+v added into it, one add per step.  A run is a pure function of h, its
+number of steps and the block's bits after that + 0.0, and every net of
+one depth runs the same sign stack, which a sweep evaluates on the same
+quadrature nodes net after net.  So h keeps the last run it computed, and
+a run that repeats it copies that output instead of calling h; a new
+point set costs one compare of sizes and first points and two copies.
 
 The forward pass takes the flattened input in blocks of :data:`TRIG_CHUNK`
 points, so it holds one block at a time besides the output, and runs
@@ -103,7 +108,12 @@ points of the sign stack that still move form one stretch that holds few
 fixed points.
 
 Networks are immutable after construction and evaluation is pure, so all
-operations are safe for concurrent use.
+operations are safe for concurrent use.  A branch changes only what it
+caches: its plan, built on its first call, and, as the h of a run, the
+memo of its last run.  The memo is one tuple of read-only copies,
+replaced in one assignment and read once per run, so a concurrent run
+sees either memo whole, and a run that uses it gets the bits it would
+compute.
 
 :func:`serialize` writes every number through :mod:`fresnet.numtext`,
 which writes every float that fresnet writes to 17 digits, exactly as
@@ -161,6 +171,10 @@ class Branch:
     finite.  Branches are equal, and hash equal, when their entries are
     equal as numbers, so -0.0 and 0.0 entries compare equal.
     """
+
+    #: The last run of the forward pass on this branch as its h, kept by
+    #: :func:`_iterate`.
+    _last_run = None
 
     def __init__(self, freqs, sin_amps, cos_amps):
         if not (len(freqs) == len(sin_amps) == len(cos_amps)):
@@ -305,27 +319,45 @@ def _trig_plan(omegas, amps):
     # Re(c e^{-iwx}) == Re(conj(c) e^{iwx})
     amps = np.where(omegas < 0, amps.conj(), amps)
     omegas = np.abs(omegas)
-    # grid[q] sums the modes at exactly q pi/4, up to 2n pi: the Taylor
-    # table holds 16 nodes per multiple of pi, and Horner takes one step per
-    # odd multiple of pi/4, so a ladder's time and memory grow with its top
-    # multiple.  Capped at 2n pi, they stay O(n) per point and per plan;
-    # higher multiples (the builder makes none; a loaded file may) are
-    # cheaper as dense terms
+    # grid[q] sums the modes at exactly q pi/4, up to 2d pi for d merged
+    # nonzero modes: the Taylor table holds 16 nodes per multiple of pi, and
+    # Horner takes one step per odd multiple of pi/4, so a ladder's time and
+    # memory grow with its top multiple.  Capped at 2d pi, they stay O(d)
+    # per point and per plan; higher multiples (the builder makes none; a
+    # loaded file may) are cheaper as dense terms.  d <= n entries, so no
+    # multiple above 2n pi enters the grid at all
     quarters = np.rint(omegas / (np.pi / 4))
     on = (quarters * (np.pi / 4) == omegas) & (quarters <= 8 * omegas.size)
     q = quarters[on].astype(int)
     # np.add.at adds the modes at one frequency in input order
     grid = np.zeros(q.max(initial=-1) + 1, dtype=complex)
     np.add.at(grid, q, amps[on])
+    rest = grid != 0
+    live = np.count_nonzero(rest)
+    off, off_amps = (), ()
+    if q.size < omegas.size:
+        off, where = np.unique(omegas[~on], return_inverse=True)
+        off_amps = np.zeros(off.size, dtype=complex)
+        np.add.at(off_amps, where, amps[~on])
+        live += np.count_nonzero(off_amps)
+    cap = 8 * live
+    if grid.size > cap + 1:
+        # the multiples above the cap join the off-grid modes, in one
+        # frequency order
+        above = rest[cap + 1:].nonzero()[0] + cap + 1
+        off = np.concatenate([above * (np.pi / 4), off])
+        off_amps = np.concatenate([grid[above], off_amps])
+        order = off.argsort(kind="stable")
+        off, off_amps = off[order], off_amps[order]
+        grid, rest = grid[:cap + 1], rest[:cap + 1]
     # q = 0 is the constant, added as its real part; the pi ladder holds
     # q = 4k at index k - 1, the quarter-pi ladder q = 2j + 1 at index j,
     # and q = 4k + 2 (pi/2 in the first sign layer) is always dense
     bias = grid[0].real if grid.size else 0.0
-    rest = grid != 0
     rest[:1] = False
     ladders = []
     for start, step in ((4, 4), (1, 2)):
-        nonzero = grid[start::step].nonzero()[0]
+        nonzero = rest[start::step].nonzero()[0]
         # a single frequency costs a sine and a cosine at most, no more
         # than a table lookup or a complex exp
         if nonzero.size < 2:
@@ -335,10 +367,7 @@ def _trig_plan(omegas, amps):
         rest[start::step] = False
     qs = rest.nonzero()[0]
     freqs, merged = qs * (np.pi / 4), grid[qs]
-    if q.size < omegas.size:
-        off, where = np.unique(omegas[~on], return_inverse=True)
-        off_amps = np.zeros(off.size, dtype=complex)
-        np.add.at(off_amps, where, amps[~on])
+    if len(off):
         freqs, merged = np.concatenate([freqs, off]), np.concatenate([merged, off_amps])
     # a sin(wx) + b cos(wx) == Re((b - ia) e^{iwx}); a term with a = b = 0
     # is dropped, and one with a or b zero computes only the other's trig
@@ -364,9 +393,11 @@ def _taylor_table(ladder):
     spectra = np.zeros((_TAYLOR_STEPS + 1, terms + 1), dtype=complex)
     modes = spectra[:, 1:]  # a view: k = 1..K of every order
     modes[0] = ladder
-    step = 1j * (2 * np.pi / nodes) * np.arange(1, terms + 1)
+    # row d - 1: the factor i k pi h / d from order d - 1 to order d
+    steps = (1j * (2 * np.pi / nodes) * np.arange(1, terms + 1)
+             / np.arange(1, _TAYLOR_STEPS + 1)[:, None])
     for d in range(1, _TAYLOR_STEPS + 1):
-        np.multiply(modes[d - 1], step / d, out=modes[d])
+        np.multiply(modes[d - 1], steps[d - 1], out=modes[d])
     table = np.fft.irfft(spectra, nodes, axis=1)
     table *= nodes / 2
     return table
@@ -579,8 +610,26 @@ def _iterate(h: Branch, f: np.ndarray, steps: int) -> np.ndarray:
     bits of h(+0.0), so the first step is unchanged too.  A point that did
     not move is a fixed point of the step, so recomputing one inside the
     stretch changes no bit; on a sorted f the stretch holds little more
-    than the moved points, since phi is monotone."""
+    than the moved points, since phi is monotone.
+
+    The run is a pure function of h, ``steps`` and f's bits after the
+    + 0.0, so h keeps the last run it computed as ``(steps, input bits,
+    output)``, read-only copies that are never handed out, and a run that
+    repeats it copies the output into f without calling h: every net of
+    one depth runs the same sign stack on the same quadrature nodes.  The
+    memo is one tuple, replaced in one assignment, so concurrent runs on
+    one h each see a whole memo; it holds one block, the last."""
     f += 0.0
+    if not f.size:
+        return f
+    memo = h._last_run
+    start = f.view(np.int64)
+    # size, then the first point, then all: a new point set fails early
+    if (memo is not None and memo[0] == steps and memo[1].size == start.size
+            and memo[1][0] == start[0] and (memo[1] == start).all()):
+        f[...] = memo[2]
+        return f
+    start = start.copy()
     lo, hi = 0, f.size
     for _ in range(steps):
         v = f[lo:hi]
@@ -595,6 +644,9 @@ def _iterate(h: Branch, f: np.ndarray, steps: int) -> np.ndarray:
         last = moved.size - moved[::-1].argmax()
         lo, hi = lo + first, lo + last
         f[lo:hi] = new[first:last]
+    end = f.copy()
+    start.flags.writeable = end.flags.writeable = False
+    object.__setattr__(h, "_last_run", (steps, start, end))
     return f
 
 

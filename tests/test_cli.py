@@ -1,6 +1,10 @@
 """CLI: in-process invocation, CSV shape, exit codes, determinism."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -105,6 +109,30 @@ def test_convergence_rows_and_determinism(tmp_path):
     _, rows2 = read_csv(out2)
     for r1, r2 in zip(rows, rows2):
         assert r1[:-1] == r2[:-1]
+
+
+def test_convergence_in_one_process_matches_a_cold_run(tmp_path):
+    """The README's convergence example, run twice in this process (the
+    second run repeats every sign-stack run of the first), writes the CSV a
+    fresh process writes, but for the wall_ms column."""
+    argv = ["convergence", "--target", "hat", "--m", "1,2,3,4", "--modes-list",
+            "5,10,20,40,80", "--out"]
+
+    def rows(path):
+        return [line.rsplit(",", 1)[0] for line in path.read_text().splitlines()]
+
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(src), *filter(None, [os.environ.get("PYTHONPATH")])]))
+    cold = tmp_path / "cold.csv"
+    subprocess.run([sys.executable, "-c", "import sys; from fresnet.cli import main; "
+                    "sys.exit(main(sys.argv[1:]))", *argv, str(cold)],
+                   env=env, check=True, timeout=300)
+    assert len(rows(cold)) == 1 + 4 * 5 + 5
+    for run in ("first", "second"):
+        out = tmp_path / f"{run}.csv"
+        assert main(argv + [str(out)]) == 0
+        assert rows(out) == rows(cold), run
 
 
 def test_parser_built_once_carries_nothing_between_calls(tmp_path, capsys):

@@ -9,7 +9,10 @@ these may change a single output bit.
 
 import itertools
 import math
+import sys
+import threading
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -442,6 +445,170 @@ def test_the_library_makes_no_tuple_views():
     spectral = net.layers[-1].g_branch
     assert spectral.freqs is spectral.freqs and "freqs" in spectral.__dict__
 
+
+
+# -- the memo of a run's last result -----------------------------------------
+#
+# Each check compares with a run on a fresh Branch(*h.entries), which has no
+# memo, so it computes every step.
+
+def without_memo(net):
+    """``net`` with each h-branch object replaced by a fresh copy."""
+    fresh = {}
+    return FourierResNet(tuple(
+        Layer(layer.g_branch, None if layer.h_branch is None
+              else fresh.setdefault(id(layer.h_branch), Branch(*layer.h_branch.entries)))
+        for layer in net.layers))
+
+
+def fresh_run(h, f, steps):
+    return network._iterate(Branch(*h.entries), f.copy(), steps)
+
+
+def calls_of(h, monkeypatch):
+    """The number of calls of ``h`` so far, as a list that grows."""
+    calls = []
+    call = network.Branch.__call__
+
+    def spy(branch, t):
+        if branch is h:
+            calls.append(np.size(t))
+        return call(branch, t)
+
+    monkeypatch.setattr(network.Branch, "__call__", spy)
+    return calls
+
+
+def test_a_repeated_run_copies_its_memo(monkeypatch):
+    h = Branch(*SIGN_H.entries)
+    f0 = FIRST.g_branch(np.sort(np.random.default_rng(30).uniform(-1.0, 1.0, 3000)))
+    calls = calls_of(h, monkeypatch)
+    first = network._iterate(h, f0.copy(), 18)
+    assert calls and h._last_run[0] == 18
+    memo = h._last_run
+    calls.clear()
+    again = network._iterate(h, f0.copy(), 18)
+    assert calls == [] and h._last_run is memo
+    want = fresh_run(h, f0, 18)
+    assert_same_bits(first, want)
+    assert_same_bits(again, want)
+    # the memo is read-only and the run's output is not the memo's array
+    assert not memo[1].flags.writeable and not memo[2].flags.writeable
+    for run in (first, again):
+        assert run.flags.writeable and not np.shares_memory(run, memo[2])
+    again[:] = 0.0
+    assert_same_bits(network._iterate(h, f0.copy(), 18), want)
+    # one point moved by one ulp, first, last or inside: the run computes
+    for i in (0, 1500, f0.size - 1):
+        f1 = f0.copy()
+        f1[i] = np.nextafter(f1[i], np.inf)
+        calls.clear()
+        assert_same_bits(network._iterate(h, f1.copy(), 18), fresh_run(h, f1, 18), f"point {i}")
+        assert calls
+        assert (h._last_run[1] == bits(f1 + 0.0)).all()
+    # the same points for another number of steps, or a shorter block
+    for f1, steps in ((f0, 17), (f0[:-1], 17)):
+        calls.clear()
+        assert_same_bits(network._iterate(h, f1.copy(), steps), fresh_run(h, f1, steps))
+        assert calls
+
+
+def test_eval_prefix_at_alternating_depths(built_net, monkeypatch):
+    """Depths ending inside the sign run give runs of as many steps, so each
+    depth replaces the memo that the other one left."""
+    xs = tricky_points(2000, seed=31)
+    h = built_net.layers[1].h_branch
+    calls = calls_of(h, monkeypatch)
+    for ell in (30, 45, 30, 30, 45, 60, 45, 2, 60):
+        calls.clear()
+        got = eval_prefix(built_net, xs, ell)
+        assert_same_bits(got, eval_prefix(without_memo(built_net), xs, ell), f"depth {ell}")
+        assert_same_bits(got, forward_plain(built_net, xs, ell), f"depth {ell}")
+    # a repeated depth calls h only in the layers outside the run
+    eval_prefix(built_net, xs, 45)
+    calls.clear()
+    eval_prefix(built_net, xs, 45)
+    assert calls == []
+
+
+def test_memo_keys_on_bits_after_the_added_zero():
+    """-0.0 and +0.0 are one point after the run's + 0.0, so they share a
+    memo; NaNs with other payloads are other points, and every payload
+    comes out as a fresh run gives it."""
+    h = Branch(*SIGN_H.entries)
+    payloads = np.array([0x7FF8000000000001, 0x7FF8000000000002, -0x0007FFFFFFFFFFFF,
+                         0x7FFFFFFFFFFFFFFF], dtype=np.int64).view(float)
+    base = np.concatenate([np.linspace(-0.9, 0.9, 61), payloads])
+    for zero in (0.0, -0.0, 0.0):
+        f0 = base.copy()
+        f0[30] = zero
+        assert_same_bits(network._iterate(h, f0.copy(), 20), fresh_run(h, f0, 20), f"{zero}")
+    memo = h._last_run
+    f0[30] = -0.0
+    network._iterate(h, f0.copy(), 20)
+    assert h._last_run is memo
+    for i in range(4):
+        f1 = f0.copy()
+        f1[-4 + i] = np.int64(0x7FF8000000000003 + i).view(float)
+        assert_same_bits(network._iterate(h, f1.copy(), 20), fresh_run(h, f1, 20), f"NaN {i}")
+        assert h._last_run is not memo
+
+
+def test_an_empty_run_leaves_the_memo(built_net):
+    h = built_net.layers[1].h_branch
+    xs = np.linspace(-1.0, 1.0, 101)
+    eval_grid(built_net, xs)
+    memo = h._last_run
+    assert network._iterate(h, np.empty(0), 58).shape == (0,)
+    assert h._last_run is memo
+    for empty in (np.empty(0), np.empty((0, 3))):
+        got = eval_grid(built_net, empty)
+        assert_same_bits(got, eval_grid(without_memo(built_net), empty))
+    assert h._last_run is memo
+    assert_same_bits(eval_grid(built_net, xs), eval_grid(without_memo(built_net), xs))
+
+
+def test_the_memo_holds_one_block(built_net):
+    xs = np.random.default_rng(32).uniform(-1.0, 1.0, 3 * network.TRIG_CHUNK + 17)
+    h = built_net.layers[1].h_branch
+    want = eval_grid(without_memo(built_net), xs)
+    for _ in range(2):
+        assert_same_bits(eval_grid(built_net, xs), want)
+        steps, start, end = h._last_run
+        assert start.size == end.size == 17
+    # the last block alone, in the order the pass sorts it, hits the memo
+    tail = np.sort(xs[-17:])
+    assert_same_bits(eval_grid(built_net, tail), eval_grid(without_memo(built_net), tail))
+    assert h._last_run[1] is start
+
+
+def test_threads_on_alternating_point_sets(built_net):
+    """Four threads evaluate one net on point sets that alternate, so the
+    memo is replaced and read from every thread at once; each result has
+    its single-thread bits."""
+    rng = np.random.default_rng(33)
+    sets = [np.linspace(-1.0, 1.0, 3360), np.linspace(-1.0, 1.0, 3361),
+            np.sort(rng.uniform(-1.0, 1.0, 3360)), rng.uniform(-1.0, 1.0, 500)]
+    fresh = without_memo(built_net)
+    want = [eval_grid(fresh, xs).view(np.int64) for xs in sets]
+    start = threading.Barrier(4, timeout=30)
+
+    def work(k):
+        start.wait()
+        for i in range(40):
+            j = (k + i) % len(sets)
+            if not (eval_grid(built_net, sets[j]).view(np.int64) == want[j]).all():
+                return j
+        return None
+
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)  # interleave the threads' calls finely
+    try:
+        with ThreadPoolExecutor(4) as pool:
+            bad = [job.result(timeout=120) for job in [pool.submit(work, k) for k in range(4)]]
+    finally:
+        sys.setswitchinterval(switch)
+    assert bad == [None] * 4
 
 @settings(derandomize=True, max_examples=40, deadline=None)
 @given(st.sampled_from(registered_names()), st.integers(1, MAX_ORDER), st.integers(0, 128),

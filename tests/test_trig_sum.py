@@ -198,6 +198,31 @@ def test_duplicate_entries_merge_in_input_order(ladder, w0, w1):
     assert [name for name, present in parts.items() if present] == [ladder]
 
 
+def test_ladder_cap_counts_merged_modes():
+    """The ladders end at 2 pi per merged nonzero mode, so a branch and the
+    branch of its merged modes have one plan: 5 pi lies above the cap of
+    two modes (4 pi) whether 3 pi is held once or three times, and joins
+    the dense terms after 3 pi, the ladder's one nonzero frequency."""
+    sines, cosines = (-1e16, 5.0, 1e16 + 2), (1e16, 3.0, 2 - 1e16)
+    br = Branch((3 * math.pi, 3 * math.pi, 5 * math.pi, 3 * math.pi),
+                sines[:2] + (0.25,) + sines[2:], cosines[:2] + (-0.5,) + cosines[2:])
+    merged = Branch((3 * math.pi, 5 * math.pi), (sines[0] + sines[1] + sines[2], 0.25),
+                    (cosines[0] + cosines[1] + cosines[2], -0.5))
+    xs = np.linspace(-1.9, 1.9, 301)
+    assert np.array_equal(br(xs).view(np.int64), merged(xs).view(np.int64))
+    assert repr(br._plan) == repr(merged._plan)
+    _, pi_table, quarter_ladder, terms, _ = br._plan
+    assert pi_table is None and not quarter_ladder
+    assert [w for w, _, _ in terms] == [3 * math.pi, 5 * math.pi]
+    # a merged mode of zero amplitude does not count: 7 pi cancels, so pi and
+    # 5 pi are the two modes and 5 pi lies above their cap, as without 7 pi
+    cancel = Branch((math.pi, 5 * math.pi, 7 * math.pi, 7 * math.pi),
+                    (0.5, 0.25, 1.0, -1.0), (0.0,) * 4)
+    kept = Branch((math.pi, 5 * math.pi), (0.5, 0.25), (0.0, 0.0))
+    assert np.array_equal(cancel(xs).view(np.int64), kept(xs).view(np.int64))
+    assert cancel._plan[1] is None
+
+
 def test_signed_zeros_give_one_bit_pattern():
     """h(-0.0) and h(+0.0) differ only in the signs of zero parts, and
     adding the constant makes those +0.0: the sign stack normalises -0.0
