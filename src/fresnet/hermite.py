@@ -27,6 +27,14 @@ what rounding can reach.  :func:`hermite_endpoint` returns its branch
 only if that error is at most RESIDUAL_BOUND, and otherwise, or on a
 singular solve, raises :class:`HermiteSolveError`; non-finite data, or
 data whose scale overflows, fails.
+
+A solve depends on its endpoint data alone, never on a net's width or
+depth, so a process solves each data once: :func:`hermite_endpoint` keeps
+the judged branch of the last 64 distinct data it solved, keyed by the
+data's bits, and hands the same branch to every caller of that data.  A
+sweep over K or L at one (target, m) thus solves H and H_r once.  A
+refusal is never kept: refused data is solved and judged again on every
+call.
 """
 
 from __future__ import annotations
@@ -47,8 +55,28 @@ class HermiteSolveError(RuntimeError):
 
 
 def hermite_endpoint(alphas, betas) -> Branch:
-    """Polynomial with H^{(s)}(-1) = alphas[s], H^{(s)}(1) = betas[s]."""
-    m, data = _endpoint_data(alphas, betas)
+    """Polynomial with H^{(s)}(-1) = alphas[s], H^{(s)}(1) = betas[s].
+
+    The judged branch of each distinct data is kept (:func:`_solve`), so a
+    repeated call returns the same branch object, which callers share: it
+    is immutable, and its evaluation plan is built once.  A refusal is
+    never kept: refused data is solved and judged again on every call.
+    """
+    return _solve(_endpoint_data(alphas, betas)[1].tobytes())
+
+
+@lru_cache(maxsize=64)
+def _solve(key: bytes) -> Branch:
+    """The judged solve of the endpoint data whose complex128 bytes, rows
+    at -1 and +1, are ``key``.
+
+    Keyed by bits, not values, so data differing only in the sign of a
+    zero or in a NaN payload is solved apart, and each branch holds the
+    bits a fresh solve of its own data gives.  lru_cache keeps no call
+    that raises.
+    """
+    data = np.frombuffer(key, dtype=complex).reshape(2, -1)
+    m = data.shape[1] - 1
     matrix, omegas = _hermite_system(m)
     try:
         coeffs = np.linalg.solve(matrix, data.ravel())

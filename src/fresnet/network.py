@@ -312,10 +312,6 @@ def _trig_plan(omegas, amps):
     split them into the constant, the pi ladder's Taylor table, the
     quarter-pi ladder and the dense terms (see the module docstring), with
     the power of two (see :data:`TINY_EXP`) by which all are scaled."""
-    top = np.abs(amps).max(initial=0.0)
-    shift = TINY_SHIFT if 0 < top < 2.0 ** -TINY_EXP else 0
-    if shift:
-        amps = np.ldexp(amps.real, shift) + 1j * np.ldexp(amps.imag, shift)
     # Re(c e^{-iwx}) == Re(conj(c) e^{iwx})
     amps = np.where(omegas < 0, amps.conj(), amps)
     omegas = np.abs(omegas)
@@ -332,14 +328,21 @@ def _trig_plan(omegas, amps):
     # np.add.at adds the modes at one frequency in input order
     grid = np.zeros(q.max(initial=-1) + 1, dtype=complex)
     np.add.at(grid, q, amps[on])
-    rest = grid != 0
-    live = np.count_nonzero(rest)
-    off, off_amps = (), ()
+    off, off_amps = (), np.zeros(0, dtype=complex)
     if q.size < omegas.size:
         off, where = np.unique(omegas[~on], return_inverse=True)
         off_amps = np.zeros(off.size, dtype=complex)
         np.add.at(off_amps, where, amps[~on])
-        live += np.count_nonzero(off_amps)
+    # the scale follows the merged amplitudes, so a branch and the branch of
+    # its merged modes get one plan.  A power of two is exact, also on a
+    # subnormal, so the scaled sums are the sums of the scaled modes
+    top = max(np.abs(grid).max(initial=0.0), np.abs(off_amps).max(initial=0.0))
+    shift = TINY_SHIFT if 0 < top < 2.0 ** -TINY_EXP else 0
+    if shift:
+        for part in (grid.real, grid.imag, off_amps.real, off_amps.imag):
+            np.ldexp(part, shift, out=part)
+    rest = grid != 0
+    live = np.count_nonzero(rest) + np.count_nonzero(off_amps)
     cap = 8 * live
     if grid.size > cap + 1:
         # the multiples above the cap join the off-grid modes, in one

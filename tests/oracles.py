@@ -16,7 +16,8 @@ one approximation at a time, the support width from the outermost points
 over the threshold instead of the largest |x| of all of them.  The rate
 fit, which only the tests read, lives here too, and so does the reading
 of a net's two Hermite solves with their endpoint data recomputed from
-the target.
+the target.  :func:`forget_solves` empties the memo of endpoint solves, for
+tests that count or spy on a solve and so need it computed afresh.
 """
 
 import math
@@ -24,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from fresnet import jets, network
+from fresnet import hermite, jets, network
 from fresnet.jets import Jet
 from fresnet.jump import h_endpoint_data, q_derivs_at, z_profile
 from fresnet.metrics import DEFAULT_GRID_N
@@ -56,6 +57,13 @@ def max_abs_deriv(br: Branch, lo: float, hi: float, n: int = 4001) -> float:
     for w, a, b in zip(br.freqs, br.sin_amps, br.cos_amps):
         deriv += w * (a * np.cos(w * grid) - b * np.sin(w * grid))
     return float(np.max(np.abs(deriv)))
+
+
+def forget_solves() -> None:
+    """Empty the memo of :func:`fresnet.hermite.hermite_endpoint`, so the
+    next call on any data solves and judges it afresh and returns a new
+    branch."""
+    hermite._solve.cache_clear()
 
 
 def held_solves(target, net: FourierResNet, m: int, k: int):

@@ -1,8 +1,10 @@
-"""Constants a build computes once: per-order systems, the build rule's per-K
-tables, the sin(x) neuron, and the call budget of one ``convergence`` cell,
-counted rather than timed."""
+"""Constants a build computes once: per-order systems, each endpoint solve,
+the build rule's per-K tables, the sin(x) neuron, and the call budget of one
+``convergence`` cell, counted rather than timed."""
 
+import threading
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -11,10 +13,12 @@ from fresnet import builder, cli, hermite, jets, jump, network, quadrature, smoo
 from fresnet.builder import BuildSpec, build_piecewise_net
 from fresnet.hermite import HermiteSolveError, hermite_endpoint, scaled_residual
 from fresnet.targets import target_lookup
+from oracles import forget_solves
 
 
 def test_one_build_creates_each_orders_hermite_system_once():
     hermite._hermite_system.cache_clear()
+    forget_solves()
     build_piecewise_net(BuildSpec(target_lookup("hat"), 3, 8, 6))
     info = hermite._hermite_system.cache_info()
     # H (jump) and H_r (smooth part) are both order-3 solves, and each
@@ -76,7 +80,9 @@ REFUSED_2 = "^order-2 interpolation solve leaves a scaled residual above 1e-08$"
 
 @pytest.fixture
 def verdicts(monkeypatch):
-    """Every value scaled_residual returns to hermite_endpoint."""
+    """Every value scaled_residual returns to hermite_endpoint, with the
+    memo of solves emptied, so every solve is judged."""
+    forget_solves()
     seen = []
     real = hermite.scaled_residual
 
@@ -233,8 +239,9 @@ def test_builds_share_the_sin_neuron_and_its_plan(monkeypatch):
 @pytest.fixture
 def counters(monkeypatch):
     """Counts of irfft calls, Taylor tables and chain-rule matrices, with
-    every per-process cache they could hide behind emptied; Hermite systems
-    and the build rule's per-K tables are counted by their caches' misses."""
+    every per-process cache they could hide behind emptied; Hermite systems,
+    endpoint solves and the build rule's per-K tables are counted by their
+    caches' misses."""
     counts = {"irfft": 0, "tables": 0, "bell": []}
 
     def counting(name, fn):
@@ -254,6 +261,7 @@ def counters(monkeypatch):
 
     monkeypatch.setattr(jump, "chain_rule_matrix", counting_bell)
     hermite._hermite_system.cache_clear()
+    forget_solves()
     jump._chain_rule_system.cache_clear()
     smooth._rule_tables.cache_clear()
     return counts
@@ -272,6 +280,8 @@ def test_convergence_cell_call_budget(counters, tmp_path):
     assert counters["tables"] >= 2
     assert counters["irfft"] == counters["tables"]
     assert hermite._hermite_system.cache_info().misses == 1
+    # H and H_r: two endpoint solves for each new (target, m), none repeated
+    assert hermite._solve.cache_info().misses == 2
     # z's profile at 0 from both sides and at the two endpoints
     assert len(counters["bell"]) == 4
     # the build at K = 20 and the baseline series at K = 40
@@ -279,10 +289,170 @@ def test_convergence_cell_call_budget(counters, tmp_path):
     cell(2)
     assert counters["irfft"] == counters["tables"]
     assert hermite._hermite_system.cache_info().misses == 1
+    assert hermite._solve.cache_info().misses == 2
     assert len(counters["bell"]) == 4
     assert smooth._rule_tables.cache_info().misses == 2
     cell(3)
     assert counters["irfft"] == counters["tables"]
     assert hermite._hermite_system.cache_info().misses == 2
+    assert hermite._solve.cache_info().misses == 4
     assert len(counters["bell"]) == 8
     assert smooth._rule_tables.cache_info().misses == 2
+
+
+# -- the memo of endpoint solves ---------------------------------------------
+#
+# Each check compares with a solve made after forget_solves(), which the memo
+# cannot answer.
+
+def fresh_solve(alphas, betas):
+    forget_solves()
+    return hermite_endpoint(alphas, betas)
+
+
+def test_the_same_data_gives_the_same_branch():
+    alphas, betas = [0.5, -1.25, 3.0], [1.0, 0.0, -2.0]
+    fresh = fresh_solve(alphas, betas)
+    first = hermite_endpoint(alphas, betas)
+    # the key is the data's complex bits, whatever sequence held them
+    assert first is fresh
+    assert hermite_endpoint(np.array(alphas), np.array(betas, dtype=complex)) is first
+    info = hermite._solve.cache_info()
+    assert (info.misses, info.hits) == (1, 2)
+    again = fresh_solve(alphas, betas)
+    assert again is not first and again.entries.tobytes() == first.entries.tobytes()
+
+
+@pytest.mark.parametrize("variant", ["negative zero", "last bit", "imaginary negative zero"])
+def test_data_one_bit_apart_is_solved_apart(variant):
+    alphas, betas = np.array([0.5, -1.25, 0.0], dtype=complex), np.array([1.0, 0.0, 2.0])
+    other_alphas, other_betas = alphas.copy(), betas.copy()
+    if variant == "negative zero":
+        other_alphas[2] = -0.0
+    elif variant == "last bit":
+        other_betas[0] = np.nextafter(1.0, 2.0)
+    else:
+        other_alphas[0] = complex(0.5, -0.0)
+    forget_solves()
+    base = hermite_endpoint(alphas, betas)
+    other = hermite_endpoint(other_alphas, other_betas)
+    assert other is not base and hermite._solve.cache_info().misses == 2
+    # each key keeps its own branch, also where the data compare equal
+    assert hermite_endpoint(alphas, betas) is base
+    assert hermite_endpoint(other_alphas, other_betas) is other
+    for branch, data in ((base, (alphas, betas)), (other, (other_alphas, other_betas))):
+        assert branch.entries.tobytes() == fresh_solve(*data).entries.tobytes()
+
+
+def test_threads_sharing_the_memo_build_the_single_thread_nets():
+    target, ks = target_lookup("pw_smooth"), (8, 16, 32, 64)
+
+    def text(k):
+        return network.serialize(build_piecewise_net(BuildSpec(target, 4, k, 20)))
+
+    expected = {}
+    for k in ks:
+        forget_solves()
+        expected[k] = text(k)
+    forget_solves()
+    start = threading.Barrier(8)
+
+    def job(k):
+        start.wait(timeout=60)
+        return k, text(k)
+
+    with ThreadPoolExecutor(8) as pool:
+        results = list(pool.map(job, ks * 2))
+    assert len(results) == 8
+    for k, got in results:
+        assert got == expected[k], k
+
+
+def count_solves(monkeypatch):
+    """The calls np.linalg.solve has taken since, as a list."""
+    calls, real = [], np.linalg.solve
+
+    def counting(matrix, rhs):
+        calls.append(rhs)
+        return real(matrix, rhs)
+
+    monkeypatch.setattr(np.linalg, "solve", counting)
+    return calls
+
+
+def test_an_overflowing_refusal_is_judged_on_every_call(monkeypatch, verdicts):
+    solves = count_solves(monkeypatch)
+    for _ in range(3):
+        with pytest.raises(HermiteSolveError, match=REFUSED_2):
+            hermite_endpoint([1e308, 0.0, 0.0], [0.0, 0.0, 0.0])
+    assert len(solves) == 3 and verdicts == [np.inf] * 3
+    assert hermite._solve.cache_info().currsize == 0
+
+
+def test_a_nan_refusal_is_solved_on_every_call(monkeypatch, verdicts):
+    solves = count_solves(monkeypatch)
+    for _ in range(3):
+        with pytest.raises(HermiteSolveError, match=REFUSED_2):
+            hermite_endpoint([np.nan, 0.0, 0.0], [0.0, 0.0, 0.0])
+    # NaN coefficients make no Branch, so no verdict is asked for
+    assert len(solves) == 3 and verdicts == []
+    assert hermite._solve.cache_info().currsize == 0
+
+
+def test_a_singular_refusal_is_not_kept(monkeypatch, verdicts):
+    calls, real = [], np.linalg.solve
+
+    def singular(matrix, rhs):
+        calls.append(rhs)
+        raise np.linalg.LinAlgError("Singular matrix")
+
+    monkeypatch.setattr(np.linalg, "solve", singular)
+    for _ in range(3):
+        with pytest.raises(HermiteSolveError, match="^singular order-3 interpolation system$"):
+            hermite_endpoint(np.ones(4), np.ones(4))
+    assert len(calls) == 3 and verdicts == []
+    monkeypatch.setattr(np.linalg, "solve", real)
+    # the same data, solved once the system is regular, gets its own verdict
+    poly = hermite_endpoint(np.ones(4), np.ones(4))
+    assert len(verdicts) == 1 and verdicts[0] <= hermite.RESIDUAL_BOUND
+    assert poly.entries.tobytes() == fresh_solve(np.ones(4), np.ones(4)).entries.tobytes()
+
+
+def test_the_memo_holds_at_most_maxsize_solves():
+    forget_solves()
+    size = hermite._solve.cache_info().maxsize
+    assert size == 64
+    for i in range(size + 36):
+        hermite_endpoint([float(i)], [0.0])
+    info = hermite._solve.cache_info()
+    assert (info.currsize, info.misses) == (size, size + 36)
+    # the oldest data was dropped and is solved again
+    hermite_endpoint([0.0], [0.0])
+    assert hermite._solve.cache_info().misses == size + 37
+
+
+def test_the_readme_sweep_writes_the_csv_of_fresh_solves(monkeypatch, tmp_path):
+    """The README's convergence sweep, whose 20 builds make 40 solves of 8
+    distinct data, one H and one H_r per m, writes the CSV it writes with
+    the memo emptied before every build, but for the wall_ms column."""
+    argv = ["convergence", "--target", "hat", "--m", "1,2,3,4", "--modes-list",
+            "5,10,20,40,80"]
+
+    def text(name):
+        out = tmp_path / name
+        assert cli.main(argv + ["--out", str(out)]) == 0
+        lines = out.read_text(encoding="utf-8").splitlines()
+        return "\n".join(line.rsplit(",", 1)[0] for line in lines) + "\n"
+
+    forget_solves()
+    kept = text("kept.csv")
+    info = hermite._solve.cache_info()
+    assert (info.misses, info.hits) == (8, 32)
+    real = cli.build_piecewise_net
+
+    def fresh_build(spec):
+        forget_solves()
+        return real(spec)
+
+    monkeypatch.setattr(cli, "build_piecewise_net", fresh_build)
+    assert text("fresh.csv") == kept

@@ -14,7 +14,7 @@ from fresnet.metrics import lp_error
 from fresnet.quadrature import QuadratureConfig
 from fresnet.sign import build_sign_net
 from fresnet.targets import PiecewiseTarget, target_lookup
-from oracles import held_solves
+from oracles import forget_solves, held_solves
 
 
 def grid_no_zero(n=1001):
@@ -150,6 +150,7 @@ def test_the_net_holds_each_solve_and_its_verdict(monkeypatch, name, m):
     2K+1 spectral ones, in the built net and in its loaded copy; the verdict
     on either slice, from endpoint data recomputed from the spec, is the
     value the solve was judged by."""
+    forget_solves()
     solves, verdicts = [], []
     real_solve = hermite.hermite_endpoint
     real_verdict = hermite.scaled_residual

@@ -26,7 +26,7 @@ from fresnet.network import (Branch, FourierResNet, Layer, branch_from_modes, ev
 from fresnet.sign import build_sign_net
 from fresnet.jets import MAX_ORDER
 from fresnet.targets import registered_names, target_lookup
-from oracles import forward_plain
+from oracles import forget_solves, forward_plain
 
 EMPTY = Branch((), (), ())
 SIGN_H = Branch((math.pi,), (1.0 / math.pi,), (0.0,))
@@ -429,6 +429,7 @@ def test_the_library_makes_no_tuple_views():
     """A build, serialize, load, neuron count and eval read only each
     branch's entries array: none of the branches they make holds the
     tuple views, which are built on a first read."""
+    forget_solves()
     net = build_piecewise_net(BuildSpec(target_lookup("pw_smooth"), 4, 64, 20))
     loaded = network.deserialize(network.serialize(net))
     for held in (net, loaded):

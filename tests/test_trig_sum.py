@@ -223,6 +223,19 @@ def test_ladder_cap_counts_merged_modes():
     assert cancel._plan[1] is None
 
 
+def test_rescale_follows_merged_modes():
+    """The subnormal rescale is decided from the merged amplitudes: the two
+    unit sines at pi cancel, so the branch, like the branch of its merged
+    modes, has only amplitudes below 2**-TINY_EXP and is summed scaled."""
+    br = Branch((math.pi, math.pi, 2.5, 0.75), (1.0, -1.0, 3e-310, 1e-309),
+                (0.0, 0.0, 0.0, 2e-310))
+    merged = Branch((2.5, 0.75), (3e-310, 1e-309), (0.0, 2e-310))
+    xs = np.linspace(-1.9, 1.9, 301)
+    assert np.array_equal(br(xs).view(np.int64), merged(xs).view(np.int64))
+    # the same dense terms and the same shift; the bias is 0.0 in both
+    assert br._plan[2:] == merged._plan[2:] and br._plan[-1] == network.TINY_SHIFT
+
+
 def test_signed_zeros_give_one_bit_pattern():
     """h(-0.0) and h(+0.0) differ only in the signs of zero parts, and
     adding the constant makes those +0.0: the sign stack normalises -0.0
