@@ -23,6 +23,18 @@ z(point) from H's 2(m+1) modes by one row product
 (:func:`fresnet.hermite.deriv_rows`), and :func:`q_eval` evaluates H as
 the branch it is.
 
+The jump data and q's endpoint derivatives depend on (target, m) alone,
+never on a net's width or depth, so a process computes each once.
+:func:`h_endpoint_data` keeps the substitution's result for the last 64
+distinct jump data, keyed by the data's float64 bytes, and
+:func:`q_derivs_at` keeps q's derivatives for the last 64 distinct
+(point, side, m, H), keyed by the point's float64 bits and the bytes of
+H's entries.  Keys are bits, not values: the points -0.0 and 0.0, and
+data or branches one bit apart (a NaN payload included), are computed
+apart.  Kept arrays are read-only, and every caller gets a fresh writable
+copy.  A refusal is never kept: bad arguments are refused before the
+lookup, on every call.
+
 The chain-rule coefficients are partial Bell polynomials
 B_{s,j}(z', z'', ...), computed by the standard recurrence
 B_{n,k} = sum_i C(n-1, i-1) x_i B_{n-i,k-1}.
@@ -31,6 +43,7 @@ B_{n,k} = sum_i C(n-1, i-1) x_i B_{n-i,k-1}.
 from __future__ import annotations
 
 import math
+import struct
 from functools import lru_cache
 
 import numpy as np
@@ -52,10 +65,7 @@ def z_profile(point: float, side: str, m: int) -> np.ndarray:
     The sgn part is locally constant away from the jump, so it contributes
     only to the value; the derivatives are those of sin.
     """
-    if side not in ("left", "right"):
-        raise ValueError(f"side must be 'left' or 'right', got {side!r}")
-    if not -1.0 <= point <= 1.0:
-        raise ValueError("point outside [-1, 1]")
+    _check_point(point, side)
     if point != 0:
         step = math.copysign(1.0, point)
     else:
@@ -69,6 +79,15 @@ def z_profile(point: float, side: str, m: int) -> np.ndarray:
     zs = np.array([cycle[k % 4] for k in range(m + 1)]) + 0.0
     zs[0] += step
     return zs
+
+
+def _check_point(point: float, side: str) -> None:
+    """Refuse a side other than 'left' or 'right' and a point outside
+    [-1, 1], NaN included."""
+    if side not in ("left", "right"):
+        raise ValueError(f"side must be 'left' or 'right', got {side!r}")
+    if not -1.0 <= point <= 1.0:
+        raise ValueError("point outside [-1, 1]")
 
 
 def chain_rule_matrix(derivs) -> np.ndarray:
@@ -107,11 +126,21 @@ def h_endpoint_data(alphas, betas) -> np.ndarray:
     (row 1) for which q = z + H(z) has the one-sided derivatives
     q^{(s)}(0^-) = alphas[s] and q^{(s)}(0^+) = betas[s].
 
-    Each row solves its lower-triangular chain-rule system by forward
-    substitution; the lists are refused as :func:`hermite_endpoint` refuses
-    them.
+    The lists are refused as :func:`hermite_endpoint` refuses them, before
+    the lookup, on every call.  The result for each distinct data is kept
+    (:func:`_substitute`), keyed by the float64 bytes the lists convert to,
+    and each call returns a fresh writable copy.
     """
-    m, data = _endpoint_data(alphas, betas, float)
+    return _substitute(_endpoint_data(alphas, betas, float)[1].tobytes()).copy()
+
+
+@lru_cache(maxsize=64)
+def _substitute(key: bytes) -> np.ndarray:
+    """The jump data whose float64 bytes, rows at 0^- and 0^+, are ``key``,
+    each row turned into H's derivatives by forward substitution in its
+    lower-triangular chain-rule system; read-only."""
+    data = np.frombuffer(key).reshape(2, -1).copy()
+    m = data.shape[1] - 1
     # non-finite or overflowing data leaves the substitution as inf or NaN,
     # without a warning, and the Hermite solve refuses it
     with np.errstate(invalid="ignore", over="ignore"):
@@ -120,6 +149,7 @@ def h_endpoint_data(alphas, betas) -> np.ndarray:
             rhs = v - zs
             for s in range(m + 1):
                 v[s] = (rhs[s] - a[s, :s] @ v[:s]) / a[s, s]
+    data.flags.writeable = False
     return data
 
 
@@ -135,8 +165,27 @@ def q_eval(h: Branch, x):
 
 
 def q_derivs_at(point: float, side: str, h: Branch, m: int) -> np.ndarray:
-    """One-sided derivatives [q(point), ..., q^(m)(point)] of q = z + H(z)."""
+    """One-sided derivatives [q(point), ..., q^(m)(point)] of q = z + H(z).
+
+    A bad side or a point outside [-1, 1] (NaN included) is refused before
+    the lookup, on every call.  The result for each distinct (point, side,
+    m, H) is kept (:func:`_q_derivs`), keyed by the point's float64 bits
+    and the bytes of H's entries, and each call returns a fresh writable
+    copy.
+    """
+    _check_point(point, side)
+    return _q_derivs(struct.pack("d", point), side, m, h.entries.tobytes()).copy()
+
+
+@lru_cache(maxsize=64)
+def _q_derivs(point_bits: bytes, side: str, m: int, entries: bytes) -> np.ndarray:
+    """q's derivatives of orders 0..m at the point whose float64 bits are
+    ``point_bits``, for the H whose entries' bytes are ``entries``;
+    read-only."""
+    (point,) = struct.unpack("d", point_bits)
     zs, a = _chain_rule_system(point, side, m)
-    freqs, amps = _branch_modes(h)
+    freqs, amps = _branch_modes(Branch._of(np.frombuffer(entries).reshape(3, -1)))
     h_derivs = (deriv_rows(freqs, zs[0], m) @ amps).real
-    return zs + a @ h_derivs
+    derivs = zs + a @ h_derivs
+    derivs.flags.writeable = False
+    return derivs

@@ -6,6 +6,13 @@ respectively, written against the generic elementary functions in
 numpy arrays) and as a jet.  One-sided derivatives therefore come out of
 closed-form jet composition, with no finite differencing.
 
+A target's jets depend on (target, point, side, m) alone, never on a net's
+width or depth, so a process computes each once:
+:meth:`PiecewiseTarget.one_sided_derivs` keeps the last 64 distinct ones,
+keyed by the target and the point's float64 bits, and hands each caller a
+fresh copy.  A target's pieces must therefore be deterministic and
+hashable: a kept jet is handed out again without calling the piece.
+
 Registered names: ``sgn``, ``pw_smooth``, ``hat``, ``smooth_nonper``.
 Custom targets may be registered programmatically via
 :func:`register_target`; there is no expression parser.
@@ -14,7 +21,9 @@ Custom targets may be registered programmatically via
 from __future__ import annotations
 
 import math
+import struct
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable
 
 import numpy as np
@@ -29,7 +38,14 @@ class UnknownTargetError(KeyError):
 
 @dataclass(frozen=True)
 class PiecewiseTarget:
-    """Two-piece target with breakpoint at 0 and jet-exact derivatives."""
+    """Two-piece target with breakpoint at 0 and jet-exact derivatives.
+
+    The pieces must be deterministic, since the jets taken of them are kept
+    per (point, side, m) (:meth:`one_sided_derivs`), and hashable, since
+    the target is part of that key.  Targets are equal, and hash equal,
+    when their name, pieces and breakpoint value are, so two targets with
+    one name and different pieces keep their own jets.
+    """
 
     name: str
     left_piece: Callable
@@ -57,14 +73,34 @@ class PiecewiseTarget:
         return float(vals[0]) if scalar else vals
 
     def one_sided_derivs(self, point: float, side: str, m: int) -> np.ndarray:
-        """[f(point^s), f'(point^s), ..., f^(m)(point^s)] for side s."""
+        """[f(point^s), f'(point^s), ..., f^(m)(point^s)] for side s.
+
+        The jet of each distinct (target, point, side, m) is kept
+        (:func:`_jets`), keyed by the point's float64 bits, so -0.0 and 0.0
+        are two points; each call returns a fresh writable copy.  A refusal
+        is never kept: a bad side, a point outside [-1, 1] (NaN included)
+        and an order the jets refuse are refused before the lookup, on
+        every call.
+        """
         if side not in ("left", "right"):
             raise ValueError(f"side must be 'left' or 'right', got {side!r}")
         if not -1.0 <= point <= 1.0:
             raise ValueError("point outside [-1, 1]")
-        use_left = point < 0 or (point == 0 and side == "left")
-        piece = self.left_piece if use_left else self.right_piece
-        return jets.derivatives(piece(jet_var(point, m)))
+        jets._check_order(m)
+        return _jets(self, struct.pack("d", point), side, m).copy()
+
+
+@lru_cache(maxsize=64)
+def _jets(target: PiecewiseTarget, point_bits: bytes, side: str, m: int) -> np.ndarray:
+    """The target's one-sided derivatives of orders 0..m at the point whose
+    float64 bits are ``point_bits``, read-only; lru_cache keeps no call
+    that raises."""
+    (point,) = struct.unpack("d", point_bits)
+    use_left = point < 0 or (point == 0 and side == "left")
+    piece = target.left_piece if use_left else target.right_piece
+    derivs = jets.derivatives(piece(jet_var(point, m)))
+    derivs.flags.writeable = False
+    return derivs
 
 
 def _sgn_left(u):

@@ -16,8 +16,9 @@ one approximation at a time, the support width from the outermost points
 over the threshold instead of the largest |x| of all of them.  The rate
 fit, which only the tests read, lives here too, and so does the reading
 of a net's two Hermite solves with their endpoint data recomputed from
-the target.  :func:`forget_solves` empties the memo of endpoint solves, for
-tests that count or spy on a solve and so need it computed afresh.
+the target.  :func:`forget_solves` empties the memo of endpoint solves and
+those of the endpoint data behind them, for tests that count or spy on a
+solve or on its data and so need it computed afresh.
 """
 
 import math
@@ -25,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from fresnet import hermite, jets, network
+from fresnet import hermite, jets, jump, network, targets
 from fresnet.jets import Jet
 from fresnet.jump import h_endpoint_data, q_derivs_at, z_profile
 from fresnet.metrics import DEFAULT_GRID_N
@@ -60,10 +61,13 @@ def max_abs_deriv(br: Branch, lo: float, hi: float, n: int = 4001) -> float:
 
 
 def forget_solves() -> None:
-    """Empty the memo of :func:`fresnet.hermite.hermite_endpoint`, so the
-    next call on any data solves and judges it afresh and returns a new
-    branch."""
-    hermite._solve.cache_clear()
+    """Empty the memo of :func:`fresnet.hermite.hermite_endpoint` and those
+    of the data behind its solves (a target's jets, the jump data and q's
+    endpoint derivatives), so the next build computes its endpoint data
+    afresh and the next call on any data solves and judges it afresh and
+    returns a new branch."""
+    for memo in (hermite._solve, targets._jets, jump._substitute, jump._q_derivs):
+        memo.cache_clear()
 
 
 def held_solves(target, net: FourierResNet, m: int, k: int):

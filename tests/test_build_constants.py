@@ -1,7 +1,9 @@
-"""Constants a build computes once: per-order systems, each endpoint solve,
-the build rule's per-K tables, the sin(x) neuron, and the call budget of one
-``convergence`` cell, counted rather than timed."""
+"""Constants a build computes once: per-order systems, each endpoint solve
+and the endpoint data behind it, the build rule's per-K tables, the sin(x)
+neuron, and the call budget of one ``convergence`` cell, counted rather
+than timed."""
 
+import sys
 import threading
 import warnings
 from concurrent.futures import ThreadPoolExecutor
@@ -9,7 +11,7 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 
-from fresnet import builder, cli, hermite, jets, jump, network, quadrature, smooth
+from fresnet import builder, cli, hermite, jets, jump, network, quadrature, smooth, targets
 from fresnet.builder import BuildSpec, build_piecewise_net
 from fresnet.hermite import HermiteSolveError, hermite_endpoint, scaled_residual
 from fresnet.targets import target_lookup
@@ -267,6 +269,13 @@ def counters(monkeypatch):
     return counts
 
 
+def endpoint_misses():
+    """Misses of the memos of a target's jets, the jump data and q's
+    endpoint derivatives."""
+    return tuple(memo.cache_info().misses
+                 for memo in (targets._jets, jump._substitute, jump._q_derivs))
+
+
 def test_convergence_cell_call_budget(counters, tmp_path):
     out = str(tmp_path / "cell.csv")
 
@@ -286,18 +295,22 @@ def test_convergence_cell_call_budget(counters, tmp_path):
     assert len(counters["bell"]) == 4
     # the build at K = 20 and the baseline series at K = 40
     assert smooth._rule_tables.cache_info().misses == 2
+    # four jets, one jump data and q's derivatives at -1 and +1
+    assert endpoint_misses() == (4, 1, 2)
     cell(2)
     assert counters["irfft"] == counters["tables"]
     assert hermite._hermite_system.cache_info().misses == 1
     assert hermite._solve.cache_info().misses == 2
     assert len(counters["bell"]) == 4
     assert smooth._rule_tables.cache_info().misses == 2
+    assert endpoint_misses() == (4, 1, 2)
     cell(3)
     assert counters["irfft"] == counters["tables"]
     assert hermite._hermite_system.cache_info().misses == 2
     assert hermite._solve.cache_info().misses == 4
     assert len(counters["bell"]) == 8
     assert smooth._rule_tables.cache_info().misses == 2
+    assert endpoint_misses() == (8, 2, 4)
 
 
 # -- the memo of endpoint solves ---------------------------------------------
@@ -361,11 +374,22 @@ def test_threads_sharing_the_memo_build_the_single_thread_nets():
         start.wait(timeout=60)
         return k, text(k)
 
-    with ThreadPoolExecutor(8) as pool:
-        results = list(pool.map(job, ks * 2))
+    # switch threads often, so lookups and fills of the shared memos interleave
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with ThreadPoolExecutor(8) as pool:
+            results = list(pool.map(job, ks * 2, timeout=120))
+    finally:
+        sys.setswitchinterval(interval)
     assert len(results) == 8
     for k, got in results:
         assert got == expected[k], k
+    # the endpoint data of one (target, m): four jets, one jump data and
+    # q's derivatives at -1 and +1, whichever thread computed them
+    sizes = [memo.cache_info().currsize
+             for memo in (targets._jets, jump._substitute, jump._q_derivs, hermite._solve)]
+    assert sizes == [4, 1, 2, 2]
 
 
 def count_solves(monkeypatch):
@@ -456,3 +480,180 @@ def test_the_readme_sweep_writes_the_csv_of_fresh_solves(monkeypatch, tmp_path):
 
     monkeypatch.setattr(cli, "build_piecewise_net", fresh_build)
     assert text("fresh.csv") == kept
+
+
+# -- the memos of the endpoint data ------------------------------------------
+#
+# A target's jets, the jump data and q's endpoint derivatives are kept by
+# their bits.  Each check compares with a result computed after
+# forget_solves(), which the memos cannot answer.
+
+LINE = targets.PiecewiseTarget("_line", lambda u: 2.0 * u, lambda u: 1.0 - 3.0 * u, 0.0)
+ALPHAS, BETAS = [1.0, 1.0, 0.0, 0.0], [2.0, 0.0, -np.pi ** 2, 0.0]
+
+
+def h_poly():
+    return jump.build_jump_H(ALPHAS, BETAS)
+
+
+#: name -> (memo, a call through it)
+ENDPOINT_CALLS = {
+    "jets": (targets._jets, lambda: LINE.one_sided_derivs(0.5, "right", 3)),
+    "jump data": (jump._substitute, lambda: jump.h_endpoint_data(ALPHAS, BETAS)),
+    "q derivatives": (jump._q_derivs, lambda: jump.q_derivs_at(1.0, "left", h_poly(), 3)),
+}
+
+
+def fresh(call):
+    forget_solves()
+    return call()
+
+
+@pytest.mark.parametrize("name", ENDPOINT_CALLS)
+def test_a_repeated_call_gives_the_kept_bits_in_a_fresh_array(name):
+    memo, call = ENDPOINT_CALLS[name]
+    expected = fresh(call)
+    first = call()
+    assert (memo.cache_info().misses, memo.cache_info().hits) == (1, 1)
+    assert first is not expected and first.tobytes() == expected.tobytes()
+    first[...] = 7.0  # the caller's own array
+    again = call()
+    assert again is not first and again.flags.writeable
+    assert again.tobytes() == expected.tobytes()
+
+
+def test_the_points_minus_zero_and_zero_get_their_own_jets():
+    # the left piece 2u is -0.0 at -0.0, so a value-keyed memo would hand one
+    # zero's jets to the other; the right piece 1 - 3u is 1.0 at both
+    for side in ("left", "right"):
+        plus = fresh(lambda: LINE.one_sided_derivs(0.0, side, 3))
+        minus = fresh(lambda: LINE.one_sided_derivs(-0.0, side, 3))
+        assert (plus.tobytes() != minus.tobytes()) == (side == "left")
+        forget_solves()
+        for point, expected in ((0.0, plus), (-0.0, minus), (0.0, plus), (-0.0, minus)):
+            assert LINE.one_sided_derivs(point, side, 3).tobytes() == expected.tobytes()
+        assert targets._jets.cache_info().misses == 2
+
+
+def test_the_points_minus_zero_and_zero_get_their_own_q_derivatives():
+    h = h_poly()
+    for side in ("left", "right"):
+        expected = {p: fresh(lambda: jump.q_derivs_at(p, side, h, 3)).tobytes()
+                    for p in (0.0, -0.0)}
+        forget_solves()
+        for point in (0.0, -0.0, 0.0, -0.0):
+            assert jump.q_derivs_at(point, side, h, 3).tobytes() == expected[point]
+        assert jump._q_derivs.cache_info().misses == 2
+
+
+def nan_with_payload(payload):
+    return np.array([0x7FF8000000000000 | payload], dtype=np.int64).view(float)[0]
+
+
+@pytest.mark.parametrize("variant", ["negative zero", "last bit", "nan payload"])
+def test_jump_data_one_bit_apart_is_substituted_apart(variant):
+    alphas, betas = np.array(ALPHAS), np.array(BETAS)
+    other_alphas, other_betas = alphas.copy(), betas.copy()
+    if variant == "negative zero":
+        other_alphas[2] = -0.0
+    elif variant == "last bit":
+        other_betas[2] = np.nextafter(betas[2], 0.0)
+    else:
+        alphas[3], other_alphas[3] = nan_with_payload(1), nan_with_payload(2)
+    data = ((alphas, betas), (other_alphas, other_betas))
+    expected = [fresh(lambda: jump.h_endpoint_data(*d)).tobytes() for d in data]
+    forget_solves()
+    for _ in range(2):
+        for d, bits in zip(data, expected):
+            assert jump.h_endpoint_data(*d).tobytes() == bits
+    assert jump._substitute.cache_info().misses == 2
+
+
+@pytest.mark.parametrize("variant", ["negative zero", "last bit"])
+def test_h_branches_one_bit_apart_get_their_own_q_derivatives(variant):
+    freqs, sin_amps, cos_amps = (list(row) for row in h_poly().entries)
+    if variant == "negative zero":
+        base = network.Branch(freqs, [0.0] + sin_amps[1:], cos_amps)
+        other = network.Branch(freqs, [-0.0] + sin_amps[1:], cos_amps)
+        assert base == other  # equal as numbers, two keys as bits
+    else:
+        base = network.Branch(freqs, sin_amps, cos_amps)
+        other = network.Branch(freqs, sin_amps, [np.nextafter(cos_amps[0], 1.0)] + cos_amps[1:])
+    expected = [fresh(lambda: jump.q_derivs_at(-1.0, "right", h, 3)).tobytes()
+                for h in (base, other)]
+    forget_solves()
+    for _ in range(2):
+        for h, bits in zip((base, other), expected):
+            assert jump.q_derivs_at(-1.0, "right", h, 3).tobytes() == bits
+    assert jump._q_derivs.cache_info().misses == 2
+
+
+#: name -> (memo, refused calls, each with the message it is refused with)
+REFUSALS = {
+    "jets": (targets._jets, [
+        (lambda: LINE.one_sided_derivs(2.0, "left", 1), "point outside"),
+        (lambda: LINE.one_sided_derivs(np.nan, "left", 1), "point outside"),
+        (lambda: LINE.one_sided_derivs(0.0, "up", 1), "side must be"),
+        (lambda: LINE.one_sided_derivs(0.0, "left", jets.MAX_ORDER + 1), "exceeds maximum"),
+    ]),
+    "jump data": (jump._substitute, [
+        (lambda: jump.h_endpoint_data([1.0], [1.0, 2.0]), "equal-length"),
+        (lambda: jump.h_endpoint_data([], []), "equal-length"),
+        (lambda: jump.h_endpoint_data([[1.0, 2.0]], [[1.0, 2.0]]), "equal-length"),
+        (lambda: jump.h_endpoint_data(1.0, 1.0), "equal-length"),
+        (lambda: jump.h_endpoint_data(np.zeros(jets.MAX_ORDER + 2),
+                                      np.zeros(jets.MAX_ORDER + 2)), "exceeds maximum"),
+    ]),
+    "q derivatives": (jump._q_derivs, [
+        (lambda: jump.q_derivs_at(1.5, "left", h_poly(), 3), "point outside"),
+        (lambda: jump.q_derivs_at(np.nan, "left", h_poly(), 3), "point outside"),
+        (lambda: jump.q_derivs_at(1.0, "up", h_poly(), 3), "side must be"),
+    ]),
+}
+
+
+@pytest.mark.parametrize("name", REFUSALS)
+def test_a_refusal_is_raised_before_the_lookup_on_every_call(name):
+    memo, refused = REFUSALS[name]
+    before = memo.cache_info()
+    for call, message in refused:
+        for _ in range(3):
+            with pytest.raises(ValueError, match=message):
+                call()
+    assert memo.cache_info() == before
+
+
+def test_targets_with_one_name_and_other_pieces_keep_their_own_jets():
+    twin = targets.PiecewiseTarget("_line", lambda u: u * u, lambda u: 1.0 - 3.0 * u, 0.0)
+    forget_solves()
+    for _ in range(2):
+        for target in (LINE, twin):
+            got = target.one_sided_derivs(-0.5, "left", 2)
+            direct = jets.derivatives(target.left_piece(jets.jet_var(-0.5, 2)))
+            assert got.tobytes() == direct.tobytes()
+    assert targets._jets.cache_info().misses == 2
+    assert LINE.one_sided_derivs(-0.5, "left", 2).tolist() == [-1.0, 2.0, 0.0]
+    assert twin.one_sided_derivs(-0.5, "left", 2).tolist() == [0.25, -1.0, 2.0]
+
+
+#: name -> (memo, the call with the i-th distinct key)
+KEYED_CALLS = {
+    "jets": (targets._jets, lambda i: LINE.one_sided_derivs(i / 128, "left", 2)),
+    "jump data": (jump._substitute, lambda i: jump.h_endpoint_data([float(i)], [0.0])),
+    "q derivatives": (jump._q_derivs, lambda i: jump.q_derivs_at(i / 128, "left", h_poly(), 3)),
+}
+
+
+@pytest.mark.parametrize("name", KEYED_CALLS)
+def test_each_endpoint_memo_holds_at_most_64_entries(name):
+    memo, call = KEYED_CALLS[name]
+    forget_solves()
+    size = memo.cache_info().maxsize
+    assert size == 64
+    for i in range(size + 36):
+        call(i)
+    info = memo.cache_info()
+    assert (info.currsize, info.misses) == (size, size + 36)
+    # the oldest key was dropped and is computed again
+    call(0)
+    assert memo.cache_info().misses == size + 37

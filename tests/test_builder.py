@@ -6,7 +6,7 @@ import sys
 import numpy as np
 import pytest
 
-from fresnet import hermite, jump, network, quadrature, sign, smooth
+from fresnet import hermite, jump, network, quadrature, sign, smooth, targets
 from fresnet.builder import BuildSpec, build_piecewise_net
 from fresnet.hermite import RESIDUAL_BOUND, scaled_residual
 from fresnet.jump import q_derivs_at, q_eval
@@ -101,7 +101,8 @@ def test_a_build_calls_each_stage_by_a_name_a_tracer_can_rebind(monkeypatch):
     every fresnet module that holds it, and a method on its class (as
     ``bench/spans.py`` does); a traced run fails when a stage records no
     calls.  So one build must reach every stage through such a name, also
-    when an earlier build at the same K filled the per-K caches."""
+    when an earlier build of the same spec filled the per-K caches and
+    every memo of the endpoint data and solves."""
     spec = BuildSpec(target_lookup("pw_smooth"), 2, 8, 6)
     build_piecewise_net(spec)
     calls = {}
@@ -129,8 +130,15 @@ def test_a_build_calls_each_stage_by_a_name_a_tracer_can_rebind(monkeypatch):
     for name in ("one_sided_derivs", "eval"):
         method = PiecewiseTarget.__dict__[name]
         monkeypatch.setattr(PiecewiseTarget, name, counting(f"PiecewiseTarget.{name}", method))
+    memos = (targets._jets, jump._substitute, jump._q_derivs, hermite._solve)
+    before = [memo.cache_info() for memo in memos]
     build_piecewise_net(spec)
     assert len(calls) == 10 and all(calls.values()), calls
+    # the build was warm: four jets, one jump data, q's derivatives at -1
+    # and +1, and H and H_r, each a hit
+    after = [memo.cache_info() for memo in memos]
+    assert [a.misses - b.misses for a, b in zip(after, before)] == [0, 0, 0, 0]
+    assert [a.hits - b.hits for a, b in zip(after, before)] == [4, 1, 2, 2]
 
 
 def rebind_everywhere(monkeypatch, module, name, wrapper):
