@@ -6,8 +6,7 @@ Builds the 2(m+1)-term trigonometric polynomial
 
 matching prescribed derivative values H^{(s)}(-1) and H^{(s)}(1) for
 0 <= s <= m.  The coefficients solve a dense complex linear system with
-one row per derivative constraint.  The matrix depends on m alone, so a
-process builds it once per order.
+one row per derivative constraint.
 
 H is returned as a :class:`fresnet.network.Branch`, the type every
 trigonometric polynomial of a network has: one real entry per complex
@@ -135,17 +134,11 @@ def _endpoint_data(alphas, betas, dtype=complex):
     return alphas.size - 1, np.concatenate([alphas, betas]).reshape(2, -1)
 
 
-@lru_cache(maxsize=jets.MAX_ORDER + 1)
 def _hermite_system(m: int):
-    """(matrix, omegas) of the order-m interpolation system, read-only.
-
-    They depend on m alone, so a process builds each order's system once:
-    rows s = 0..m are the derivative conditions at -1, rows m+1..2m+1
-    those at +1.
-    """
+    """(matrix, omegas) of the order-m interpolation system: rows s = 0..m
+    are the derivative conditions at -1, rows m+1..2m+1 those at +1."""
     omegas = (2 * np.arange(-(m + 1), m + 1) + 1) * np.pi / 4.0
     matrix = np.concatenate([deriv_rows(omegas, -1.0, m), deriv_rows(omegas, 1.0, m)])
-    matrix.flags.writeable = omegas.flags.writeable = False
     return matrix, omegas
 
 

@@ -16,24 +16,22 @@ alone: ``hermite.scaled_residual(h_branch, *h_endpoint_data(alphas,
 betas))`` is the verdict its solve was given.
 :func:`z_profile` returns z's one-sided derivatives as one array
 [z, z', ..., z^(m)], laid out like a target's ``one_sided_derivs``, so
-each system's right-hand side is a difference of two such arrays.  The
-profile and its chain-rule matrix depend on (point, side, m) alone, so a
-process computes each once.  :func:`q_derivs_at` takes H's derivatives at
-z(point) from H's 2(m+1) modes by one row product
-(:func:`fresnet.hermite.deriv_rows`), and :func:`q_eval` evaluates H as
-the branch it is.
+each system's right-hand side is a difference of two such arrays.
+:func:`q_derivs_at` takes H's derivatives at z(point) from H's 2(m+1)
+modes by one row product (:func:`fresnet.hermite.deriv_rows`), and
+:func:`q_eval` evaluates H as the branch it is.
 
-The jump data and q's endpoint derivatives depend on (target, m) alone,
-never on a net's width or depth, so a process computes each once.
-:func:`h_endpoint_data` keeps the substitution's result for the last 64
-distinct jump data, keyed by the data's float64 bytes, and
-:func:`q_derivs_at` keeps q's derivatives for the last 64 distinct
-(point, side, m, H), keyed by the point's float64 bits and the bytes of
-H's entries.  Keys are bits, not values: the points -0.0 and 0.0, and
-data or branches one bit apart (a NaN payload included), are computed
-apart.  Kept arrays are read-only, and every caller gets a fresh writable
-copy.  A refusal is never kept: bad arguments are refused before the
-lookup, on every call.
+H and q's endpoint derivatives depend on (target, m) alone, never on a
+net's width or depth, so a process computes each once.
+:func:`build_jump_H` keeps the judged H of the last 64 distinct jump
+data, keyed by the data's float64 bytes, and :func:`q_derivs_at` keeps
+q's derivatives for the last 64 distinct (point, side, m, H), keyed by
+the point's float64 bits and the bytes of H's entries.  Keys are bits,
+not values: the points -0.0 and 0.0, and data or branches one bit apart
+(a NaN payload included), are computed apart.  A repeated H is the same
+branch object; kept derivatives are read-only, and every caller gets a
+fresh writable copy.  A refusal is never kept: bad arguments are refused
+before the lookup, and a refused solve is solved again, on every call.
 
 The chain-rule coefficients are partial Bell polynomials
 B_{s,j}(z', z'', ...), computed by the standard recurrence
@@ -48,6 +46,7 @@ from functools import lru_cache
 
 import numpy as np
 
+from . import jets
 from .hermite import _endpoint_data, deriv_rows, hermite_endpoint
 from .network import Branch, _branch_modes
 
@@ -108,17 +107,10 @@ def chain_rule_matrix(derivs) -> np.ndarray:
     return bell
 
 
-@lru_cache(maxsize=64)
 def _chain_rule_system(point: float, side: str, m: int):
-    """(z_profile, chain_rule_matrix) at (point, side, m), read-only.
-
-    A build reads them at 0 from both sides and at the two endpoints, for
-    its own m, so a process computes each once.
-    """
+    """(z_profile, chain_rule_matrix) at (point, side, m)."""
     zs = z_profile(point, side, m)
-    a = chain_rule_matrix(zs[1:])
-    zs.flags.writeable = a.flags.writeable = False
-    return zs, a
+    return zs, chain_rule_matrix(zs[1:])
 
 
 def h_endpoint_data(alphas, betas) -> np.ndarray:
@@ -126,21 +118,11 @@ def h_endpoint_data(alphas, betas) -> np.ndarray:
     (row 1) for which q = z + H(z) has the one-sided derivatives
     q^{(s)}(0^-) = alphas[s] and q^{(s)}(0^+) = betas[s].
 
-    The lists are refused as :func:`hermite_endpoint` refuses them, before
-    the lookup, on every call.  The result for each distinct data is kept
-    (:func:`_substitute`), keyed by the float64 bytes the lists convert to,
-    and each call returns a fresh writable copy.
+    Each row is the jump data at its side turned into H's derivatives by
+    forward substitution in its lower-triangular chain-rule system.  The
+    lists are refused as :func:`hermite_endpoint` refuses them.
     """
-    return _substitute(_endpoint_data(alphas, betas, float)[1].tobytes()).copy()
-
-
-@lru_cache(maxsize=64)
-def _substitute(key: bytes) -> np.ndarray:
-    """The jump data whose float64 bytes, rows at 0^- and 0^+, are ``key``,
-    each row turned into H's derivatives by forward substitution in its
-    lower-triangular chain-rule system; read-only."""
-    data = np.frombuffer(key).reshape(2, -1).copy()
-    m = data.shape[1] - 1
+    m, data = _endpoint_data(alphas, betas, float)
     # non-finite or overflowing data leaves the substitution as inf or NaN,
     # without a warning, and the Hermite solve refuses it
     with np.errstate(invalid="ignore", over="ignore"):
@@ -149,13 +131,25 @@ def _substitute(key: bytes) -> np.ndarray:
             rhs = v - zs
             for s in range(m + 1):
                 v[s] = (rhs[s] - a[s, :s] @ v[:s]) / a[s, s]
-    data.flags.writeable = False
     return data
 
 
 def build_jump_H(alphas, betas) -> Branch:
-    """H such that q = z + H(z) has the prescribed one-sided derivatives."""
-    return hermite_endpoint(*h_endpoint_data(alphas, betas))
+    """H such that q = z + H(z) has the prescribed one-sided derivatives.
+
+    The lists are refused as :func:`hermite_endpoint` refuses them, before
+    the lookup, on every call.  The judged H of each distinct jump data is
+    kept (:func:`_jump_H`), keyed by the float64 bytes the lists convert
+    to, so a repeated call returns the same branch object.
+    """
+    return _jump_H(_endpoint_data(alphas, betas, float)[1].tobytes())
+
+
+@lru_cache(maxsize=64)
+def _jump_H(key: bytes) -> Branch:
+    """The judged H of the jump data whose float64 bytes, rows at 0^- and
+    0^+, are ``key``; lru_cache keeps no call that raises."""
+    return hermite_endpoint(*h_endpoint_data(*np.frombuffer(key).reshape(2, -1)))
 
 
 def q_eval(h: Branch, x):
@@ -167,13 +161,14 @@ def q_eval(h: Branch, x):
 def q_derivs_at(point: float, side: str, h: Branch, m: int) -> np.ndarray:
     """One-sided derivatives [q(point), ..., q^(m)(point)] of q = z + H(z).
 
-    A bad side or a point outside [-1, 1] (NaN included) is refused before
-    the lookup, on every call.  The result for each distinct (point, side,
-    m, H) is kept (:func:`_q_derivs`), keyed by the point's float64 bits
-    and the bytes of H's entries, and each call returns a fresh writable
-    copy.
+    A bad side, a point outside [-1, 1] (NaN included) and an order the
+    jets refuse are refused before the lookup, on every call.  The result
+    for each distinct (point, side, m, H) is kept (:func:`_q_derivs`),
+    keyed by the point's float64 bits and the bytes of H's entries, and
+    each call returns a fresh writable copy.
     """
     _check_point(point, side)
+    jets._check_order(m)
     return _q_derivs(struct.pack("d", point), side, m, h.entries.tobytes()).copy()
 
 

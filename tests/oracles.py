@@ -4,7 +4,8 @@ Each recomputes a library quantity by an independent method: jet
 composition instead of the Bell-matrix chain rule, a dense grid, the
 sign map iterated directly instead of the network's layers, one
 complex exponential per mode and node instead of an FFT over panels, every
-layer applied to every point instead of only to the points still moving,
+layer applied to every point instead of only to the points still moving
+(and that recursion run in mpmath at 40 digits instead of in float64),
 one mode at a time instead of a vectorised fold, every number of a
 network formatted in turn instead of each distinct bit pattern once, a
 Taylor table's rows one inverse FFT at a time instead of one batched FFT,
@@ -17,13 +18,14 @@ over the threshold instead of the largest |x| of all of them.  The rate
 fit, which only the tests read, lives here too, and so does the reading
 of a net's two Hermite solves with their endpoint data recomputed from
 the target.  :func:`forget_solves` empties the memo of endpoint solves and
-those of the endpoint data behind them, for tests that count or spy on a
-solve or on its data and so need it computed afresh.
+those of the endpoint results around them, for tests that count or spy on
+a solve or on its data and so need it computed afresh.
 """
 
 import math
 from dataclasses import dataclass
 
+import mpmath
 import numpy as np
 
 from fresnet import hermite, jets, jump, network, targets
@@ -62,11 +64,11 @@ def max_abs_deriv(br: Branch, lo: float, hi: float, n: int = 4001) -> float:
 
 def forget_solves() -> None:
     """Empty the memo of :func:`fresnet.hermite.hermite_endpoint` and those
-    of the data behind its solves (a target's jets, the jump data and q's
-    endpoint derivatives), so the next build computes its endpoint data
-    afresh and the next call on any data solves and judges it afresh and
-    returns a new branch."""
-    for memo in (hermite._solve, targets._jets, jump._substitute, jump._q_derivs):
+    of the endpoint stage around its solves (a target's jets, H by its jump
+    data and q's endpoint derivatives), so the next build computes its
+    endpoint data afresh and the next call on any data solves and judges it
+    afresh and returns a new branch."""
+    for memo in (hermite._solve, targets._jets, jump._jump_H, jump._q_derivs):
         memo.cache_clear()
 
 
@@ -188,6 +190,38 @@ def forward_plain(net: FourierResNet, xs, upto: int = None) -> np.ndarray:
         if layer.h_branch is not None:
             f = f + layer.h_branch(prev)
     return f
+
+
+def forward_mp(net: FourierResNet, xs, dps: int = 40) -> list:
+    """f_L at each point of xs by the recursion as written, f = (f + g(x))
+    + h(f), run in mpmath at ``dps`` decimal digits on the net's own float
+    parameters: every frequency, amplitude and point is the exact binary
+    number the net or xs holds, so each value is within about 10**-dps of
+    exact arithmetic on them."""
+    def terms(br):
+        """(w, a, b) of each entry as exact mpf numbers; None for no branch."""
+        return None if br is None else [tuple(map(mpmath.mpf, e)) for e in br.entries.T.tolist()]
+
+    def branch(entries, t):
+        total = mpmath.mpf(0)
+        for w, a, b in entries:
+            cos, sin = mpmath.cos_sin(w * t)
+            total += a * sin + b * cos
+        return total
+
+    layers = [(terms(layer.g_branch), terms(layer.h_branch)) for layer in net.layers]
+    out = []
+    with mpmath.workdps(dps):
+        for x in np.asarray(xs, dtype=float).tolist():
+            x = mpmath.mpf(x)
+            f = branch(layers[0][0], x)
+            for g, h in layers[1:]:
+                prev = f
+                f = f + branch(g, x)
+                if h is not None:
+                    f = f + branch(h, prev)
+            out.append(f)
+    return out
 
 
 def mode_entry(c: complex, omega: float):

@@ -1,7 +1,7 @@
-"""Constants a build computes once: per-order systems, each endpoint solve
-and the endpoint data behind it, the build rule's per-K tables, the sin(x)
-neuron, and the call budget of one ``convergence`` cell, counted rather
-than timed."""
+"""Constants a build computes once: each endpoint solve and the endpoint
+results around it (a target's jets, H by its jump data, q's endpoint
+derivatives), the build rule's per-K tables, the sin(x) neuron, and the
+call budget of one ``convergence`` cell, counted rather than timed."""
 
 import sys
 import threading
@@ -16,20 +16,6 @@ from fresnet.builder import BuildSpec, build_piecewise_net
 from fresnet.hermite import HermiteSolveError, hermite_endpoint, scaled_residual
 from fresnet.targets import target_lookup
 from oracles import forget_solves
-
-
-def test_one_build_creates_each_orders_hermite_system_once():
-    hermite._hermite_system.cache_clear()
-    forget_solves()
-    build_piecewise_net(BuildSpec(target_lookup("hat"), 3, 8, 6))
-    info = hermite._hermite_system.cache_info()
-    # H (jump) and H_r (smooth part) are both order-3 solves, and each
-    # solve's verdict (scaled_residual) reads the system once more
-    assert (info.misses, info.hits) == (1, 3)
-    build_piecewise_net(BuildSpec(target_lookup("pw_smooth"), 3, 16, 6))
-    build_piecewise_net(BuildSpec(target_lookup("hat"), 2, 8, 6))
-    info = hermite._hermite_system.cache_info()
-    assert (info.misses, info.hits) == (2, 10)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -206,13 +192,11 @@ def test_only_modes_counts_up_to_the_cap_are_cached():
 
 
 def test_cached_constants_refuse_writes():
-    matrix, omegas = hermite._hermite_system(2)
-    zs, bell = jump._chain_rule_system(0.0, "left", 2)
     # every build and every lp_error reads the same cached nodes and weights
     x, w = quadrature.nodes_weights()
     # and every build at one K the same per-K tables
     half_w, rows, phase = smooth._rule_tables(7)
-    for array in (matrix, omegas, zs, bell, x, w, half_w, rows, phase):
+    for array in (x, w, half_w, rows, phase):
         with pytest.raises(ValueError, match="read-only"):
             array[0] = 0.0
 
@@ -241,9 +225,9 @@ def test_builds_share_the_sin_neuron_and_its_plan(monkeypatch):
 @pytest.fixture
 def counters(monkeypatch):
     """Counts of irfft calls, Taylor tables and chain-rule matrices, with
-    every per-process cache they could hide behind emptied; Hermite systems,
-    endpoint solves and the build rule's per-K tables are counted by their
-    caches' misses."""
+    every per-process cache they could hide behind emptied; endpoint solves
+    and the build rule's per-K tables are counted by their caches'
+    misses."""
     counts = {"irfft": 0, "tables": 0, "bell": []}
 
     def counting(name, fn):
@@ -262,18 +246,16 @@ def counters(monkeypatch):
         return real_bell(derivs)
 
     monkeypatch.setattr(jump, "chain_rule_matrix", counting_bell)
-    hermite._hermite_system.cache_clear()
     forget_solves()
-    jump._chain_rule_system.cache_clear()
     smooth._rule_tables.cache_clear()
     return counts
 
 
 def endpoint_misses():
-    """Misses of the memos of a target's jets, the jump data and q's
-    endpoint derivatives."""
+    """Misses of the memos of a target's jets, H and q's endpoint
+    derivatives."""
     return tuple(memo.cache_info().misses
-                 for memo in (targets._jets, jump._substitute, jump._q_derivs))
+                 for memo in (targets._jets, jump._jump_H, jump._q_derivs))
 
 
 def test_convergence_cell_call_budget(counters, tmp_path):
@@ -288,25 +270,22 @@ def test_convergence_cell_call_budget(counters, tmp_path):
     # the 20-term spectral layer and the 40-term baseline series are tables
     assert counters["tables"] >= 2
     assert counters["irfft"] == counters["tables"]
-    assert hermite._hermite_system.cache_info().misses == 1
     # H and H_r: two endpoint solves for each new (target, m), none repeated
     assert hermite._solve.cache_info().misses == 2
     # z's profile at 0 from both sides and at the two endpoints
     assert len(counters["bell"]) == 4
     # the build at K = 20 and the baseline series at K = 40
     assert smooth._rule_tables.cache_info().misses == 2
-    # four jets, one jump data and q's derivatives at -1 and +1
+    # four jets, one H and q's derivatives at -1 and +1
     assert endpoint_misses() == (4, 1, 2)
     cell(2)
     assert counters["irfft"] == counters["tables"]
-    assert hermite._hermite_system.cache_info().misses == 1
     assert hermite._solve.cache_info().misses == 2
     assert len(counters["bell"]) == 4
     assert smooth._rule_tables.cache_info().misses == 2
     assert endpoint_misses() == (4, 1, 2)
     cell(3)
     assert counters["irfft"] == counters["tables"]
-    assert hermite._hermite_system.cache_info().misses == 2
     assert hermite._solve.cache_info().misses == 4
     assert len(counters["bell"]) == 8
     assert smooth._rule_tables.cache_info().misses == 2
@@ -385,10 +364,11 @@ def test_threads_sharing_the_memo_build_the_single_thread_nets():
     assert len(results) == 8
     for k, got in results:
         assert got == expected[k], k
-    # the endpoint data of one (target, m): four jets, one jump data and
-    # q's derivatives at -1 and +1, whichever thread computed them
+    # the endpoint results of one (target, m): four jets, one H, q's
+    # derivatives at -1 and +1, and the solves of H and H_r, whichever
+    # thread computed them
     sizes = [memo.cache_info().currsize
-             for memo in (targets._jets, jump._substitute, jump._q_derivs, hermite._solve)]
+             for memo in (targets._jets, jump._jump_H, jump._q_derivs, hermite._solve)]
     assert sizes == [4, 1, 2, 2]
 
 
@@ -456,9 +436,10 @@ def test_the_memo_holds_at_most_maxsize_solves():
 
 
 def test_the_readme_sweep_writes_the_csv_of_fresh_solves(monkeypatch, tmp_path):
-    """The README's convergence sweep, whose 20 builds make 40 solves of 8
-    distinct data, one H and one H_r per m, writes the CSV it writes with
-    the memo emptied before every build, but for the wall_ms column."""
+    """The README's convergence sweep, whose 20 builds look up 20 H and
+    solve the 4 new ones, and solve H_r 20 times, 8 distinct data in all,
+    one H and one H_r per m, writes the CSV it writes with the memos
+    emptied before every build, but for the wall_ms column."""
     argv = ["convergence", "--target", "hat", "--m", "1,2,3,4", "--modes-list",
             "5,10,20,40,80"]
 
@@ -470,8 +451,9 @@ def test_the_readme_sweep_writes_the_csv_of_fresh_solves(monkeypatch, tmp_path):
 
     forget_solves()
     kept = text("kept.csv")
-    info = hermite._solve.cache_info()
-    assert (info.misses, info.hits) == (8, 32)
+    counts = [(memo.cache_info().misses, memo.cache_info().hits)
+              for memo in (hermite._solve, jump._jump_H, targets._jets, jump._q_derivs)]
+    assert counts == [(8, 16), (4, 16), (16, 64), (8, 32)]
     real = cli.build_piecewise_net
 
     def fresh_build(spec):
@@ -482,10 +464,10 @@ def test_the_readme_sweep_writes_the_csv_of_fresh_solves(monkeypatch, tmp_path):
     assert text("fresh.csv") == kept
 
 
-# -- the memos of the endpoint data ------------------------------------------
+# -- the memos of the endpoint results ---------------------------------------
 #
-# A target's jets, the jump data and q's endpoint derivatives are kept by
-# their bits.  Each check compares with a result computed after
+# A target's jets, H and q's endpoint derivatives are kept by the bits of
+# their arguments.  Each check compares with a result computed after
 # forget_solves(), which the memos cannot answer.
 
 LINE = targets.PiecewiseTarget("_line", lambda u: 2.0 * u, lambda u: 1.0 - 3.0 * u, 0.0)
@@ -499,7 +481,6 @@ def h_poly():
 #: name -> (memo, a call through it)
 ENDPOINT_CALLS = {
     "jets": (targets._jets, lambda: LINE.one_sided_derivs(0.5, "right", 3)),
-    "jump data": (jump._substitute, lambda: jump.h_endpoint_data(ALPHAS, BETAS)),
     "q derivatives": (jump._q_derivs, lambda: jump.q_derivs_at(1.0, "left", h_poly(), 3)),
 }
 
@@ -520,6 +501,17 @@ def test_a_repeated_call_gives_the_kept_bits_in_a_fresh_array(name):
     again = call()
     assert again is not first and again.flags.writeable
     assert again.tobytes() == expected.tobytes()
+
+
+def test_the_same_jump_data_gives_the_same_H():
+    first = fresh(h_poly)
+    assert h_poly() is first
+    # the key is the data's float64 bits, whatever sequence held them
+    assert jump.build_jump_H(np.array(ALPHAS), tuple(BETAS)) is first
+    info = jump._jump_H.cache_info()
+    assert (info.misses, info.hits) == (1, 2)
+    again = fresh(h_poly)
+    assert again is not first and again.entries.tobytes() == first.entries.tobytes()
 
 
 def test_the_points_minus_zero_and_zero_get_their_own_jets():
@@ -550,8 +542,18 @@ def nan_with_payload(payload):
     return np.array([0x7FF8000000000000 | payload], dtype=np.int64).view(float)[0]
 
 
+def jump_outcome(alphas, betas):
+    """H's entry bytes for the jump data, or the message it is refused with."""
+    try:
+        return jump.build_jump_H(alphas, betas).entries.tobytes()
+    except HermiteSolveError as exc:
+        return str(exc)
+
+
 @pytest.mark.parametrize("variant", ["negative zero", "last bit", "nan payload"])
 def test_jump_data_one_bit_apart_is_substituted_apart(variant):
+    """Each jump data's H is substituted and solved under its own bits; NaN
+    data makes no H and is refused on every call, each payload alike."""
     alphas, betas = np.array(ALPHAS), np.array(BETAS)
     other_alphas, other_betas = alphas.copy(), betas.copy()
     if variant == "negative zero":
@@ -561,12 +563,14 @@ def test_jump_data_one_bit_apart_is_substituted_apart(variant):
     else:
         alphas[3], other_alphas[3] = nan_with_payload(1), nan_with_payload(2)
     data = ((alphas, betas), (other_alphas, other_betas))
-    expected = [fresh(lambda: jump.h_endpoint_data(*d)).tobytes() for d in data]
+    expected = [fresh(lambda: jump_outcome(*d)) for d in data]
     forget_solves()
     for _ in range(2):
-        for d, bits in zip(data, expected):
-            assert jump.h_endpoint_data(*d).tobytes() == bits
-    assert jump._substitute.cache_info().misses == 2
+        for d, outcome in zip(data, expected):
+            assert jump_outcome(*d) == outcome
+    kept = variant != "nan payload"
+    info = jump._jump_H.cache_info()
+    assert (info.currsize, info.misses) == ((2, 2) if kept else (0, 4))
 
 
 @pytest.mark.parametrize("variant", ["negative zero", "last bit"])
@@ -596,18 +600,21 @@ REFUSALS = {
         (lambda: LINE.one_sided_derivs(0.0, "up", 1), "side must be"),
         (lambda: LINE.one_sided_derivs(0.0, "left", jets.MAX_ORDER + 1), "exceeds maximum"),
     ]),
-    "jump data": (jump._substitute, [
-        (lambda: jump.h_endpoint_data([1.0], [1.0, 2.0]), "equal-length"),
-        (lambda: jump.h_endpoint_data([], []), "equal-length"),
-        (lambda: jump.h_endpoint_data([[1.0, 2.0]], [[1.0, 2.0]]), "equal-length"),
-        (lambda: jump.h_endpoint_data(1.0, 1.0), "equal-length"),
-        (lambda: jump.h_endpoint_data(np.zeros(jets.MAX_ORDER + 2),
-                                      np.zeros(jets.MAX_ORDER + 2)), "exceeds maximum"),
+    "jump data": (jump._jump_H, [
+        (lambda: jump.build_jump_H([1.0], [1.0, 2.0]), "equal-length"),
+        (lambda: jump.build_jump_H([], []), "equal-length"),
+        (lambda: jump.build_jump_H([[1.0, 2.0]], [[1.0, 2.0]]), "equal-length"),
+        (lambda: jump.build_jump_H(1.0, 1.0), "equal-length"),
+        (lambda: jump.build_jump_H(np.zeros(jets.MAX_ORDER + 2),
+                                   np.zeros(jets.MAX_ORDER + 2)), "exceeds maximum"),
     ]),
     "q derivatives": (jump._q_derivs, [
         (lambda: jump.q_derivs_at(1.5, "left", h_poly(), 3), "point outside"),
         (lambda: jump.q_derivs_at(np.nan, "left", h_poly(), 3), "point outside"),
         (lambda: jump.q_derivs_at(1.0, "up", h_poly(), 3), "side must be"),
+        (lambda: jump.q_derivs_at(1.0, "left", h_poly(), -1), "must be nonnegative"),
+        (lambda: jump.q_derivs_at(1.0, "left", h_poly(), jets.MAX_ORDER + 1), "exceeds maximum"),
+        (lambda: jump.q_derivs_at(1.0, "left", h_poly(), 40), "exceeds maximum"),
     ]),
 }
 
@@ -639,7 +646,7 @@ def test_targets_with_one_name_and_other_pieces_keep_their_own_jets():
 #: name -> (memo, the call with the i-th distinct key)
 KEYED_CALLS = {
     "jets": (targets._jets, lambda i: LINE.one_sided_derivs(i / 128, "left", 2)),
-    "jump data": (jump._substitute, lambda i: jump.h_endpoint_data([float(i)], [0.0])),
+    "jump data": (jump._jump_H, lambda i: jump.build_jump_H([float(i)], [0.0])),
     "q derivatives": (jump._q_derivs, lambda i: jump.q_derivs_at(i / 128, "left", h_poly(), 3)),
 }
 

@@ -130,15 +130,17 @@ def test_a_build_calls_each_stage_by_a_name_a_tracer_can_rebind(monkeypatch):
     for name in ("one_sided_derivs", "eval"):
         method = PiecewiseTarget.__dict__[name]
         monkeypatch.setattr(PiecewiseTarget, name, counting(f"PiecewiseTarget.{name}", method))
-    memos = (targets._jets, jump._substitute, jump._q_derivs, hermite._solve)
+    memos = (targets._jets, jump._jump_H, jump._q_derivs, hermite._solve)
     before = [memo.cache_info() for memo in memos]
     build_piecewise_net(spec)
     assert len(calls) == 10 and all(calls.values()), calls
-    # the build was warm: four jets, one jump data, q's derivatives at -1
-    # and +1, and H and H_r, each a hit
+    # the build was warm: four jets, H, q's derivatives at -1 and +1, and
+    # H_r's solve, each a hit; a kept H makes no call of hermite_endpoint,
+    # H_r one
     after = [memo.cache_info() for memo in memos]
     assert [a.misses - b.misses for a, b in zip(after, before)] == [0, 0, 0, 0]
-    assert [a.hits - b.hits for a, b in zip(after, before)] == [4, 1, 2, 2]
+    assert [a.hits - b.hits for a, b in zip(after, before)] == [4, 1, 2, 1]
+    assert calls["hermite_endpoint"] == 1
 
 
 def rebind_everywhere(monkeypatch, module, name, wrapper):
